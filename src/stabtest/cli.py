@@ -80,12 +80,18 @@ def _load_mixture(path: str) -> ClassMixture:
         raise ValueError("mixture JSON must be an object with beta, q0 and q1")
 
     def convert(rows, name):
+        if not isinstance(rows, list):
+            raise ValueError(f"mixture field {name!r} must be a list of [a, b, weight] rows")
         atoms = []
         for row in rows:
-            if len(row) != 3:
-                raise ValueError(f"{name} rows must be [a, b, weight] triples")
+            if not isinstance(row, list) or len(row) != 3:
+                raise ValueError(f"mixture field {name!r} has row {row!r}, expected [a, b, weight]")
             a, b, w = row
-            atoms.append(((int(a), int(b)), Fraction(str(w))))
+            try:
+                ab = (int(a), int(b))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"mixture field {name!r} has row {row!r} with non-integer counts") from exc
+            atoms.append((ab, Fraction(str(w))))
         total = sum(w for _, w in atoms)
         if total <= 0:
             raise ValueError(f"{name} weights must have positive total")

@@ -201,9 +201,16 @@ def from_json(text: str) -> BipartiteGraphState:
         edge_list = doc["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
+    if not isinstance(edge_list, list):
+        raise ValueError("graph field 'edges' must be a list of [b, w] index pairs")
     rows = [0] * n_b
     for item in edge_list:
-        j, i = int(item[0]), int(item[1])
+        if not isinstance(item, list) or len(item) != 2:
+            raise ValueError(f"graph field 'edges' has entry {item!r}, expected a [b, w] index pair")
+        try:
+            j, i = int(item[0]), int(item[1])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"graph field 'edges' has entry {item!r} with non-integer indices") from exc
         if not (0 <= j < n_b and 0 <= i < n_w):
             raise ValueError(f"edge ({j}, {i}) out of range")
         rows[j] |= 1 << i

@@ -18,6 +18,7 @@ __all__ = [
     "BlockClass",
     "identity_attack",
     "syndromes",
+    "syndrome_masks",
     "block_class",
     "fidelity_indicator",
     "sample_outcomes",
@@ -91,8 +92,29 @@ def syndromes(g: BipartiteGraphState, p: BlockPauli) -> tuple[BitVector, BitVect
     group-2 test observes.
     """
     _check_dims(g, p)
-    sigma1 = p.v_b ^ mat_vec(g.adjacency, p.u_w)
-    sigma2 = p.v_w ^ mat_vec(g.adjacency_t, p.u_b)
+    sigma1, sigma2 = syndrome_masks(g, p.u_b.bits, p.u_w.bits, p.v_b.bits, p.v_w.bits)
+    return BitVector(g.n_b, sigma1), BitVector(g.n_w, sigma2)
+
+
+def syndrome_masks(g: BipartiteGraphState, u_b: int, u_w: int, v_b: int, v_w: int) -> tuple[int, int]:
+    """syndromes() on raw bit masks, without dimension checks.
+
+    A·u_w is the XOR of the columns of A over the set bits of u_w, and Aᵀ·u_b
+    the XOR of the rows of A over the set bits of u_b, so the cost scales with
+    the attack's weight rather than with the graph's size.
+    """
+    sigma1 = v_b
+    columns = g.adjacency_t.rows
+    while u_w:
+        low = u_w & -u_w
+        sigma1 ^= columns[low.bit_length() - 1]
+        u_w ^= low
+    sigma2 = v_w
+    rows = g.adjacency.rows
+    while u_b:
+        low = u_b & -u_b
+        sigma2 ^= rows[low.bit_length() - 1]
+        u_b ^= low
     return sigma1, sigma2
 
 

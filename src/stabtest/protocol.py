@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +23,14 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .gf2 import BitVector
 from .graphs import BipartiteGraphState
-from .pauli import BlockClass, BlockPauli, identity_attack, sample_outcomes, syndromes
+from .pauli import (
+    BlockClass,
+    BlockPauli,
+    identity_attack,
+    sample_outcomes,
+    syndrome_masks,
+    syndromes,
+)
 
 __all__ = [
     "Honest",
@@ -47,6 +55,22 @@ _CLASS = {
     (1, 0): BlockClass(1, 0),
     (1, 1): BlockClass(1, 1),
 }
+
+# Bulk IID draws. random() is ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 over two
+# consecutive Mersenne-Twister words, and getrandbits(64 * m) returns the words
+# of m random() calls low word first, so 64-bit lane i of the draw holds the
+# words of the i-th call and leaves the generator in the same state.
+_LANE_HI = (0xFFFFFFE0).to_bytes(8, "big")  # w0 >> 5, still at bit 5
+_LANE_LO = ((1 << 26) - 1).to_bytes(8, "big")  # w1 >> 6, once shifted down by 38
+_LANE_GUARD = (1 << 53).to_bytes(8, "big")
+# Guard byte of a lane after masking: 0x20 if random() >= p, else 0x00.
+_FLIPPED = bytes.maketrans(b"\x00\x20", b"10")
+
+
+def _lane_offset(p: float) -> bytes:
+    """2**53 - ceil(p * 2**53): the lane's 53-bit value x reaches bit 53 after
+    adding it exactly when x / 2**53 >= p, i.e. when random() < p is false."""
+    return ((1 << 53) - math.ceil(p * (1 << 53))).to_bytes(8, "big")
 
 
 @dataclass(frozen=True)
@@ -211,6 +235,18 @@ class _Plan:
         elif isinstance(model, IidPauli):
             if not (0 <= model.p_x <= 1 and 0 <= model.p_z <= 1):
                 raise ValueError("flip probabilities must be in [0, 1]")
+            # Lanes in draw order: u_b, u_w (prob p_x), then v_b, v_w (p_z).
+            half = g.n_b + g.n_w
+            lanes = 2 * half
+            self._iid_bits = 64 * lanes
+            self._iid_bytes = 8 * lanes
+            self._iid_hi = int.from_bytes(_LANE_HI * lanes, "big")
+            self._iid_lo = int.from_bytes(_LANE_LO * lanes, "big")
+            self._iid_guard = int.from_bytes(_LANE_GUARD * lanes, "big")
+            # Big-endian, so the last lane comes first.
+            self._iid_offset = int.from_bytes(
+                _lane_offset(model.p_z) * half + _lane_offset(model.p_x) * half, "big"
+            )
         elif isinstance(model, Explicit):
             if len(model.copies) != self.n_copies:
                 raise ValueError(
@@ -239,10 +275,6 @@ class _Plan:
         if cached is not None:
             return cached
         return syndromes(self.g, p)
-
-    def class_of(self, p: BlockPauli) -> BlockClass:
-        sigma1, sigma2 = self.syndromes_of(p)
-        return _CLASS[(int(not sigma1.is_zero()), int(not sigma2.is_zero()))]
 
     def _sample_counts(self, rng: random.Random) -> tuple[int, int, int]:
         if rng.random() < self._beta:
@@ -278,7 +310,13 @@ class _Plan:
                 attacks[pos] = self._rep11
             return attacks
         if isinstance(model, IidPauli):
-            return [self._iid_attack(rng, model) for _ in range(self.n_copies)]
+            n_b, n_w = self.g.n_b, self.g.n_w
+            return [
+                BlockPauli(
+                    BitVector(n_b, u_b), BitVector(n_w, u_w), BitVector(n_b, v_b), BitVector(n_w, v_w)
+                )
+                for u_b, u_w, v_b, v_w in self._iid_masks(rng)
+            ]
         attacks = []
         for atoms in model.copies:
             x = rng.random()
@@ -292,22 +330,32 @@ class _Plan:
             attacks.append(pick)
         return attacks
 
-    def _iid_attack(self, rng: random.Random, model: IidPauli) -> BlockPauli:
-        # Mask order: u_b, u_w, v_b, v_w.
-        g = self.g
-        masks = []
-        for n, p in ((g.n_b, model.p_x), (g.n_w, model.p_x), (g.n_b, model.p_z), (g.n_w, model.p_z)):
-            bits = 0
-            for i in range(n):
-                if rng.random() < p:
-                    bits |= 1 << i
-            masks.append(bits)
-        return BlockPauli(
-            BitVector(g.n_b, masks[0]),
-            BitVector(g.n_w, masks[1]),
-            BitVector(g.n_b, masks[2]),
-            BitVector(g.n_w, masks[3]),
-        )
+    def _iid_masks(self, rng: random.Random) -> list[tuple[int, int, int, int]]:
+        """(u_b, u_w, v_b, v_w) per copy: bit i of a mask is set iff the
+        random() call for that qubit falls below its flip probability. Draws
+        exactly the Mersenne-Twister words of one random() call per qubit, in
+        the order u_b, u_w, v_b, v_w, copy by copy."""
+        n_b, n_w = self.g.n_b, self.g.n_w
+        b_mask = (1 << n_b) - 1
+        w_mask = (1 << n_w) - 1
+        hi, lo, guard, offset = self._iid_hi, self._iid_lo, self._iid_guard, self._iid_offset
+        out = []
+        for _ in range(self.n_copies):
+            r = rng.getrandbits(self._iid_bits)
+            x = ((r & hi) << 21) | ((r >> 38) & lo)
+            kept = (x + offset) & guard
+            # One digit per lane, last lane first, so bit i of the parse is lane i.
+            digits = kept.to_bytes(self._iid_bytes, "big")[1::8].translate(_FLIPPED)
+            flips = int(digits or b"0", 2)
+            out.append(
+                (
+                    flips & b_mask,
+                    (flips >> n_b) & w_mask,
+                    (flips >> (n_b + n_w)) & b_mask,
+                    flips >> (2 * n_b + n_w),
+                )
+            )
+        return out
 
     def trial_masks(self, rng: random.Random) -> tuple[int, int]:
         """Copy-indexed syndrome flags: bit i of s_mask (t_mask) is set iff
@@ -333,14 +381,16 @@ class _Plan:
                 s_mask |= 1 << pos
                 t_mask |= 1 << pos
             return s_mask, t_mask
-        attacks = self.draw(rng)
+        if isinstance(model, IidPauli):
+            syn = [syndrome_masks(self.g, *masks) for masks in self._iid_masks(rng)]
+        else:
+            syn = [(s1.bits, s2.bits) for s1, s2 in map(self.syndromes_of, self.draw(rng))]
         s_mask = 0
         t_mask = 0
-        for i, p in enumerate(attacks):
-            sigma1, sigma2 = self.syndromes_of(p)
-            if not sigma1.is_zero():
+        for i, (sigma1, sigma2) in enumerate(syn):
+            if sigma1:
                 s_mask |= 1 << i
-            if not sigma2.is_zero():
+            if sigma2:
                 t_mask |= 1 << i
         return s_mask, t_mask
 
@@ -380,23 +430,14 @@ def _run_full(plan: _Plan, seed: int, record_outcomes: bool) -> Transcript:
         partition[i] = 2
     partition[third] = 3
 
-    accepted = True
-    observed = []
-    for i in group1:
-        sigma1, _ = plan.syndromes_of(attacks[i])
-        observed.append((i, sigma1))
-        if not sigma1.is_zero():
-            accepted = False
-    for i in group2:
-        _, sigma2 = plan.syndromes_of(attacks[i])
-        observed.append((i, sigma2))
-        if not sigma2.is_zero():
-            accepted = False
+    syn = [plan.syndromes_of(a) for a in attacks]
+    observed = [(i, syn[i][0]) for i in group1] + [(i, syn[i][1]) for i in group2]
     observed.sort(key=lambda item: item[0])
-
-    sigma1, sigma2 = plan.syndromes_of(attacks[third])
-    third_fidelity = int(sigma1.is_zero() and sigma2.is_zero())
-    classes = tuple(plan.class_of(attacks[i]) for i in range(plan.n_copies))
+    accepted = all(sigma.is_zero() for _, sigma in observed)
+    classes = tuple(
+        _CLASS[(int(not sigma1.is_zero()), int(not sigma2.is_zero()))] for sigma1, sigma2 in syn
+    )
+    third_fidelity = int(classes[third] == _CLASS[(0, 0)])
 
     raw = None
     if record_outcomes:

@@ -53,6 +53,14 @@ def test_parse_adversary_errors():
             parse_adversary(bad)
 
 
+@pytest.mark.parametrize("q0", [3, None, [3], [[1, 0]], [[[1], 0, 1]], [[1, "x", 1]]])
+def test_parse_adversary_rejects_malformed_mixture_rows(tmp_path, q0):
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps({"beta": "0.5", "q0": q0, "q1": [[1, 0, 1]]}))
+    with pytest.raises(ValueError, match="q0"):
+        parse_adversary(f"mixture:{path}")
+
+
 def test_simulate_honest_end_to_end(tmp_path, capsys):
     rc = main([
         "simulate", "--graph", "path:5", "--k", "2", "--adversary", "honest",
@@ -102,6 +110,37 @@ def test_simulate_malformed_adversary_fails(tmp_path, capsys):
     ])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _single_error_line(capsys, field):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert field in lines[0]
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("edges", [[1, 2], None], ids=["bare-numbers", "null"])
+def test_simulate_malformed_graph_edges_fail_cleanly(tmp_path, capsys, edges):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n_b": 2, "n_w": 2, "edges": edges}))
+    rc = main([
+        "simulate", "--graph", str(path), "--k", "1", "--adversary", "honest",
+        "--trials", "5", "--outdir", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    _single_error_line(capsys, "edges")
+
+
+def test_simulate_malformed_mixture_row_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps({"beta": "0.5", "q0": [3], "q1": [[1, 0, 1]]}))
+    rc = main([
+        "simulate", "--graph", "path:5", "--k", "1", "--adversary", f"mixture:{path}",
+        "--trials", "5", "--outdir", str(tmp_path / "out"),
+    ])
+    assert rc == 2
+    _single_error_line(capsys, "q0")
 
 
 def test_outdir_env_default(tmp_path, monkeypatch, capsys):

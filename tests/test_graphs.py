@@ -183,6 +183,9 @@ def test_from_json_rejects_bad_documents():
         from_json('{"n_b": 1}')
     with pytest.raises(ValueError):
         from_json('{"n_b": 1, "n_w": 1, "edges": [[0, 5]]}')
+    for edges in ("null", "3", "[1, 2]", "[[0]]", "[[0, 0, 0]]", '[[[0], 0]]', '[["a", 0]]'):
+        with pytest.raises(ValueError, match="edges"):
+            from_json('{"n_b": 1, "n_w": 1, "edges": %s}' % edges)
 
 
 def test_graph_state_validation():

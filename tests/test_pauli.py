@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabtest.gf2 import BitMatrix, BitVector, mat_vec
-from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph
+from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
 from stabtest.pauli import (
     BlockClass,
     BlockPauli,
@@ -13,6 +13,7 @@ from stabtest.pauli import (
     fidelity_indicator,
     identity_attack,
     sample_outcomes,
+    syndrome_masks,
     syndromes,
 )
 
@@ -88,6 +89,29 @@ def test_xor_of_attacks_xors_syndromes():
         sq = syndromes(g, q)
         spq = syndromes(g, p ^ q)
         assert spq == (sp[0] ^ sq[0], sp[1] ^ sq[1])
+
+
+@pytest.mark.parametrize("g", [path_graph(1), grid_graph(3, 3), rhg_lattice(2, 2, 2)])
+def test_column_xor_syndromes_equal_dense_mat_vec(g):
+    rng = random.Random(13)
+    for density in (0.0, 0.02, 0.5, 1.0):
+        for _ in range(30):
+            u_b, u_w, v_b, v_w = (
+                sum(1 << i for i in range(n) if rng.random() < density)
+                for n in (g.n_b, g.n_w, g.n_b, g.n_w)
+            )
+            expected = (
+                v_b ^ mat_vec(g.adjacency, BitVector(g.n_w, u_w)).bits,
+                v_w ^ mat_vec(g.adjacency_t, BitVector(g.n_b, u_b)).bits,
+            )
+            assert syndrome_masks(g, u_b, u_w, v_b, v_w) == expected
+            p = _attack(g, u_b, u_w, v_b, v_w)
+            assert syndromes(g, p) == (BitVector(g.n_b, expected[0]), BitVector(g.n_w, expected[1]))
+
+
+def test_syndromes_reject_mismatched_attack():
+    with pytest.raises(ValueError):
+        syndromes(path_graph(5), identity_attack(path_graph(3)))
 
 
 def test_fidelity_indicator_matches_class():
@@ -183,3 +207,13 @@ def test_syndrome_is_all_that_outcomes_reveal(ga, seed):
         x_q, z_q = sample_outcomes(g, q, group, random.Random(seed))
         a = g.adjacency if group == 1 else g.adjacency_t
         assert x_p ^ mat_vec(a, z_p) == x_q ^ mat_vec(a, z_q)
+
+
+@given(_graph_and_attack())
+@settings(max_examples=200, deadline=None)
+def test_column_xor_syndromes_equal_mat_vec_on_random_graphs(ga):
+    g, p = ga
+    assert syndromes(g, p) == (
+        p.v_b ^ mat_vec(g.adjacency, p.u_w),
+        p.v_w ^ mat_vec(g.adjacency_t, p.u_b),
+    )

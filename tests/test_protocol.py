@@ -1,12 +1,15 @@
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stabtest.graphs import grid_graph, path_graph
+from stabtest.gf2 import BitMatrix, BitVector
+from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
 from stabtest.pauli import BlockClass, BlockPauli, identity_attack, syndromes
-from stabtest.gf2 import BitVector
 from stabtest.protocol import (
     ClassMixture,
     Explicit,
@@ -219,3 +222,84 @@ def test_single_bad_rates_near_closed_form():
     res = estimate(G5, 2, SingleBadCopy(BlockClass(1, 1)), 20000, 11)
     assert abs(float(res.pass_rate) - 0.2) < 0.01
     assert res.conditional_fidelity == 0
+
+
+def _reference_iid_draw(g, k, p_x, p_z, rng):
+    """The per-qubit sampler: one rng.random() per qubit, u_b, u_w, v_b, v_w."""
+    copies = []
+    for _ in range(2 * k + 1):
+        masks = []
+        for n, p in ((g.n_b, p_x), (g.n_w, p_x), (g.n_b, p_z), (g.n_w, p_z)):
+            bits = 0
+            for i in range(n):
+                if rng.random() < p:
+                    bits |= 1 << i
+            masks.append(bits)
+        copies.append(tuple(masks))
+    return copies
+
+
+def _assert_bulk_draw_matches_reference(g, k, p_x, p_z, seed):
+    ref_rng = random.Random(seed)
+    expected = _reference_iid_draw(g, k, p_x, p_z, ref_rng)
+    rng = random.Random(seed)
+    attacks = draw_attack(IidPauli(p_x, p_z), k, g, rng)
+    assert [(a.u_b.bits, a.u_w.bits, a.v_b.bits, a.v_w.bits) for a in attacks] == expected
+    assert rng.random() == ref_rng.random()
+
+
+_PROBS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from(
+        [0.0, 1.0, 5e-324, 2.2250738585072014e-308, 2.0**-53, 2.0**-54, 0.5,
+         math.nextafter(1.0, 0.0), math.nextafter(0.5, 1.0), math.nextafter(0.5, 0.0)]
+    ),
+)
+
+
+@st.composite
+def _bipartite_graph(draw):
+    n_b = draw(st.integers(0, 6))
+    n_w = draw(st.integers(0, 6))
+    rows = tuple(draw(st.integers(0, (1 << n_w) - 1)) for _ in range(n_b))
+    return BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, rows))
+
+
+@pytest.mark.parametrize("g", [path_graph(1), rhg_lattice(2, 2, 2)], ids=["path:1", "rhg:2x2x2"])
+@given(p_x=_PROBS, p_z=_PROBS, seed=st.integers(0, 2**64 - 1))
+@example(p_x=0.0, p_z=1.0, seed=0)
+@example(p_x=5e-324, p_z=math.nextafter(1.0, 0.0), seed=1)
+@settings(max_examples=60, deadline=None)
+def test_bulk_iid_draw_matches_per_qubit_loop(g, p_x, p_z, seed):
+    _assert_bulk_draw_matches_reference(g, 1, p_x, p_z, seed)
+
+
+@given(g=_bipartite_graph(), k=st.integers(1, 3), p_x=_PROBS, p_z=_PROBS,
+       seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=100, deadline=None)
+def test_bulk_iid_draw_matches_per_qubit_loop_on_random_graphs(g, k, p_x, p_z, seed):
+    _assert_bulk_draw_matches_reference(g, k, p_x, p_z, seed)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_bulk_iid_draw_is_exact_at_the_drawn_value(seed):
+    # p equal to the value random() is about to return is the tightest case:
+    # the first qubit must stay unflipped at p = v and flip just above it.
+    v = random.Random(seed).random()
+    for p in (math.nextafter(v, 0.0), v, math.nextafter(v, 1.0)):
+        _assert_bulk_draw_matches_reference(G5, 1, p, p, seed)
+    first = draw_attack(IidPauli(math.nextafter(v, 1.0), 0.0), 1, G5, random.Random(seed))[0]
+    assert first.u_b.bits & 1
+    first = draw_attack(IidPauli(v, 0.0), 1, G5, random.Random(seed))[0]
+    assert not first.u_b.bits & 1
+
+
+@given(g=_bipartite_graph(), k=st.integers(1, 2), p_x=_PROBS, p_z=_PROBS,
+       seed=st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_iid_estimate_matches_full_runs_on_random_graphs(g, k, p_x, p_z, seed):
+    model = IidPauli(p_x, p_z)
+    est = estimate(g, k, model, 5, seed)
+    runs = [tr for tr in run_trials(g, k, model, 5, seed) if tr.accepted]
+    assert est.counts["accepted"] == len(runs)
+    assert est.counts["accepted_clean"] == sum(tr.third_fidelity for tr in runs)
