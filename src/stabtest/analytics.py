@@ -24,6 +24,7 @@ __all__ = [
     "pass_prob",
     "joint_prob",
     "conditional_fidelity",
+    "checked_mixture",
     "t_functionals",
     "theorem1_bound",
     "trace_bound",
@@ -105,7 +106,7 @@ def conditional_fidelity(a: int, b: int, k: int) -> Fraction:
     return Fraction((k + 1 - a) * (k + 1 - b), (k + 1) ** 2 - a * b)
 
 
-def _checked_weights(name: str, q: Weights, k: int, budget: int) -> list[tuple[int, int, Fraction]]:
+def _checked_weights(name: str, q: Weights, budget: int) -> list[tuple[int, int, Fraction]]:
     items = q.items() if isinstance(q, Mapping) else list(q)
     out = []
     total = Fraction(0)
@@ -124,6 +125,19 @@ def _checked_weights(name: str, q: Weights, k: int, budget: int) -> list[tuple[i
     return out
 
 
+def checked_mixture(
+    beta: Rational, q0: Weights, q1: Weights, k: int
+) -> tuple[list[tuple[int, int, Fraction]], list[tuple[int, int, Fraction]]]:
+    """Validate the mixture adversary (beta, Q0, Q1) at k >= 1.
+
+    Returns the (a, b, weight) atoms of Q0, which spread over all 2k+1
+    copies, and of Q1, which spread over the 2k copies beside the (1,1) one.
+    """
+    if not 0 <= Fraction(beta) <= 1:
+        raise DomainError("beta must be in [0, 1]")
+    return _checked_weights("q0", q0, 2 * k + 1), _checked_weights("q1", q1, 2 * k)
+
+
 def t_functionals(
     beta: Rational, q0: Weights, q1: Weights, k: int
 ) -> tuple[Fraction, Fraction, Fraction]:
@@ -135,11 +149,7 @@ def t_functionals(
     """
     if k < 1:
         raise DomainError("k must be at least 1")
-    beta = Fraction(beta)
-    if not 0 <= beta <= 1:
-        raise DomainError("beta must be in [0, 1]")
-    atoms0 = _checked_weights("q0", q0, k, 2 * k + 1)
-    atoms1 = _checked_weights("q1", q1, k, 2 * k)
+    atoms0, atoms1 = checked_mixture(beta, q0, q1, k)
     t1 = sum((w * pass_prob(ClassCounts(a, b, 0, k)) for a, b, w in atoms0), Fraction(0))
     t2 = sum((w * pass_prob(ClassCounts(a, b, 1, k)) for a, b, w in atoms1), Fraction(0))
     t3 = sum((w * joint_prob(a, b, k) for a, b, w in atoms0), Fraction(0))

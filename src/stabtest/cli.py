@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,6 +75,21 @@ def parse_graph(spec: str) -> BipartiteGraphState:
     return from_json(path.read_text())
 
 
+def _fraction(value, field: str) -> Fraction:
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{field} must be a fraction p/q or a decimal, got {value!r}") from exc
+
+
+def probability(text: str) -> Fraction:
+    """argparse type of --alpha: an exact fraction in [0, 1]."""
+    p = _fraction(text, "alpha")
+    if not 0 <= p <= 1:
+        raise ValueError(f"alpha must lie in [0, 1], got {text!r}")
+    return p
+
+
 def _load_mixture(path: str) -> ClassMixture:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict) or not {"beta", "q0", "q1"} <= data.keys():
@@ -89,16 +105,16 @@ def _load_mixture(path: str) -> ClassMixture:
             a, b, w = row
             try:
                 ab = (int(a), int(b))
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"mixture field {name!r} has row {row!r} with non-integer counts") from exc
-            atoms.append((ab, Fraction(str(w))))
+            atoms.append((ab, _fraction(w, f"mixture field {name!r} weight")))
         total = sum(w for _, w in atoms)
         if total <= 0:
             raise ValueError(f"{name} weights must have positive total")
         return [(ab, w / total) for ab, w in atoms]
 
     return ClassMixture.from_weights(
-        Fraction(str(data["beta"])), convert(data["q0"], "q0"), convert(data["q1"], "q1")
+        _fraction(data["beta"], "mixture field 'beta'"), convert(data["q0"], "q0"), convert(data["q1"], "q1")
     )
 
 
@@ -150,6 +166,19 @@ def _relation_line(rel) -> str:
     return f"{lhs} = {rhs}"
 
 
+@contextmanager
+def _atomic_write(path: Path, newline: str | None = None):
+    """Write to a temp file beside path and move it over path only if the
+    block completes, so a failed run leaves the previous output untouched."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _default_outdir() -> str:
     return os.environ.get("STABTEST_OUTDIR", ".")
 
@@ -164,20 +193,35 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     accepted = 0
     clean = 0
-    with open(transcript_path, "w") as fh:
+    # Both files are replaced at the end, so a failed run keeps the old pair.
+    with _atomic_write(transcript_path) as fh, _atomic_write(summary_path, newline="") as summary:
         for index, tr in enumerate(run_trials(g, args.k, model, args.trials, args.seed)):
             fh.write(transcript_to_json(tr, index) + "\n")
             if tr.accepted:
                 accepted += 1
                 clean += tr.third_fidelity
 
-    pass_rate = Fraction(accepted, args.trials)
-    cond = Fraction(clean, accepted) if accepted else None
-    alpha = args.alpha if args.alpha is not None else pass_rate
-    try:
-        bound = analytics.theorem1_bound(alpha, args.k)
-    except DomainError:
-        bound = None
+        pass_rate = Fraction(accepted, args.trials)
+        cond = Fraction(clean, accepted) if accepted else None
+        alpha = args.alpha if args.alpha is not None else pass_rate
+        try:
+            bound = analytics.theorem1_bound(alpha, args.k)
+        except DomainError:
+            bound = None
+
+        writer = csv.writer(summary, lineterminator="\n")
+        writer.writerow(SUMMARY_HEADER)
+        writer.writerow(
+            [
+                args.k,
+                args.adversary,
+                args.trials,
+                _fmt_dec(pass_rate),
+                _fmt_dec(cond),
+                _fmt_dec(alpha),
+                _fmt_dec(bound),
+            ]
+        )
 
     print(f"graph: {args.graph} (n_b={g.n_b}, n_w={g.n_w})")
     print(f"k: {args.k} ({2 * args.k + 1} copies per trial)")
@@ -196,21 +240,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             print("bound respected: n/a (no accepted trials)")
         else:
             print(f"bound respected: {'yes' if cond >= bound else 'no'}")
-
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        writer.writerow(
-            [
-                args.k,
-                args.adversary,
-                args.trials,
-                _fmt_dec(pass_rate),
-                _fmt_dec(cond),
-                _fmt_dec(alpha),
-                _fmt_dec(bound),
-            ]
-        )
     print(f"wrote {transcript_path} and {summary_path}")
     return 0
 
@@ -262,8 +291,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
         raise ValueError("k-max must be at least 1")
     rows = 0
     violations = 0
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with _atomic_write(Path(args.out), newline="") if args.out else nullcontext(sys.stdout) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(BOUNDS_HEADER)
         for k, a, b, c, p, joint, conditional, xi_val, ok in _bounds_rows(args.k_max):
@@ -274,9 +302,6 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
                 [k, a, b, c, _fmt_dec(p), _fmt_dec(joint), _fmt_dec(conditional),
                  _fmt_dec(xi_val), str(ok).lower()]
             )
-    finally:
-        if args.out:
-            out.close()
     if args.out:
         print(f"wrote {args.out}: {rows} rows, {violations} violations")
     return 1 if violations else 0
@@ -311,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--adversary", required=True, help="honest | single-bad:s,t | iid:px,pz | mixture:FILE")
     sim.add_argument("--trials", type=int, default=1000)
     sim.add_argument("--seed", type=int, default=0, help="master seed; per-trial seeds derive from it")
-    sim.add_argument("--alpha", type=Fraction, default=None,
+    sim.add_argument("--alpha", type=probability, default=None,
                      help="significance threshold (default: empirical pass rate)")
     sim.add_argument("--outdir", default=_default_outdir(),
                      help="output directory (default: $STABTEST_OUTDIR or .)")

@@ -199,7 +199,7 @@ def from_json(text: str) -> BipartiteGraphState:
         n_b = int(doc["n_b"])
         n_w = int(doc["n_w"])
         edge_list = doc["edges"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
     if not isinstance(edge_list, list):
         raise ValueError("graph field 'edges' must be a list of [b, w] index pairs")
@@ -209,7 +209,7 @@ def from_json(text: str) -> BipartiteGraphState:
             raise ValueError(f"graph field 'edges' has entry {item!r}, expected a [b, w] index pair")
         try:
             j, i = int(item[0]), int(item[1])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"graph field 'edges' has entry {item!r} with non-integer indices") from exc
         if not (0 <= j < n_b and 0 <= i < n_w):
             raise ValueError(f"edge ({j}, {i}) out of range")

@@ -21,16 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
+from .analytics import checked_mixture
 from .gf2 import BitVector
 from .graphs import BipartiteGraphState
-from .pauli import (
-    BlockClass,
-    BlockPauli,
-    identity_attack,
-    sample_outcomes,
-    syndrome_masks,
-    syndromes,
-)
+from .pauli import BlockClass, BlockPauli, sample_outcomes, syndrome_masks, syndromes
 
 __all__ = [
     "Honest",
@@ -128,6 +122,9 @@ class Explicit:
 
 AdversaryModel = Union[Honest, SingleBadCopy, IidPauli, ClassMixture, Explicit]
 
+# One copy in a trial: (sigma1, sigma2, (u_b, u_w, v_b, v_w)); see _Plan.
+_Record = tuple[int, int, tuple[int, int, int, int]]
+
 
 def _canon_weights(q) -> tuple[tuple[tuple[int, int], Fraction], ...]:
     items = q.items() if isinstance(q, Mapping) else q
@@ -165,44 +162,14 @@ def trial_seed(master_seed: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _validate_weights(
-    name: str, atoms: tuple[tuple[tuple[int, int], Fraction], ...], max_sum: int
-) -> None:
-    if not atoms:
-        raise ValueError(f"{name} has no atoms")
-    total = Fraction(0)
-    for (a, b), w in atoms:
-        if a < 0 or b < 0:
-            raise ValueError(f"{name} atom ({a}, {b}) has negative counts")
-        if a + b > max_sum:
-            raise ValueError(f"{name} atom ({a}, {b}) exceeds the copy budget")
-        if w < 0:
-            raise ValueError(f"{name} weight for ({a}, {b}) is negative")
-        total += w
-    if total != 1:
-        raise ValueError(f"{name} weights sum to {total}, expected 1")
-
-
-def _class_rep(g: BipartiteGraphState, s: int, t: int) -> BlockPauli:
-    """Canonical attack of class (s, t): Z on the first vertex of each flagged side."""
-    if s and g.n_b == 0:
-        raise ValueError("class with s=1 is not realizable: graph has no B vertices")
-    if t and g.n_w == 0:
-        raise ValueError("class with t=1 is not realizable: graph has no W vertices")
-    return BlockPauli(
-        BitVector.zero(g.n_b),
-        BitVector.zero(g.n_w),
-        BitVector.unit(g.n_b, 0) if s else BitVector.zero(g.n_b),
-        BitVector.unit(g.n_w, 0) if t else BitVector.zero(g.n_w),
-    )
-
-
 class _Plan:
     """Per-(graph, k, model) preparation shared across trials.
 
-    Interns the canonical attacks and their syndromes so the Monte Carlo loop
-    never recomputes them. Syndromes of ad-hoc attacks (IidPauli draws) are
-    computed on the fly and never cached, since their ids are not stable.
+    A copy's record is (sigma1, sigma2, attack): the syndrome masks a group-1
+    and a group-2 test observe, and the raw (u_b, u_w, v_b, v_w) masks of the
+    attack. Records of fixed attacks (the clean copy, the class
+    representatives, explicit atoms) are built once here, together with
+    their syndrome BitVectors; IID records are drawn fresh in every trial.
     """
 
     def __init__(self, g: BipartiteGraphState, k: int, model: AdversaryModel):
@@ -212,26 +179,22 @@ class _Plan:
         self.k = k
         self.n_copies = 2 * k + 1
         self.model = model
-        self.identity = identity_attack(g)
-        self._syn: dict[int, tuple[BitVector, BitVector]] = {}
-        self._memo_attack(self.identity)
+        self.copies = list(range(self.n_copies))
+        self._vectors: dict[tuple[int, int], BitVector] = {}
+        self.clean = self._class_record(0, 0)
 
         if isinstance(model, Honest):
             pass
         elif isinstance(model, SingleBadCopy):
-            cls = model.bad_class
-            self._single_rep = self._memo_attack(_class_rep(g, cls.s, cls.t))
+            self._single = self._class_record(model.bad_class.s, model.bad_class.t)
         elif isinstance(model, ClassMixture):
-            if not 0 <= model.beta <= 1:
-                raise ValueError("beta must be in [0, 1]")
-            _validate_weights("q0", model.q0, self.n_copies)
-            _validate_weights("q1", model.q1, self.n_copies - 1)
+            checked_mixture(model.beta, model.q0, model.q1, k)
             self._beta = float(model.beta)
             self._cum0 = _cumulative(model.q0)
             self._cum1 = _cumulative(model.q1)
-            self._rep10 = self._memo_attack(_class_rep(g, 1, 0))
-            self._rep01 = self._memo_attack(_class_rep(g, 0, 1))
-            self._rep11 = self._memo_attack(_class_rep(g, 1, 1))
+            self._rep10 = self._class_record(1, 0)
+            self._rep01 = self._class_record(0, 1)
+            self._rep11 = self._class_record(1, 1)
         elif isinstance(model, IidPauli):
             if not (0 <= model.p_x <= 1 and 0 <= model.p_z <= 1):
                 raise ValueError("flip probabilities must be in [0, 1]")
@@ -252,29 +215,47 @@ class _Plan:
                 raise ValueError(
                     f"explicit model has {len(model.copies)} copies, needs {self.n_copies}"
                 )
+            # Per copy, (running total, record) in atom order: the totals are
+            # summed exactly as a scan over the atoms would sum them.
+            self._explicit = []
             for atoms in model.copies:
                 total = 0.0
+                picks = []
                 for prob, attack in atoms:
                     if prob < 0:
                         raise ValueError("explicit probabilities must be nonnegative")
                     total += prob
-                    self._memo_attack(attack)
+                    sigma1, sigma2 = syndromes(g, attack)
+                    masks = (attack.u_b.bits, attack.u_w.bits, attack.v_b.bits, attack.v_w.bits)
+                    picks.append((total, self._fixed(sigma1, sigma2, masks)))
                 if abs(total - 1.0) > 1e-9:
                     raise ValueError("explicit copy distribution is not normalized")
+                self._explicit.append(picks)
         else:
             raise ValueError(f"unknown adversary model: {model!r}")
 
-    def _memo_attack(self, p: BlockPauli) -> BlockPauli:
-        # Caller must keep a reference to p (the plan or model does), so its
-        # id stays valid for the lifetime of the cache.
-        self._syn[id(p)] = syndromes(self.g, p)
-        return p
+    def _fixed(
+        self, sigma1: BitVector, sigma2: BitVector, masks: tuple[int, int, int, int]
+    ) -> _Record:
+        self._vectors[1, sigma1.bits] = sigma1
+        self._vectors[2, sigma2.bits] = sigma2
+        return sigma1.bits, sigma2.bits, masks
 
-    def syndromes_of(self, p: BlockPauli) -> tuple[BitVector, BitVector]:
-        cached = self._syn.get(id(p))
-        if cached is not None:
-            return cached
-        return syndromes(self.g, p)
+    def _class_record(self, s: int, t: int) -> _Record:
+        """Canonical attack of class (s, t): Z on the first vertex of each flagged side."""
+        g = self.g
+        if s and g.n_b == 0:
+            raise ValueError("class with s=1 is not realizable: graph has no B vertices")
+        if t and g.n_w == 0:
+            raise ValueError("class with t=1 is not realizable: graph has no W vertices")
+        return self._fixed(BitVector(g.n_b, s), BitVector(g.n_w, t), (0, 0, s, t))
+
+    def observed(self, group: int, sigma: int) -> BitVector:
+        """The syndrome a group-1 or group-2 test sees, shared for fixed attacks."""
+        vector = self._vectors.get((group, sigma))
+        if vector is None:
+            vector = BitVector(self.g.n_b if group == 1 else self.g.n_w, sigma)
+        return vector
 
     def _sample_counts(self, rng: random.Random) -> tuple[int, int, int]:
         if rng.random() < self._beta:
@@ -290,45 +271,35 @@ class _Plan:
         a, b = cum[-1][1]
         return a, b, c
 
-    def draw(self, rng: random.Random) -> list[BlockPauli]:
+    def draw(self, rng: random.Random) -> list[_Record]:
+        """One record per copy, drawn from the adversary model."""
         model = self.model
+        n = self.n_copies
         if isinstance(model, Honest):
-            return [self.identity] * self.n_copies
+            return [self.clean] * n
         if isinstance(model, SingleBadCopy):
-            attacks = [self.identity] * self.n_copies
-            attacks[rng.randrange(self.n_copies)] = self._single_rep
-            return attacks
+            records = [self.clean] * n
+            records[rng.randrange(n)] = self._single
+            return records
         if isinstance(model, ClassMixture):
             a, b, c = self._sample_counts(rng)
-            attacks = [self.identity] * self.n_copies
-            chosen = rng.sample(range(self.n_copies), a + b + c)
+            records = [self.clean] * n
+            chosen = rng.sample(range(n), a + b + c)
             for pos in chosen[:a]:
-                attacks[pos] = self._rep10
+                records[pos] = self._rep10
             for pos in chosen[a : a + b]:
-                attacks[pos] = self._rep01
+                records[pos] = self._rep01
             for pos in chosen[a + b :]:
-                attacks[pos] = self._rep11
-            return attacks
+                records[pos] = self._rep11
+            return records
         if isinstance(model, IidPauli):
-            n_b, n_w = self.g.n_b, self.g.n_w
-            return [
-                BlockPauli(
-                    BitVector(n_b, u_b), BitVector(n_w, u_w), BitVector(n_b, v_b), BitVector(n_w, v_w)
-                )
-                for u_b, u_w, v_b, v_w in self._iid_masks(rng)
-            ]
-        attacks = []
-        for atoms in model.copies:
+            g = self.g
+            return [(*syndrome_masks(g, *masks), masks) for masks in self._iid_masks(rng)]
+        records = []
+        for picks in self._explicit:
             x = rng.random()
-            total = 0.0
-            pick = atoms[-1][1]
-            for prob, attack in atoms:
-                total += prob
-                if x < total:
-                    pick = attack
-                    break
-            attacks.append(pick)
-        return attacks
+            records.append(next((record for total, record in picks if x < total), picks[-1][1]))
+        return records
 
     def _iid_masks(self, rng: random.Random) -> list[tuple[int, int, int, int]]:
         """(u_b, u_w, v_b, v_w) per copy: bit i of a mask is set iff the
@@ -357,43 +328,6 @@ class _Plan:
             )
         return out
 
-    def trial_masks(self, rng: random.Random) -> tuple[int, int]:
-        """Copy-indexed syndrome flags: bit i of s_mask (t_mask) is set iff
-        copy i would fail a group-1 (group-2) test. Consumes the RNG exactly
-        like draw()."""
-        model = self.model
-        if isinstance(model, Honest):
-            return 0, 0
-        if isinstance(model, SingleBadCopy):
-            pos = rng.randrange(self.n_copies)
-            cls = model.bad_class
-            return cls.s << pos, cls.t << pos
-        if isinstance(model, ClassMixture):
-            a, b, c = self._sample_counts(rng)
-            chosen = rng.sample(range(self.n_copies), a + b + c)
-            s_mask = 0
-            t_mask = 0
-            for pos in chosen[:a]:
-                s_mask |= 1 << pos
-            for pos in chosen[a : a + b]:
-                t_mask |= 1 << pos
-            for pos in chosen[a + b :]:
-                s_mask |= 1 << pos
-                t_mask |= 1 << pos
-            return s_mask, t_mask
-        if isinstance(model, IidPauli):
-            syn = [syndrome_masks(self.g, *masks) for masks in self._iid_masks(rng)]
-        else:
-            syn = [(s1.bits, s2.bits) for s1, s2 in map(self.syndromes_of, self.draw(rng))]
-        s_mask = 0
-        t_mask = 0
-        for i, (sigma1, sigma2) in enumerate(syn):
-            if sigma1:
-                s_mask |= 1 << i
-            if sigma2:
-                t_mask |= 1 << i
-        return s_mask, t_mask
-
 
 def _cumulative(
     atoms: tuple[tuple[tuple[int, int], Fraction], ...]
@@ -406,59 +340,77 @@ def _cumulative(
     return out
 
 
+def _block_pauli(g: BipartiteGraphState, masks: tuple[int, int, int, int]) -> BlockPauli:
+    u_b, u_w, v_b, v_w = masks
+    return BlockPauli(
+        BitVector(g.n_b, u_b), BitVector(g.n_w, u_w), BitVector(g.n_b, v_b), BitVector(g.n_w, v_w)
+    )
+
+
 def draw_attack(
     model: AdversaryModel, k: int, g: BipartiteGraphState, rng: random.Random
 ) -> list[BlockPauli]:
     """Draw one round of 2k+1 per-copy attacks from the adversary model."""
-    return _Plan(g, k, model).draw(rng)
+    return [_block_pauli(g, masks) for _, _, masks in _Plan(g, k, model).draw(rng)]
+
+
+def _trial(plan: _Plan, seed: int) -> tuple[random.Random, list[_Record], list[int], bool]:
+    """One round: draw the copies, partition them, test them.
+
+    Returns (rng, records, order, accepted). order[:k] is group 1, order[k:2k]
+    group 2 and order[-1] the kept copy; rng is left where the shuffle left it.
+    """
+    rng = random.Random(seed)
+    records = plan.draw(rng)
+    order = plan.copies[:]
+    rng.shuffle(order)
+    k = plan.k
+    accepted = True
+    for j in order[:k]:
+        if records[j][0]:
+            accepted = False
+            break
+    else:
+        for j in order[k : 2 * k]:
+            if records[j][1]:
+                accepted = False
+                break
+    return rng, records, order, accepted
 
 
 def _run_full(plan: _Plan, seed: int, record_outcomes: bool) -> Transcript:
-    rng = random.Random(seed)
-    attacks = plan.draw(rng)
-    order = list(range(plan.n_copies))
-    rng.shuffle(order)
+    rng, records, order, accepted = _trial(plan, seed)
     k = plan.k
-    group1 = sorted(order[:k])
-    group2 = sorted(order[k : 2 * k])
-    third = order[-1]
-
     partition = [0] * plan.n_copies
-    for i in group1:
+    for i in order[:k]:
         partition[i] = 1
-    for i in group2:
+    for i in order[k : 2 * k]:
         partition[i] = 2
+    third = order[-1]
     partition[third] = 3
-
-    syn = [plan.syndromes_of(a) for a in attacks]
-    observed = [(i, syn[i][0]) for i in group1] + [(i, syn[i][1]) for i in group2]
-    observed.sort(key=lambda item: item[0])
-    accepted = all(sigma.is_zero() for _, sigma in observed)
-    classes = tuple(
-        _CLASS[(int(not sigma1.is_zero()), int(not sigma2.is_zero()))] for sigma1, sigma2 in syn
-    )
-    third_fidelity = int(classes[third] == _CLASS[(0, 0)])
 
     raw = None
     if record_outcomes:
-        records = []
-        for i in group1:
-            x, z = sample_outcomes(plan.g, attacks[i], 1, rng)
-            records.append((i, x, z))
-        for i in group2:
-            x, z = sample_outcomes(plan.g, attacks[i], 2, rng)
-            records.append((i, x, z))
-        records.sort(key=lambda item: item[0])
-        raw = tuple(records)
+        outcomes = []
+        for group, members in ((1, order[:k]), (2, order[k : 2 * k])):
+            for i in sorted(members):
+                attack = _block_pauli(plan.g, records[i][2])
+                outcomes.append((i, *sample_outcomes(plan.g, attack, group, rng)))
+        raw = tuple(sorted(outcomes, key=lambda item: item[0]))
 
+    kept = records[third]
     return Transcript(
         k=k,
         seed=seed,
         partition=tuple(partition),
-        classes=classes,
-        observed_syndromes=tuple(observed),
+        classes=tuple(_CLASS[bool(sigma1), bool(sigma2)] for sigma1, sigma2, _ in records),
+        observed_syndromes=tuple(
+            (i, plan.observed(group, records[i][group - 1]))
+            for i, group in enumerate(partition)
+            if group != 3
+        ),
         accepted=accepted,
-        third_fidelity=third_fidelity,
+        third_fidelity=int(not (kept[0] or kept[1])),
         raw_outcomes=raw,
     )
 
@@ -506,29 +458,14 @@ def estimate(
     if trials < 1:
         raise ValueError("trials must be at least 1")
     plan = _Plan(g, k, model)
-    n = plan.n_copies
-    base = list(range(n))
     accepted = 0
     clean = 0
     for index in range(trials):
-        rng = random.Random(trial_seed(master_seed, index))
-        s_mask, t_mask = plan.trial_masks(rng)
-        order = base[:]
-        rng.shuffle(order)
-        ok = True
-        if s_mask:
-            for j in order[:k]:
-                if (s_mask >> j) & 1:
-                    ok = False
-                    break
-        if ok and t_mask:
-            for j in order[k : 2 * k]:
-                if (t_mask >> j) & 1:
-                    ok = False
-                    break
+        _, records, order, ok = _trial(plan, trial_seed(master_seed, index))
         if ok:
             accepted += 1
-            if not (((s_mask | t_mask) >> order[-1]) & 1):
+            kept = records[order[-1]]
+            if not (kept[0] or kept[1]):
                 clean += 1
     return EstimateResult(
         pass_rate=Fraction(accepted, trials),

@@ -1,7 +1,13 @@
 import csv
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stabtest.cli import main, parse_adversary, parse_graph
 from stabtest.protocol import ClassMixture, Honest, IidPauli, SingleBadCopy
@@ -143,6 +149,156 @@ def test_simulate_malformed_mixture_row_fails_cleanly(tmp_path, capsys):
     _single_error_line(capsys, "q0")
 
 
+def _run_main(argv):
+    """(exit status, stdout, stderr) of main(argv), argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+MIX_OK = {"beta": "1/2", "q0": [[0, 0, 1]], "q1": [[0, 0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "alpha, mixture, field",
+    [
+        ("1/0", MIX_OK, "--alpha"),
+        (None, {**MIX_OK, "beta": "1/0"}, "beta"),
+        (None, {**MIX_OK, "q0": [[0, 0, "1/0"]]}, "q0"),
+    ],
+    ids=["alpha", "beta", "weight"],
+)
+def test_simulate_zero_denominator_fails_cleanly(tmp_path, alpha, mixture, field):
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(mixture))
+    argv = ["simulate", "--graph", "path:5", "--k", "1", "--adversary", f"mixture:{path}",
+            "--trials", "5", "--outdir", str(tmp_path / "out")]
+    status, out, err = _run_main(argv + (["--alpha", alpha] if alpha else []))
+    assert status == 2
+    lines = _error_lines(err)
+    assert len(lines) == 1 and field in lines[0], err
+    assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize(
+    "path_name, doc",
+    [
+        ("g.json", {"n_b": float("inf"), "n_w": 1, "edges": []}),
+        ("g.json", {"n_b": 1, "n_w": 1, "edges": [[float("inf"), 0]]}),
+        ("mix.json", {**MIX_OK, "q0": [[float("inf"), 0, 1]]}),
+    ],
+    ids=["graph-size", "graph-edge", "mixture-count"],
+)
+def test_simulate_infinite_counts_fail_cleanly(tmp_path, path_name, doc):
+    path = tmp_path / path_name
+    path.write_text(json.dumps(doc))
+    graph, adversary = (str(path), "honest") if path_name == "g.json" else ("path:5", f"mixture:{path}")
+    status, _, err = _run_main(["simulate", "--graph", graph, "--k", "1", "--adversary", adversary,
+                                "--trials", "5", "--outdir", str(tmp_path / "out")])
+    assert status == 2
+    assert len(_error_lines(err)) == 1, err
+
+
+def test_alpha_outside_unit_interval_is_rejected(tmp_path):
+    status, _, err = _run_main(["simulate", "--graph", "path:3", "--k", "1", "--adversary",
+                                "honest", "--alpha", "1e400", "--outdir", str(tmp_path)])
+    assert status == 2
+    assert "--alpha" in _error_lines(err)[0]
+
+
+def test_failed_simulate_keeps_previous_outputs(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"beta": "1/2", "q0": [[1, 0, 1]], "q1": [[0, 0, 1]]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"beta": "1/2", "q0": [[4, 0, 1]], "q1": [[0, 0, 1]]}))
+    outdir = tmp_path / "out"
+
+    def simulate(path):
+        return main(["simulate", "--graph", "path:5", "--k", "1", "--adversary", f"mixture:{path}",
+                     "--trials", "20", "--seed", "1", "--outdir", str(outdir)])
+
+    assert simulate(good) == 0
+    names = ("transcripts.jsonl", "summary.csv")
+    before = {name: (outdir / name).read_bytes() for name in names}
+    assert simulate(bad) == 2
+    assert "copy budget" in capsys.readouterr().err
+    assert {name: (outdir / name).read_bytes() for name in names} == before
+    assert sorted(os.listdir(outdir)) == sorted(names)
+
+
+# Boundary fuzzing: every input ends in exit 0, or exit 2 with exactly one
+# error line. Sizes stay tiny (n <= 8 qubits, at most 3 trials).
+_VALUES = st.one_of(
+    st.integers(-1, 4),
+    st.sampled_from([0.5, 1.5, float("inf"), float("nan"), None, True, [], {},
+                     "1", "1/2", "1/0", "-1", "x", "0.25", ""]),
+)
+_GRAPH_DOCS = st.one_of(
+    st.fixed_dictionaries({
+        "n_b": _VALUES,
+        "n_w": _VALUES,
+        "edges": st.one_of(_VALUES, st.lists(st.one_of(st.lists(_VALUES, max_size=3), _VALUES),
+                                              max_size=4)),
+    }),
+    _VALUES,
+)
+_ROWS = st.one_of(_VALUES, st.lists(st.one_of(st.lists(_VALUES, min_size=3, max_size=3),
+                                               st.lists(_VALUES, max_size=4), _VALUES),
+                                     max_size=3))
+_MIXTURE_DOCS = st.one_of(st.fixed_dictionaries({"beta": _VALUES, "q0": _ROWS, "q1": _ROWS}), _VALUES)
+_BUILTIN_GRAPHS = st.sampled_from([
+    "path:1", "path:5", "path:8", "path:0", "path:x", "grid:2x2", "grid:2x4", "grid:0x3", "grid:3",
+    "edgeless:1", "edgeless:8", "edgeless:-2", "rhg:0x1x1", "rhg:x", "moebius:3", "",
+])
+_FLIP_PROBS = st.sampled_from(["0", "0.3", "1", "-0.1", "1.5", "nan", "inf", "x"])
+_ADVERSARIES = st.one_of(
+    st.sampled_from(["honest", "honest:1", "mystery", "mixture:", "single-bad:1", "iid:0.1"]),
+    st.builds("single-bad:{},{}".format, st.integers(-1, 2), st.integers(-1, 2)),
+    st.builds("iid:{},{}".format, _FLIP_PROBS, _FLIP_PROBS),
+)
+_NUMBERS = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["x", "", "1.5"]))
+
+
+@given(
+    graph=st.one_of(_BUILTIN_GRAPHS, _GRAPH_DOCS),
+    adversary=st.one_of(_ADVERSARIES, _MIXTURE_DOCS),
+    k=_NUMBERS,
+    trials=_NUMBERS,
+    alpha=st.one_of(st.none(), st.sampled_from(["3/10", "1/0", "0", "1", "2", "-1", "x", "1e400", "nan"])),
+    command=st.sampled_from(["simulate", "reduce"]),
+)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        if not isinstance(graph, str):
+            with open(os.path.join(tmp, "g.json"), "w") as fh:
+                json.dump(graph, fh)
+            graph = os.path.join(tmp, "g.json")
+        if not isinstance(adversary, str):
+            with open(os.path.join(tmp, "mix.json"), "w") as fh:
+                json.dump(adversary, fh)
+            adversary = "mixture:" + os.path.join(tmp, "mix.json")
+        if command == "reduce":
+            argv = ["reduce", "--graph", graph]
+        else:
+            argv = ["simulate", "--graph", graph, "--k", k, "--adversary", adversary,
+                    "--trials", trials, "--seed", "1", "--outdir", os.path.join(tmp, "out")]
+            if alpha is not None:
+                argv += ["--alpha", alpha]
+        status, _, err = _run_main(argv)
+    assert status in (0, 2), (argv, status, err)
+    if status == 2:
+        assert len(_error_lines(err)) == 1, (argv, err)
+
+
 def test_outdir_env_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STABTEST_OUTDIR", str(tmp_path / "envout"))
     rc = main([
@@ -177,6 +333,7 @@ def test_verify_bounds_grid(tmp_path):
     out_path = tmp_path / "bounds.csv"
     rc = main(["verify-bounds", "--k-max", "3", "--out", str(out_path)])
     assert rc == 0
+    assert os.listdir(tmp_path) == ["bounds.csv"]
     with open(out_path) as fh:
         rows = list(csv.DictReader(fh))
     assert rows, "grid should not be empty"

@@ -188,6 +188,17 @@ def test_explicit_needs_correct_copy_count():
         estimate(G5, 2, Explicit(((( 1.0, clean),),) * 4), 10, 0)
 
 
+def test_explicit_attack_sized_for_another_graph_is_rejected():
+    foreign = identity_attack(grid_graph(3, 3))
+    model = Explicit((((1.0, foreign),),) * 5)
+    with pytest.raises(ValueError, match="do not fit graph"):
+        estimate(G5, 2, model, 10, 0)
+    with pytest.raises(ValueError, match="do not fit graph"):
+        run_protocol(G5, 2, model, 0)
+    with pytest.raises(ValueError, match="do not fit graph"):
+        draw_attack(model, 2, G5, random.Random(0))
+
+
 def test_explicit_rejects_unnormalized():
     clean = identity_attack(G5)
     copies = tuple((((0.5, clean),),) * 5)
