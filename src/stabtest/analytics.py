@@ -14,21 +14,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "DomainError",
     "ClassCounts",
     "LemmaVerdict",
-    "OracleResult",
+    "Profile",
     "pass_prob",
     "joint_prob",
     "conditional_fidelity",
+    "profile",
     "checked_mixture",
     "t_functionals",
     "theorem1_bound",
     "trace_bound",
     "xi",
+    "bounds_rows",
     "lemma_check",
     "oracle",
 ]
@@ -69,7 +71,9 @@ class LemmaVerdict:
 
 
 @dataclass(frozen=True)
-class OracleResult:
+class Profile:
+    """Acceptance, acceptance with a clean kept copy, and their ratio for one profile."""
+
     passing: Fraction
     joint: Fraction
     conditional: Fraction | None
@@ -104,6 +108,16 @@ def conditional_fidelity(a: int, b: int, k: int) -> Fraction:
     if a > k + 1 or b > k + 1:
         raise DomainError("conditioning on acceptance, which has probability zero")
     return Fraction((k + 1 - a) * (k + 1 - b), (k + 1) ** 2 - a * b)
+
+
+def profile(cc: ClassCounts) -> Profile:
+    """Closed-form twin of oracle. A (1,1) copy passes only as the kept copy,
+    so c > 0 leaves no clean kept copy; conditional is None if never accepted."""
+    p = pass_prob(cc)
+    if cc.c:
+        return Profile(p, Fraction(0), Fraction(0) if p else None)
+    joint = joint_prob(cc.a, cc.b, cc.k)
+    return Profile(p, joint, conditional_fidelity(cc.a, cc.b, cc.k) if p else None)
 
 
 def _checked_weights(name: str, q: Weights, budget: int) -> list[tuple[int, int, Fraction]]:
@@ -199,6 +213,24 @@ def xi(a: int, b: int, k: int) -> Fraction:
     return (k + 1 - a) * (k + 1 - b) - (k + 1) ** 2 + a * b + ratio
 
 
+def bounds_rows(k_max: int) -> Iterator[tuple]:
+    """Rows (k, a, b, c, pass, joint, conditional, xi, bound_ok) for k <= k_max,
+    c in {0, 1} and a, b <= k + 1 - c. bound_ok: joint >= pass - 1/(2k+1) and
+    xi >= 0 (xi is None for c = 1)."""
+    for k in range(1, k_max + 1):
+        slack = Fraction(1, 2 * k + 1)
+        for c in (0, 1):
+            cap = k + 1 - c
+            for a in range(cap + 1):
+                for b in range(cap + 1):
+                    if a + b + c > 2 * k + 1:
+                        continue
+                    row = profile(ClassCounts(a, b, c, k))
+                    xi_val = None if c else xi(a, b, k)
+                    ok = row.joint >= row.passing - slack and (xi_val is None or xi_val >= 0)
+                    yield k, a, b, c, row.passing, row.joint, row.conditional, xi_val, ok
+
+
 def lemma_check(beta: Rational, q0: Weights, q1: Weights, k: int, alpha: Rational) -> LemmaVerdict:
     """Check the mixture fidelity bound at threshold alpha, exactly.
 
@@ -226,7 +258,7 @@ def lemma_check(beta: Rational, q0: Weights, q1: Weights, k: int, alpha: Rationa
     )
 
 
-def oracle(cc: ClassCounts) -> OracleResult:
+def oracle(cc: ClassCounts) -> Profile:
     """Brute-force check of pass_prob / joint_prob by enumerating partitions.
 
     Equivalently enumerates placements of the bad copies over the 2k+1 slots
@@ -266,7 +298,7 @@ def oracle(cc: ClassCounts) -> OracleResult:
                 passing += 1
                 if not (((s_mask | t_mask) >> third) & 1):
                     joint += 1
-    return OracleResult(
+    return Profile(
         passing=Fraction(passing, total),
         joint=Fraction(joint, total),
         conditional=Fraction(joint, passing) if passing else None,

@@ -263,29 +263,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bounds_rows(k_max: int):
-    for k in range(1, k_max + 1):
-        slack = Fraction(1, 2 * k + 1)
-        for c in (0, 1):
-            a_cap = k + 1 if c == 0 else k
-            for a in range(a_cap + 1):
-                for b in range(a_cap + 1):
-                    if a + b + c > 2 * k + 1:
-                        continue
-                    cc = ClassCounts(a, b, c, k)
-                    p = analytics.pass_prob(cc)
-                    joint = analytics.joint_prob(a, b, k) if c == 0 else Fraction(0)
-                    if p == 0:
-                        conditional = None
-                    elif c == 0:
-                        conditional = analytics.conditional_fidelity(a, b, k)
-                    else:
-                        conditional = Fraction(0)
-                    xi_val = analytics.xi(a, b, k) if c == 0 else None
-                    bound_ok = joint >= p - slack and (xi_val is None or xi_val >= 0)
-                    yield k, a, b, c, p, joint, conditional, xi_val, bound_ok
-
-
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
     if args.k_max < 1:
         raise ValueError("k-max must be at least 1")
@@ -294,7 +271,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     with _atomic_write(Path(args.out), newline="") if args.out else nullcontext(sys.stdout) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(BOUNDS_HEADER)
-        for k, a, b, c, p, joint, conditional, xi_val, ok in _bounds_rows(args.k_max):
+        for k, a, b, c, p, joint, conditional, xi_val, ok in analytics.bounds_rows(args.k_max):
             rows += 1
             if not ok:
                 violations += 1
@@ -310,15 +287,13 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cc = ClassCounts(args.a, args.b, args.c, args.k)
     result = analytics.oracle(cc)
-    p = analytics.pass_prob(cc)
-    joint = analytics.joint_prob(args.a, args.b, args.k) if args.c == 0 else Fraction(0)
-    conditional = joint / p if p else None
+    closed = analytics.profile(cc)
     print(f"profile: a={args.a} b={args.b} c={args.c} k={args.k} ({2 * args.k + 1} copies)")
     print(f"{'':14}{'enumeration':<24}closed form")
-    print(f"{'pass':<14}{_fmt_rat(result.passing):<24}{_fmt_rat(p)}")
-    print(f"{'joint':<14}{_fmt_rat(result.joint):<24}{_fmt_rat(joint)}")
-    print(f"{'conditional':<14}{_fmt_rat(result.conditional):<24}{_fmt_rat(conditional)}")
-    match = result.passing == p and result.joint == joint and result.conditional == conditional
+    print(f"{'pass':<14}{_fmt_rat(result.passing):<24}{_fmt_rat(closed.passing)}")
+    print(f"{'joint':<14}{_fmt_rat(result.joint):<24}{_fmt_rat(closed.joint)}")
+    print(f"{'conditional':<14}{_fmt_rat(result.conditional):<24}{_fmt_rat(closed.conditional)}")
+    match = result == closed
     print(f"match: {'yes' if match else 'no'}")
     return 0 if match else 1
 

@@ -112,27 +112,6 @@ class BitMatrix:
                 raise ValueError("row bits out of range")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Iterable[int]], n_cols: int | None = None) -> "BitMatrix":
-        packed = []
-        width = n_cols
-        for row in rows:
-            bits = 0
-            n = 0
-            for c in row:
-                if c not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
-                bits |= c << n
-                n += 1
-            if width is None:
-                width = n
-            elif n != width:
-                raise ValueError("ragged rows")
-            packed.append(bits)
-        if width is None:
-            raise ValueError("cannot infer column count from zero rows")
-        return cls(len(packed), width, tuple(packed))
-
-    @classmethod
     def from_columns(cls, cols: Sequence[BitVector], n_rows: int) -> "BitMatrix":
         rows = [0] * n_rows
         for j, c in enumerate(cols):

@@ -10,6 +10,7 @@ position order (row-major for lattices), so constructions are reproducible.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,10 +58,17 @@ class BipartiteGraphState:
         return self.adjacency.transpose()
 
 
+def _check_size(field: str, n: int) -> None:
+    """Reject a count past sys.maxsize, which no list of rows can hold."""
+    if n > sys.maxsize:
+        raise ValueError(f"{field} is too large: {n}")
+
+
 def path_graph(n: int) -> BipartiteGraphState:
     """Linear chain on n vertices, odd positions (1-indexed) black."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
+    _check_size("path length", n)
     n_b = (n + 1) // 2
     n_w = n // 2
     rows = [0] * n_b
@@ -151,6 +159,7 @@ def edgeless_graph(n: int) -> BipartiteGraphState:
     """n isolated vertices with the same alternating coloring as path_graph."""
     if n < 1:
         raise ValueError("need at least one vertex")
+    _check_size("vertex count", n)
     n_b = (n + 1) // 2
     n_w = n // 2
     return BipartiteGraphState(n_b, n_w, BitMatrix.zeros(n_b, n_w))
@@ -190,6 +199,8 @@ def edges(g: BipartiteGraphState) -> list[tuple[int, int]]:
 
 
 def to_json(g: BipartiteGraphState) -> str:
+    """n_b, n_w and the edge list. Vertex labels (rhg_lattice sets them) are
+    not written, so from_json gives back the graph without labels."""
     return json.dumps({"n_b": g.n_b, "n_w": g.n_w, "edges": edges(g)})
 
 
@@ -201,6 +212,8 @@ def from_json(text: str) -> BipartiteGraphState:
         edge_list = doc["edges"]
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
+    _check_size("graph field 'n_b'", n_b)
+    _check_size("graph field 'n_w'", n_w)
     if not isinstance(edge_list, list):
         raise ValueError("graph field 'edges' must be a list of [b, w] index pairs")
     rows = [0] * n_b

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -167,57 +168,111 @@ class _Plan:
 
     A copy's record is (sigma1, sigma2, attack): the syndrome masks a group-1
     and a group-2 test observe, and the raw (u_b, u_w, v_b, v_w) masks of the
-    attack. Records of fixed attacks (the clean copy, the class
-    representatives, explicit atoms) are built once here, together with
-    their syndrome BitVectors; IID records are drawn fresh in every trial.
+    attack. Each adversary model is prepared once, in its own branch below,
+    into ``draw(rng)``, which returns one record per copy. Records of fixed
+    attacks (the clean copy, the class representatives, explicit atoms) are
+    built here, together with their syndrome BitVectors; IID records are
+    drawn fresh in every trial.
     """
 
     def __init__(self, g: BipartiteGraphState, k: int, model: AdversaryModel):
         if k < 1:
             raise ValueError("k must be at least 1")
+        n = 2 * k + 1
+        if n > sys.maxsize:
+            raise ValueError(f"k={k} is too large")
         self.g = g
         self.k = k
-        self.n_copies = 2 * k + 1
-        self.model = model
-        self.copies = list(range(self.n_copies))
+        self.n_copies = n
+        self.copies = list(range(n))
         self._vectors: dict[tuple[int, int], BitVector] = {}
-        self.clean = self._class_record(0, 0)
+        clean = self._class_record(0, 0)
 
         if isinstance(model, Honest):
-            pass
+            def draw(rng: random.Random) -> list[_Record]:
+                return [clean] * n
         elif isinstance(model, SingleBadCopy):
-            self._single = self._class_record(model.bad_class.s, model.bad_class.t)
+            bad = self._class_record(model.bad_class.s, model.bad_class.t)
+
+            def draw(rng: random.Random) -> list[_Record]:
+                records = [clean] * n
+                records[rng.randrange(n)] = bad
+                return records
         elif isinstance(model, ClassMixture):
             checked_mixture(model.beta, model.q0, model.q1, k)
-            self._beta = float(model.beta)
-            self._cum0 = _cumulative(model.q0)
-            self._cum1 = _cumulative(model.q1)
-            self._rep10 = self._class_record(1, 0)
-            self._rep01 = self._class_record(0, 1)
-            self._rep11 = self._class_record(1, 1)
+            beta = float(model.beta)
+            cum0 = _cumulative(model.q0)
+            cum1 = _cumulative(model.q1)
+            rep10 = self._class_record(1, 0)
+            rep01 = self._class_record(0, 1)
+            rep11 = self._class_record(1, 1)
+
+            def draw(rng: random.Random) -> list[_Record]:
+                if rng.random() < beta:
+                    cum, c = cum0, 0
+                else:
+                    cum, c = cum1, 1
+                x = rng.random()
+                # Without a break, (a, b) is the last atom's.
+                for threshold, (a, b) in cum:
+                    if x < threshold:
+                        break
+                records = [clean] * n
+                chosen = rng.sample(range(n), a + b + c)
+                for pos in chosen[:a]:
+                    records[pos] = rep10
+                for pos in chosen[a : a + b]:
+                    records[pos] = rep01
+                for pos in chosen[a + b :]:
+                    records[pos] = rep11
+                return records
         elif isinstance(model, IidPauli):
             if not (0 <= model.p_x <= 1 and 0 <= model.p_z <= 1):
                 raise ValueError("flip probabilities must be in [0, 1]")
-            # Lanes in draw order: u_b, u_w (prob p_x), then v_b, v_w (p_z).
-            half = g.n_b + g.n_w
+            # Per copy, one bulk draw covers exactly the Mersenne-Twister words
+            # of one random() call per qubit, in lane order u_b, u_w (prob
+            # p_x), then v_b, v_w (p_z); bit i of a mask is set iff that
+            # random() call falls below its flip probability.
+            n_b, n_w = g.n_b, g.n_w
+            half = n_b + n_w
             lanes = 2 * half
-            self._iid_bits = 64 * lanes
-            self._iid_bytes = 8 * lanes
-            self._iid_hi = int.from_bytes(_LANE_HI * lanes, "big")
-            self._iid_lo = int.from_bytes(_LANE_LO * lanes, "big")
-            self._iid_guard = int.from_bytes(_LANE_GUARD * lanes, "big")
+            n_bits = 64 * lanes
+            n_bytes = 8 * lanes
+            hi = int.from_bytes(_LANE_HI * lanes, "big")
+            lo = int.from_bytes(_LANE_LO * lanes, "big")
+            guard = int.from_bytes(_LANE_GUARD * lanes, "big")
             # Big-endian, so the last lane comes first.
-            self._iid_offset = int.from_bytes(
+            offset = int.from_bytes(
                 _lane_offset(model.p_z) * half + _lane_offset(model.p_x) * half, "big"
             )
+            b_mask = (1 << n_b) - 1
+            w_mask = (1 << n_w) - 1
+
+            def draw(rng: random.Random) -> list[_Record]:
+                records = []
+                for _ in range(n):
+                    r = rng.getrandbits(n_bits)
+                    x = ((r & hi) << 21) | ((r >> 38) & lo)
+                    kept = (x + offset) & guard
+                    # One digit per lane, last lane first, so bit i of the parse is lane i.
+                    digits = kept.to_bytes(n_bytes, "big")[1::8].translate(_FLIPPED)
+                    flips = int(digits or b"0", 2)
+                    masks = (
+                        flips & b_mask,
+                        (flips >> n_b) & w_mask,
+                        (flips >> half) & b_mask,
+                        flips >> (half + n_b),
+                    )
+                    records.append((*syndrome_masks(g, *masks), masks))
+                return records
         elif isinstance(model, Explicit):
-            if len(model.copies) != self.n_copies:
+            if len(model.copies) != n:
                 raise ValueError(
-                    f"explicit model has {len(model.copies)} copies, needs {self.n_copies}"
+                    f"explicit model has {len(model.copies)} copies, needs {n}"
                 )
             # Per copy, (running total, record) in atom order: the totals are
             # summed exactly as a scan over the atoms would sum them.
-            self._explicit = []
+            tables = []
             for atoms in model.copies:
                 total = 0.0
                 picks = []
@@ -230,9 +285,17 @@ class _Plan:
                     picks.append((total, self._fixed(sigma1, sigma2, masks)))
                 if abs(total - 1.0) > 1e-9:
                     raise ValueError("explicit copy distribution is not normalized")
-                self._explicit.append(picks)
+                tables.append(picks)
+
+            def draw(rng: random.Random) -> list[_Record]:
+                records = []
+                for picks in tables:
+                    x = rng.random()
+                    records.append(next((record for total, record in picks if x < total), picks[-1][1]))
+                return records
         else:
             raise ValueError(f"unknown adversary model: {model!r}")
+        self.draw = draw
 
     def _fixed(
         self, sigma1: BitVector, sigma2: BitVector, masks: tuple[int, int, int, int]
@@ -256,77 +319,6 @@ class _Plan:
         if vector is None:
             vector = BitVector(self.g.n_b if group == 1 else self.g.n_w, sigma)
         return vector
-
-    def _sample_counts(self, rng: random.Random) -> tuple[int, int, int]:
-        if rng.random() < self._beta:
-            cum = self._cum0
-            c = 0
-        else:
-            cum = self._cum1
-            c = 1
-        x = rng.random()
-        for threshold, (a, b) in cum:
-            if x < threshold:
-                return a, b, c
-        a, b = cum[-1][1]
-        return a, b, c
-
-    def draw(self, rng: random.Random) -> list[_Record]:
-        """One record per copy, drawn from the adversary model."""
-        model = self.model
-        n = self.n_copies
-        if isinstance(model, Honest):
-            return [self.clean] * n
-        if isinstance(model, SingleBadCopy):
-            records = [self.clean] * n
-            records[rng.randrange(n)] = self._single
-            return records
-        if isinstance(model, ClassMixture):
-            a, b, c = self._sample_counts(rng)
-            records = [self.clean] * n
-            chosen = rng.sample(range(n), a + b + c)
-            for pos in chosen[:a]:
-                records[pos] = self._rep10
-            for pos in chosen[a : a + b]:
-                records[pos] = self._rep01
-            for pos in chosen[a + b :]:
-                records[pos] = self._rep11
-            return records
-        if isinstance(model, IidPauli):
-            g = self.g
-            return [(*syndrome_masks(g, *masks), masks) for masks in self._iid_masks(rng)]
-        records = []
-        for picks in self._explicit:
-            x = rng.random()
-            records.append(next((record for total, record in picks if x < total), picks[-1][1]))
-        return records
-
-    def _iid_masks(self, rng: random.Random) -> list[tuple[int, int, int, int]]:
-        """(u_b, u_w, v_b, v_w) per copy: bit i of a mask is set iff the
-        random() call for that qubit falls below its flip probability. Draws
-        exactly the Mersenne-Twister words of one random() call per qubit, in
-        the order u_b, u_w, v_b, v_w, copy by copy."""
-        n_b, n_w = self.g.n_b, self.g.n_w
-        b_mask = (1 << n_b) - 1
-        w_mask = (1 << n_w) - 1
-        hi, lo, guard, offset = self._iid_hi, self._iid_lo, self._iid_guard, self._iid_offset
-        out = []
-        for _ in range(self.n_copies):
-            r = rng.getrandbits(self._iid_bits)
-            x = ((r & hi) << 21) | ((r >> 38) & lo)
-            kept = (x + offset) & guard
-            # One digit per lane, last lane first, so bit i of the parse is lane i.
-            digits = kept.to_bytes(self._iid_bytes, "big")[1::8].translate(_FLIPPED)
-            flips = int(digits or b"0", 2)
-            out.append(
-                (
-                    flips & b_mask,
-                    (flips >> n_b) & w_mask,
-                    (flips >> (n_b + n_w)) & b_mask,
-                    flips >> (2 * n_b + n_w),
-                )
-            )
-        return out
 
 
 def _cumulative(

@@ -17,6 +17,7 @@ from stabtest.analytics import (
     lemma_check,
     oracle,
     pass_prob,
+    profile,
     t_functionals,
     trace_bound,
     xi,
@@ -130,6 +131,7 @@ def test_criterion_3_oracle_equality(capsys):
                             assert res.conditional == conditional_fidelity(a, b, k)
                     else:
                         assert res.conditional is None
+                    assert profile(cc) == res, (a, b, c, k)
                     checked += 1
     elapsed = time.perf_counter() - started
     ok = elapsed < 60.0

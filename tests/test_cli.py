@@ -194,8 +194,9 @@ def test_simulate_zero_denominator_fails_cleanly(tmp_path, alpha, mixture, field
         ("g.json", {"n_b": float("inf"), "n_w": 1, "edges": []}),
         ("g.json", {"n_b": 1, "n_w": 1, "edges": [[float("inf"), 0]]}),
         ("mix.json", {**MIX_OK, "q0": [[float("inf"), 0, 1]]}),
+        ("g.json", {"n_b": 10**20, "n_w": 1, "edges": []}),
     ],
-    ids=["graph-size", "graph-edge", "mixture-count"],
+    ids=["graph-size", "graph-edge", "mixture-count", "graph-size-huge"],
 )
 def test_simulate_infinite_counts_fail_cleanly(tmp_path, path_name, doc):
     path = tmp_path / path_name
@@ -205,6 +206,25 @@ def test_simulate_infinite_counts_fail_cleanly(tmp_path, path_name, doc):
                                 "--trials", "5", "--outdir", str(tmp_path / "out")])
     assert status == 2
     assert len(_error_lines(err)) == 1, err
+
+
+# Counts past sys.maxsize only: smaller huge counts would allocate real memory.
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["reduce", "--graph", f"path:{10**20}"], "path length"),
+        (["reduce", "--graph", f"path:{2**63}"], "path length"),
+        (["reduce", "--graph", f"edgeless:{10**20}"], "vertex count"),
+        (["simulate", "--graph", "path:3", "--k", str(10**20), "--adversary", "honest"], "k="),
+        (["simulate", "--graph", "path:3", "--k", str(2**63), "--adversary", "honest"], "k="),
+    ],
+    ids=["path", "path-2^63", "edgeless", "k", "k-2^63"],
+)
+def test_oversized_counts_fail_cleanly(tmp_path, argv, field):
+    status, _, err = _run_main(argv + (["--outdir", str(tmp_path)] if argv[0] == "simulate" else []))
+    assert status == 2
+    lines = _error_lines(err)
+    assert len(lines) == 1 and field in lines[0], err
 
 
 def test_alpha_outside_unit_interval_is_rejected(tmp_path):
@@ -235,7 +255,9 @@ def test_failed_simulate_keeps_previous_outputs(tmp_path, capsys):
 
 
 # Boundary fuzzing: every input ends in exit 0, or exit 2 with exactly one
-# error line. Sizes stay tiny (n <= 8 qubits, at most 3 trials).
+# error line; exit 1 (an oracle mismatch or a bound violation) never occurs.
+# Sizes stay tiny (n <= 8 qubits, at most 3 trials, oracle k <= 6,
+# verify-bounds k-max <= 3).
 _VALUES = st.one_of(
     st.integers(-1, 4),
     st.sampled_from([0.5, 1.5, float("inf"), float("nan"), None, True, [], {},
@@ -273,10 +295,12 @@ _NUMBERS = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["x", "", "1.5
     k=_NUMBERS,
     trials=_NUMBERS,
     alpha=st.one_of(st.none(), st.sampled_from(["3/10", "1/0", "0", "1", "2", "-1", "x", "1e400", "nan"])),
-    command=st.sampled_from(["simulate", "reduce"]),
+    command=st.sampled_from(["simulate", "reduce", "oracle", "verify-bounds"]),
+    profile=st.tuples(st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 6)),
+    k_max=st.integers(-1, 3),
 )
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command):
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command, profile, k_max):
     with tempfile.TemporaryDirectory() as tmp:
         if not isinstance(graph, str):
             with open(os.path.join(tmp, "g.json"), "w") as fh:
@@ -288,6 +312,10 @@ def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command):
             adversary = "mixture:" + os.path.join(tmp, "mix.json")
         if command == "reduce":
             argv = ["reduce", "--graph", graph]
+        elif command == "oracle":
+            argv = ["oracle", *map(str, profile)]
+        elif command == "verify-bounds":
+            argv = ["verify-bounds", "--k-max", str(k_max), "--out", os.path.join(tmp, "bounds.csv")]
         else:
             argv = ["simulate", "--graph", graph, "--k", k, "--adversary", adversary,
                     "--trials", trials, "--seed", "1", "--outdir", os.path.join(tmp, "out")]

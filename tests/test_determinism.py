@@ -128,6 +128,9 @@ ESTIMATE_GOLDEN = {
     ("rhg:2x2x2", 0.0, 1.0): "243b61ca70323601488041d307fca2262318772dba56dcb9be7262e8fcaec4f0",
 }
 
+# sha256 of the CSV written by `verify-bounds --k-max 8 --out`.
+BOUNDS_GOLDEN = "7662e119798a9905128aa7b6f3cf24556c1d100f069b3de0b7a1eea62e9f2794"
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -169,3 +172,9 @@ def test_recorded_outcomes_match_golden_hashes(graph):
 @pytest.mark.parametrize("graph, p_x, p_z", sorted(ESTIMATE_GOLDEN))
 def test_estimate_matches_golden_hashes(graph, p_x, p_z):
     assert estimate_hash(graph, p_x, p_z) == ESTIMATE_GOLDEN[graph, p_x, p_z]
+
+
+def test_verify_bounds_matches_golden_hash(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert main(["verify-bounds", "--k-max", "8", "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == BOUNDS_GOLDEN

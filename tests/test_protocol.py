@@ -199,6 +199,11 @@ def test_explicit_attack_sized_for_another_graph_is_rejected():
         draw_attack(model, 2, G5, random.Random(0))
 
 
+def test_unknown_adversary_model_is_rejected():
+    with pytest.raises(ValueError, match="unknown adversary model"):
+        estimate(G5, 2, "honest", 10, 0)
+
+
 def test_explicit_rejects_unnormalized():
     clean = identity_attack(G5)
     copies = tuple((((0.5, clean),),) * 5)
