@@ -103,11 +103,10 @@ def _load_mixture(path: str) -> ClassMixture:
             if not isinstance(row, list) or len(row) != 3:
                 raise ValueError(f"mixture field {name!r} has row {row!r}, expected [a, b, weight]")
             a, b, w = row
-            try:
-                ab = (int(a), int(b))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"mixture field {name!r} has row {row!r} with non-integer counts") from exc
-            atoms.append((ab, _fraction(w, f"mixture field {name!r} weight")))
+            # Exact JSON integers: bool is an int subclass, and int() truncates 0.5 and parses "1".
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"mixture field {name!r} has row {row!r} with non-integer counts")
+            atoms.append(((a, b), _fraction(w, f"mixture field {name!r} weight")))
         total = sum(w for _, w in atoms)
         if total <= 0:
             raise ValueError(f"{name} weights must have positive total")

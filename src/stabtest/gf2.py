@@ -113,13 +113,9 @@ class BitMatrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[BitVector], n_rows: int) -> "BitMatrix":
-        rows = [0] * n_rows
-        for j, c in enumerate(cols):
-            if c.n != n_rows:
-                raise ValueError("column length mismatch")
-            for i in range(n_rows):
-                rows[i] |= ((c.bits >> i) & 1) << j
-        return cls(n_rows, len(cols), tuple(rows))
+        if any(c.n != n_rows for c in cols):
+            raise ValueError("column length mismatch")
+        return cls(len(cols), n_rows, tuple(c.bits for c in cols)).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -159,15 +155,17 @@ class BitMatrix:
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2) (XOR-accumulated AND)."""
+    """Matrix product over GF(2): row i is the XOR of the rows of b picked by
+    the set bits of row i of a."""
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: {a.n_cols} vs {b.n_rows}")
-    bt = b.transpose()
     rows = []
     for ra in a.rows:
         bits = 0
-        for j, cb in enumerate(bt.rows):
-            bits |= ((ra & cb).bit_count() & 1) << j
+        while ra:
+            low = ra & -ra
+            bits ^= b.rows[low.bit_length() - 1]
+            ra ^= low
         rows.append(bits)
     return BitMatrix(a.n_rows, b.n_cols, tuple(rows))
 
@@ -204,29 +202,6 @@ def rank(m: BitMatrix) -> int:
     return r
 
 
-def mat_inverse(m: BitMatrix) -> BitMatrix:
-    """Inverse by Gauss-Jordan elimination; raises SingularMatrix if rank < n."""
-    if m.n_rows != m.n_cols:
-        raise ValueError("matrix not square")
-    n = m.n_rows
-    # Augment each row with an identity block in the high bits.
-    work = [m.rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if (work[i] >> col) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularMatrix(f"matrix is singular (rank < {n})")
-        work[col], work[pivot] = work[pivot], work[col]
-        for i in range(n):
-            if i != col and (work[i] >> col) & 1:
-                work[i] ^= work[col]
-    mask = (1 << n) - 1 if n else 0
-    return BitMatrix(n, n, tuple((w >> n) & mask for w in work))
-
-
 def _rref(m: BitMatrix) -> tuple[list[int], list[int]]:
     rows = list(m.rows)
     pivots: list[int] = []
@@ -246,6 +221,19 @@ def _rref(m: BitMatrix) -> tuple[list[int], list[int]]:
         pivots.append(col)
         r += 1
     return rows, pivots
+
+
+def mat_inverse(m: BitMatrix) -> BitMatrix:
+    """Inverse by row-reducing [m | I] to [I | m^-1]; raises SingularMatrix if rank < n."""
+    if m.n_rows != m.n_cols:
+        raise ValueError("matrix not square")
+    n = m.n_rows
+    # The identity block sits in the high bits, so m's columns pivot first.
+    augmented = BitMatrix(n, 2 * n, tuple(r | (1 << (n + i)) for i, r in enumerate(m.rows)))
+    rows, pivots = _rref(augmented)
+    if pivots != list(range(n)):
+        raise SingularMatrix(f"matrix is singular (rank < {n})")
+    return BitMatrix(n, n, tuple(r >> n for r in rows))
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
@@ -273,12 +261,11 @@ def column_space_basis(m: BitMatrix) -> tuple[list[BitVector], list[BitVector]]:
     echelon: dict[int, int] = {}
     c_basis = []
     d_preimages = []
-    for j in range(m.n_cols):
-        col = m.column(j)
-        reduced = _reduce(col.bits, echelon)
+    for j, col in enumerate(m.transpose().rows):
+        reduced = _reduce(col, echelon)
         if reduced:
             echelon[reduced.bit_length() - 1] = reduced
-            c_basis.append(col)
+            c_basis.append(BitVector(m.n_rows, col))
             d_preimages.append(BitVector.unit(m.n_cols, j))
     return c_basis, d_preimages
 

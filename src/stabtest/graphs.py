@@ -31,12 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BipartiteGraphState:
-    """Graph state data: B/W sizes, n_b x n_w adjacency, optional labels."""
+    """Graph state data: B/W sizes and the n_b x n_w adjacency."""
 
     n_b: int
     n_w: int
     adjacency: BitMatrix
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.n_b < 0 or self.n_w < 0:
@@ -46,8 +45,6 @@ class BipartiteGraphState:
                 f"adjacency is {self.adjacency.n_rows}x{self.adjacency.n_cols}, "
                 f"declared n_b={self.n_b}, n_w={self.n_w}"
             )
-        if self.labels is not None and len(self.labels) != self.n_b + self.n_w:
-            raise ValueError("label count does not match vertex count")
 
     @property
     def n(self) -> int:
@@ -149,10 +146,7 @@ def rhg_lattice(lx: int, ly: int, lz: int) -> BipartiteGraphState:
                 corner[shift_axis] += shift
                 rows[j] |= 1 << edge_index[(direction, *corner)]
     n_b, n_w = len(face_keys), len(edge_keys)
-    labels = tuple(f"face{key}" for key in face_keys) + tuple(
-        f"edge{key}" for key in edge_keys
-    )
-    return BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, tuple(rows)), labels)
+    return BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, tuple(rows)))
 
 
 def edgeless_graph(n: int) -> BipartiteGraphState:
@@ -199,31 +193,31 @@ def edges(g: BipartiteGraphState) -> list[tuple[int, int]]:
 
 
 def to_json(g: BipartiteGraphState) -> str:
-    """n_b, n_w and the edge list. Vertex labels (rhg_lattice sets them) are
-    not written, so from_json gives back the graph without labels."""
+    """n_b, n_w and the edge list; from_json reads it back."""
     return json.dumps({"n_b": g.n_b, "n_w": g.n_w, "edges": edges(g)})
 
 
 def from_json(text: str) -> BipartiteGraphState:
+    """Inverse of to_json. Counts and indices must be JSON integers: floats,
+    strings and booleans are refused rather than truncated."""
     doc = json.loads(text)
     try:
-        n_b = int(doc["n_b"])
-        n_w = int(doc["n_w"])
-        edge_list = doc["edges"]
-    except (KeyError, TypeError, OverflowError) as exc:
+        n_b, n_w, edge_list = doc["n_b"], doc["n_w"], doc["edges"]
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
-    _check_size("graph field 'n_b'", n_b)
-    _check_size("graph field 'n_w'", n_w)
+    for field, n in (("n_b", n_b), ("n_w", n_w)):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"graph field {field!r} must be a non-negative integer, got {n!r}")
+        _check_size(f"graph field {field!r}", n)
     if not isinstance(edge_list, list):
         raise ValueError("graph field 'edges' must be a list of [b, w] index pairs")
     rows = [0] * n_b
     for item in edge_list:
         if not isinstance(item, list) or len(item) != 2:
             raise ValueError(f"graph field 'edges' has entry {item!r}, expected a [b, w] index pair")
-        try:
-            j, i = int(item[0]), int(item[1])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"graph field 'edges' has entry {item!r} with non-integer indices") from exc
+        j, i = item
+        if type(j) is not int or type(i) is not int:
+            raise ValueError(f"graph field 'edges' has entry {item!r} with non-integer indices")
         if not (0 <= j < n_b and 0 <= i < n_w):
             raise ValueError(f"edge ({j}, {i}) out of range")
         rows[j] |= 1 << i

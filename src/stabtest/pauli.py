@@ -129,10 +129,6 @@ def fidelity_indicator(g: BipartiteGraphState, p: BlockPauli) -> int:
     return int(sigma1.is_zero() and sigma2.is_zero())
 
 
-def _random_bits(rng: random.Random, n: int) -> int:
-    return rng.getrandbits(n) if n else 0
-
-
 def sample_outcomes(
     g: BipartiteGraphState,
     p: BlockPauli,
@@ -148,12 +144,12 @@ def sample_outcomes(
     """
     _check_dims(g, p)
     if group == 1:
-        base = _random_bits(rng, g.n_w)
+        base = rng.getrandbits(g.n_w)
         z_obs = BitVector(g.n_w, base ^ p.u_w.bits)
         x_obs = mat_vec(g.adjacency, BitVector(g.n_w, base)) ^ p.v_b
         return x_obs, z_obs
     if group == 2:
-        base = _random_bits(rng, g.n_b)
+        base = rng.getrandbits(g.n_b)
         z_obs = BitVector(g.n_b, base ^ p.u_b.bits)
         x_obs = mat_vec(g.adjacency_t, BitVector(g.n_b, base)) ^ p.v_w
         return x_obs, z_obs

@@ -424,14 +424,13 @@ def run_trials(
     model: AdversaryModel,
     trials: int,
     master_seed: int,
-    record_outcomes: bool = False,
 ) -> Iterator[Transcript]:
     """Stream transcripts for trials 0..trials-1 under derived per-trial seeds."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     plan = _Plan(g, k, model)
     for index in range(trials):
-        yield _run_full(plan, trial_seed(master_seed, index), record_outcomes)
+        yield _run_full(plan, trial_seed(master_seed, index), False)
 
 
 def estimate(

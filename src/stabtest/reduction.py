@@ -118,7 +118,7 @@ def check_relations(g: BipartiteGraphState, group: int) -> list[CheckRelation]:
         ]
     if group == 2:
         return [
-            CheckRelation(BitVector.unit(g.n_w, i), g.adjacency.column(i), 2)
+            CheckRelation(BitVector.unit(g.n_w, i), g.adjacency_t.row(i), 2)
             for i in range(g.n_w)
         ]
     raise ValueError("group must be 1 or 2")

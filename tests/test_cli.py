@@ -227,6 +227,40 @@ def test_oversized_counts_fail_cleanly(tmp_path, argv, field):
     assert len(lines) == 1 and field in lines[0], err
 
 
+# Counts and indices must be JSON integers, and graph sizes non-negative: other
+# values are refused, not truncated or coerced into a different graph or mixture
+# than the file describes, and a huge negative size is not an OverflowError.
+@pytest.mark.parametrize(
+    "path_name, doc, field",
+    [
+        ("g.json", {"n_b": 2.7, "n_w": 2, "edges": []}, "'n_b'"),
+        ("g.json", {"n_b": 2, "n_w": "2", "edges": []}, "'n_w'"),
+        ("g.json", {"n_b": True, "n_w": 2, "edges": []}, "'n_b'"),
+        ("g.json", {"n_b": -10**20, "n_w": 2, "edges": []}, "'n_b'"),
+        ("g.json", {"n_b": 2, "n_w": 2, "edges": [[0.9, 1]]}, "'edges'"),
+        ("g.json", {"n_b": 2, "n_w": 2, "edges": [[0, True]]}, "'edges'"),
+        ("mix.json", {**MIX_OK, "q0": [[0.5, 0, 1]]}, "'q0'"),
+        ("mix.json", {**MIX_OK, "q1": [[0, True, 1]]}, "'q1'"),
+        ("mix.json", {**MIX_OK, "q0": [["1", 0, 1]]}, "'q0'"),
+    ],
+    ids=["n_b-float", "n_w-string", "n_b-bool", "n_b-negative-huge", "edge-float", "edge-bool",
+         "mixture-float", "mixture-bool", "mixture-string"],
+)
+def test_non_integer_json_counts_are_rejected(tmp_path, path_name, doc, field):
+    path = tmp_path / path_name
+    path.write_text(json.dumps(doc))
+    if path_name == "g.json":
+        argv = ["reduce", "--graph", str(path)]
+    else:
+        argv = ["simulate", "--graph", "path:5", "--k", "1", "--adversary", f"mixture:{path}",
+                "--trials", "5", "--outdir", str(tmp_path / "out")]
+    status, out, err = _run_main(argv)
+    assert status == 2
+    lines = _error_lines(err)
+    assert len(lines) == 1 and field in lines[0], err
+    assert "Traceback" not in out + err
+
+
 def test_alpha_outside_unit_interval_is_rejected(tmp_path):
     status, _, err = _run_main(["simulate", "--graph", "path:3", "--k", "1", "--adversary",
                                 "honest", "--alpha", "1e400", "--outdir", str(tmp_path)])

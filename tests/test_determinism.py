@@ -131,6 +131,25 @@ ESTIMATE_GOLDEN = {
 # sha256 of the CSV written by `verify-bounds --k-max 8 --out`.
 BOUNDS_GOLDEN = "7662e119798a9905128aa7b6f3cf24556c1d100f069b3de0b7a1eea62e9f2794"
 
+# graph -> sha256 of the stdout of `reduce --graph <graph>`, captured before
+# mat_inverse, mat_mul and the column helpers of gf2 were rewritten. C and D
+# are fixed by the basis rules, so any change to them shows up here.
+REDUCE_GOLDEN = {
+    "path:3": "427fedf0ef7d42b3ecc8ce3f51aa7313801c335d3f7866916f8767444e13de41",
+    "path:6": "a022c71c0467e1193c9ec0d95f2e2c0b3b202f1391084bb988332ba32d8eefe8",
+    "grid:3x3": "545a33630431e1999d28f11ee0e8c789e58c540ef542c3e0b9dbea98115b7add",
+    "rhg:2x2x2": "d0cd74b49cc10d887a8958fd0fd88895dc40c53db75be290bf03cdc3abfab2d1",
+    "rhg:3x3x3": "f5ebb9d149d03e29743d5e9afed9a47e7bb0d9dc2a1c3b7a2ae24590bc666c75",
+    "nb0.json": "22b5c3a34f7c882eda11946ac745f7a779dfe670331086c74d9a4e7dd76589cf",
+    "nw0.json": "ce61003768da59cfd33d208dddd6f67d5539b7c9aa59f1eebef9d37cc281a3a5",
+}
+
+# The JSON graphs of REDUCE_GOLDEN: one empty side each.
+REDUCE_DOCS = {
+    "nb0.json": {"n_b": 0, "n_w": 3, "edges": []},
+    "nw0.json": {"n_b": 3, "n_w": 0, "edges": []},
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -178,3 +197,13 @@ def test_verify_bounds_matches_golden_hash(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     assert main(["verify-bounds", "--k-max", "8", "--out", str(out)]) == 0
     assert _sha(out.read_bytes()) == BOUNDS_GOLDEN
+
+
+@pytest.mark.parametrize("graph", sorted(REDUCE_GOLDEN))
+def test_reduce_output_matches_golden_hash(tmp_path, monkeypatch, capsys, graph):
+    # Relative file names, since the printout starts with the graph spec.
+    monkeypatch.chdir(tmp_path)
+    if graph in REDUCE_DOCS:
+        (tmp_path / graph).write_text(json.dumps(REDUCE_DOCS[graph]))
+    assert main(["reduce", "--graph", graph]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == REDUCE_GOLDEN[graph]

@@ -71,6 +71,9 @@ def test_bitmatrix_construction_round_trip():
     assert m.transpose().transpose() == m
     cols = [m.column(j) for j in range(2)]
     assert BitMatrix.from_columns(cols, 3) == m
+    assert BitMatrix.from_columns([], 2) == BitMatrix.zeros(2, 0)
+    with pytest.raises(ValueError, match="column length"):
+        BitMatrix.from_columns([BitVector(2, 0b01), BitVector(3, 0b001)], 3)
     assert m.row(1) == BitVector(2, 0b11)
 
 

@@ -145,13 +145,6 @@ def test_rhg_counts_match_formula():
         assert g.n_w == sum(per_edge(a) for a in range(3))
 
 
-def test_rhg_labels_cover_both_sides():
-    g = rhg_lattice(2, 1, 1)
-    assert g.labels is not None and len(g.labels) == g.n
-    assert all(lbl.startswith("face(") for lbl in g.labels[: g.n_b])
-    assert all(lbl.startswith("edge(") for lbl in g.labels[g.n_b :])
-
-
 def test_rhg_rejects_empty():
     with pytest.raises(ValueError):
         rhg_lattice(0, 1, 1)
@@ -191,8 +184,6 @@ def test_from_json_rejects_bad_documents():
 def test_graph_state_validation():
     with pytest.raises(ValueError):
         BipartiteGraphState(2, 1, BitMatrix(1, 1, (1,)))
-    with pytest.raises(ValueError):
-        BipartiteGraphState(1, 1, BitMatrix(1, 1, (1,)), labels=("only-one",))
 
 
 def test_adjacency_transpose_cached():

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from stabtest import reduction
+from stabtest.graphs import rhg_lattice
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -21,3 +24,16 @@ def _traced():
 @pytest.mark.parametrize("module, attr", _traced())
 def test_traced_hook_exists(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+def test_compute_reduction_calls_the_traced_gf2_names(monkeypatch):
+    # The traced run times gf2 work through these module names; a refactor
+    # that stops calling one of them would read 0 there without failing.
+    calls = {}
+    for name in ("mat_inverse", "mat_mul", "column_space_basis", "kernel_basis"):
+        def counted(*args, _name=name, _inner=getattr(reduction, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args)
+        monkeypatch.setattr(reduction, name, counted)
+    reduction.compute_reduction(rhg_lattice(2, 2, 2))
+    assert calls == {"mat_inverse": 2, "mat_mul": 2, "column_space_basis": 1, "kernel_basis": 1}
