@@ -188,8 +188,8 @@ def theorem1_bound(alpha, k: int):
 
 def trace_bound(alpha, k: int) -> float:
     """Trace-distance ceiling 1/sqrt(alpha(2k+1)) for alpha >= 1/(2k+1)."""
-    if k < 0:
-        raise DomainError("k must be nonnegative")
+    if k < 1:
+        raise DomainError("k must be at least 1")
     n = 2 * k + 1
     if Fraction(alpha) * n < 1:
         raise DomainError("alpha must be at least 1/(2k+1)")

@@ -156,7 +156,7 @@ def _fmt_dec(x: Fraction | None) -> str:
 def _matrix_lines(m: BitMatrix) -> list[str]:
     if m.n_rows == 0 or m.n_cols == 0:
         return [f"  (empty {m.n_rows}x{m.n_cols})"]
-    return ["  [" + " ".join(str(m.entry(i, j)) for j in range(m.n_cols)) + "]" for i in range(m.n_rows)]
+    return ["  [" + " ".join(format(r, f"0{m.n_cols}b")[::-1]) + "]" for r in m.rows]
 
 
 def _relation_line(rel) -> str:

@@ -133,14 +133,6 @@ class BitMatrix:
     def row(self, i: int) -> BitVector:
         return BitVector(self.n_cols, self.rows[i])
 
-    def column(self, j: int) -> BitVector:
-        if not 0 <= j < self.n_cols:
-            raise IndexError(j)
-        bits = 0
-        for i in range(self.n_rows):
-            bits |= ((self.rows[i] >> j) & 1) << i
-        return BitVector(self.n_rows, bits)
-
     def transpose(self) -> "BitMatrix":
         rows = [0] * self.n_cols
         for i, r in enumerate(self.rows):
@@ -180,47 +172,44 @@ def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
     return BitVector(m.n_rows, bits)
 
 
-def _reduce(v: int, echelon: dict[int, int]) -> int:
-    # Reduce v against vectors keyed by their highest set bit.
+def _insert(v: int, echelon: dict[int, int]) -> bool:
+    """Reduce v against rows keyed by their lowest set bit; store the
+    remainder and return True if it is nonzero."""
     while v:
-        lead = v.bit_length() - 1
-        pivot = echelon.get(lead)
+        low = v & -v
+        pivot = echelon.get(low)
         if pivot is None:
-            return v
+            echelon[low] = v
+            return True
         v ^= pivot
-    return 0
+    return False
 
 
 def rank(m: BitMatrix) -> int:
     echelon: dict[int, int] = {}
-    r = 0
-    for row in m.rows:
-        v = _reduce(row, echelon)
-        if v:
-            echelon[v.bit_length() - 1] = v
-            r += 1
-    return r
+    return sum(_insert(row, echelon) for row in m.rows)
 
 
 def _rref(m: BitMatrix) -> tuple[list[int], list[int]]:
-    rows = list(m.rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(m.n_cols):
-        sel = None
-        for i in range(r, m.n_rows):
-            if (rows[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(m.n_rows):
-            if i != r and (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-        pivots.append(col)
-        r += 1
-    return rows, pivots
+    """Nonzero rows of the reduced row echelon form and their pivot columns,
+    both in ascending pivot order."""
+    echelon: dict[int, int] = {}
+    for row in m.rows:
+        _insert(row, echelon)
+    lows = sorted(echelon)
+    # Back-substitute highest pivot first: rows with higher pivots are then
+    # already reduced, so XORing one in to clear its pivot brings in no other.
+    done = 0
+    for low in reversed(lows):
+        row = echelon[low]
+        hits = row & done
+        while hits:
+            bit = hits & -hits
+            row ^= echelon[bit]
+            hits ^= bit
+        echelon[low] = row
+        done |= low
+    return [echelon[low] for low in lows], [low.bit_length() - 1 for low in lows]
 
 
 def mat_inverse(m: BitMatrix) -> BitMatrix:
@@ -239,16 +228,14 @@ def mat_inverse(m: BitMatrix) -> BitMatrix:
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
     """Basis of {x : m.x = 0}, one vector per free column, ascending index."""
     rows, pivots = _rref(m)
+    placed = [0] * m.n_cols
+    for r, p in zip(rows, pivots):
+        placed[p] = r
+    # Column f of the RREF, with row r moved to bit pivots[r], is the pivot
+    # part of the kernel vector for free column f.
+    columns = BitMatrix(m.n_cols, m.n_cols, tuple(placed)).transpose().rows
     pivot_set = set(pivots)
-    basis = []
-    for free in range(m.n_cols):
-        if free in pivot_set:
-            continue
-        bits = 1 << free
-        for r, p in enumerate(pivots):
-            bits |= ((rows[r] >> free) & 1) << p
-        basis.append(BitVector(m.n_cols, bits))
-    return basis
+    return [BitVector(m.n_cols, (1 << f) | c) for f, c in enumerate(columns) if f not in pivot_set]
 
 
 def column_space_basis(m: BitMatrix) -> tuple[list[BitVector], list[BitVector]]:
@@ -262,9 +249,7 @@ def column_space_basis(m: BitMatrix) -> tuple[list[BitVector], list[BitVector]]:
     c_basis = []
     d_preimages = []
     for j, col in enumerate(m.transpose().rows):
-        reduced = _reduce(col, echelon)
-        if reduced:
-            echelon[reduced.bit_length() - 1] = reduced
+        if _insert(col, echelon):
             c_basis.append(BitVector(m.n_rows, col))
             d_preimages.append(BitVector.unit(m.n_cols, j))
     return c_basis, d_preimages
@@ -281,16 +266,12 @@ def extend_to_basis(partial: Sequence[BitVector], dim: int) -> list[BitVector]:
     for v in partial:
         if v.n != dim:
             raise ValueError("vector length does not match dim")
-        reduced = _reduce(v.bits, echelon)
-        if not reduced:
+        if not _insert(v.bits, echelon):
             raise DependentInput("partial set is linearly dependent")
-        echelon[reduced.bit_length() - 1] = reduced
     appended = []
     for i in range(dim):
         if len(echelon) == dim:
             break
-        reduced = _reduce(1 << i, echelon)
-        if reduced:
-            echelon[reduced.bit_length() - 1] = reduced
+        if _insert(1 << i, echelon):
             appended.append(BitVector.unit(dim, i))
     return appended

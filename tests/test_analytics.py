@@ -106,7 +106,8 @@ def test_theorem1_bound_domain():
 def test_trace_bound_values_and_domain():
     assert trace_bound(F(1, 5), 2) == 1.0
     assert abs(trace_bound(F(1, 2), 2) - (1 / math.sqrt(2.5))) < 1e-12
-    assert trace_bound(1, 0) == 1.0
+    with pytest.raises(DomainError):
+        trace_bound(1, 0)
     with pytest.raises(DomainError):
         trace_bound(F(1, 6), 2)
     # tighter alpha means a smaller ceiling

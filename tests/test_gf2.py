@@ -14,6 +14,7 @@ from stabtest.gf2 import (
     mat_mul,
     mat_vec,
     rank,
+    _rref,
 )
 
 
@@ -69,7 +70,7 @@ def test_bitmatrix_construction_round_trip():
     assert m.to_lists() == [[1, 0], [1, 1], [0, 1]]
     assert m.transpose().to_lists() == [[1, 1, 0], [0, 1, 1]]
     assert m.transpose().transpose() == m
-    cols = [m.column(j) for j in range(2)]
+    cols = [m.transpose().row(j) for j in range(2)]
     assert BitMatrix.from_columns(cols, 3) == m
     assert BitMatrix.from_columns([], 2) == BitMatrix.zeros(2, 0)
     with pytest.raises(ValueError, match="column length"):
@@ -101,7 +102,7 @@ def test_mat_vec_agrees_with_mat_mul():
     a = _random_matrix(rng, 4, 6)
     v = BitVector(6, rng.getrandbits(6))
     col = BitMatrix.from_columns([v], 6)
-    assert mat_vec(a, v) == mat_mul(a, col).column(0)
+    assert mat_vec(a, v) == mat_mul(a, col).transpose().row(0)
 
 
 def test_transpose_of_product():
@@ -204,3 +205,135 @@ def test_extend_to_basis_rejects_dependent_input():
     vs = [BitVector.from_bits([1, 1]), BitVector.from_bits([1, 1])]
     with pytest.raises(DependentInput):
         extend_to_basis(vs, 2)
+
+
+# Reference implementations: plain column-scan Gauss-Jordan elimination and
+# greedy "keep it if the rank grows" selection, checked against the echelon
+# code bit for bit.
+
+
+def _reference_rref(m):
+    """For each column, swap up the first remaining row with a 1 there and
+    clear that column from every other row. Returns all rows and the pivots."""
+    rows = list(m.rows)
+    pivots = []
+    for col in range(m.n_cols):
+        r = len(pivots)
+        sel = next((i for i in range(r, m.n_rows) if (rows[i] >> col) & 1), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        for i in range(m.n_rows):
+            if i != r and (rows[i] >> col) & 1:
+                rows[i] ^= rows[r]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _reference_rank(vectors, width):
+    return len(_reference_rref(BitMatrix(len(vectors), width, tuple(vectors)))[1])
+
+
+def _reference_kernel(m):
+    rows, pivots = _reference_rref(m)
+    basis = []
+    for free in range(m.n_cols):
+        if free in pivots:
+            continue
+        bits = 1 << free
+        for r, p in enumerate(pivots):
+            bits |= ((rows[r] >> free) & 1) << p
+        basis.append(BitVector(m.n_cols, bits))
+    return basis
+
+
+def _reference_inverse(m):
+    n = m.n_rows
+    augmented = BitMatrix(n, 2 * n, tuple(r | (1 << (n + i)) for i, r in enumerate(m.rows)))
+    rows, pivots = _reference_rref(augmented)
+    if pivots != list(range(n)):
+        return None
+    return BitMatrix(n, n, tuple(r >> n for r in rows))
+
+
+def _reference_greedy(vectors, width, kept=()):
+    """Indices of the vectors that raise the reference rank of kept + picked."""
+    picked = list(kept)
+    indices = []
+    for i, v in enumerate(vectors):
+        if _reference_rank(picked + [v], width) > len(picked):
+            picked.append(v)
+            indices.append(i)
+    return indices
+
+
+def _reference_cases():
+    """Empty shapes, then random dense, low-rank and invertible matrices up to 20x20."""
+    rng = random.Random(606)
+    cases = [BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 4), BitMatrix.zeros(5, 0), BitMatrix.zeros(3, 3)]
+    for _ in range(150):
+        n_rows, n_cols = rng.randrange(0, 21), rng.randrange(0, 21)
+        cases.append(_random_matrix(rng, n_rows, n_cols))
+        inner = rng.randrange(0, 6)
+        cases.append(mat_mul(_random_matrix(rng, n_rows, inner), _random_matrix(rng, inner, n_cols)))
+        n = rng.randrange(1, 21)
+        cases.append(_random_invertible(rng, n))
+        cases.append(mat_mul(_random_matrix(rng, n, n - 1), _random_matrix(rng, n - 1, n)))
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+def test_rref_rank_and_kernel_match_reference():
+    for m in REFERENCE_CASES:
+        ref_rows, ref_pivots = _reference_rref(m)
+        rows, pivots = _rref(m)
+        assert pivots == ref_pivots, m
+        assert rows == ref_rows[: len(ref_pivots)], m
+        assert not any(ref_rows[len(ref_pivots):]), m
+        assert rank(m) == len(ref_pivots), m
+        assert kernel_basis(m) == _reference_kernel(m), m
+
+
+def test_mat_inverse_matches_reference():
+    singular = invertible = 0
+    for m in REFERENCE_CASES:
+        if m.n_rows != m.n_cols:
+            continue
+        expected = _reference_inverse(m)
+        if expected is None:
+            singular += 1
+            with pytest.raises(SingularMatrix):
+                mat_inverse(m)
+        else:
+            invertible += 1
+            assert mat_inverse(m) == expected, m
+    assert singular > 50 and invertible > 50
+
+
+def test_column_space_basis_matches_greedy_reference():
+    for m in REFERENCE_CASES:
+        columns = [sum(m.entry(i, j) << i for i in range(m.n_rows)) for j in range(m.n_cols)]
+        kept = _reference_greedy(columns, m.n_rows)
+        c_basis, d_pre = column_space_basis(m)
+        assert c_basis == [BitVector(m.n_rows, columns[j]) for j in kept], m
+        assert d_pre == [BitVector.unit(m.n_cols, j) for j in kept], m
+
+
+def test_extend_to_basis_matches_greedy_reference():
+    rng = random.Random(607)
+    dependent = 0
+    for _ in range(300):
+        dim = rng.randrange(0, 21)
+        vectors = [rng.getrandbits(dim) for _ in range(rng.randrange(0, dim + 2))]
+        partial = [BitVector(dim, v) for v in vectors]
+        if _reference_rank(vectors, dim) < len(vectors):
+            dependent += 1
+            with pytest.raises(DependentInput):
+                extend_to_basis(partial, dim)
+            continue
+        units = [1 << i for i in range(dim)]
+        expected = [BitVector.unit(dim, i) for i in _reference_greedy(units, dim, vectors)]
+        assert extend_to_basis(partial, dim) == expected
+    assert dependent > 20

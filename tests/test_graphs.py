@@ -130,7 +130,7 @@ def test_rhg_1x1x1_shape():
     g = rhg_lattice(1, 1, 1)
     assert (g.n_b, g.n_w) == (6, 12)
     assert all(g.adjacency.row(j).weight() == 4 for j in range(6))
-    assert all(g.adjacency.column(i).weight() == 2 for i in range(12))
+    assert all(g.adjacency.transpose().row(i).weight() == 2 for i in range(12))
     assert sum(g.adjacency.row(j).weight() for j in range(6)) == 24
 
 

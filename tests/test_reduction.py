@@ -174,7 +174,7 @@ def test_check_relations_structure():
     for i, rel in enumerate(rel2):
         assert rel.group == 2
         assert rel.x_mask == BitVector.unit(g.n_w, i)
-        assert rel.z_mask == g.adjacency.column(i)
+        assert rel.z_mask == g.adjacency.transpose().row(i)
     with pytest.raises(ValueError):
         check_relations(g, 3)
 
