@@ -34,9 +34,10 @@ from .protocol import (
     Honest,
     IidPauli,
     SingleBadCopy,
-    run_trials,
-    transcript_to_json,
+    transcript_lines,
 )
+# perfbench/spans.py patches these by getattr; without them `--trace 1` dies with AttributeError.
+from .protocol import run_trials, transcript_to_json  # noqa: F401
 from .reduction import compute_reduction, converted_relations
 
 __all__ = [
@@ -194,11 +195,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     clean = 0
     # Both files are replaced at the end, so a failed run keeps the old pair.
     with _atomic_write(transcript_path) as fh, _atomic_write(summary_path, newline="") as summary:
-        for index, tr in enumerate(run_trials(g, args.k, model, args.trials, args.seed)):
-            fh.write(transcript_to_json(tr, index) + "\n")
-            if tr.accepted:
+        for line, ok, third in transcript_lines(g, args.k, model, args.trials, args.seed):
+            fh.write(line + "\n")
+            if ok:
                 accepted += 1
-                clean += tr.third_fidelity
+                clean += third
 
         pass_rate = Fraction(accepted, args.trials)
         cond = Fraction(clean, accepted) if accepted else None

@@ -10,13 +10,13 @@ position order (row-major for lattices), so constructions are reproducible.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 from .gf2 import BitMatrix
 
 __all__ = [
+    "MAX_QUBITS",
     "BipartiteGraphState",
     "path_graph",
     "grid_graph",
@@ -55,10 +55,17 @@ class BipartiteGraphState:
         return self.adjacency.transpose()
 
 
+# Largest graph, in qubits, that the builders and from_json accept. An
+# adjacency row is an int as wide as the highest W index it touches, so on
+# path: the rows take about n**2 / 64 bytes: about 70 MB at the cap, but
+# 16 GB at a million qubits.
+MAX_QUBITS = 2**16
+
+
 def _check_size(field: str, n: int) -> None:
-    """Reject a count past sys.maxsize, which no list of rows can hold."""
-    if n > sys.maxsize:
-        raise ValueError(f"{field} is too large: {n}")
+    """Reject a graph of more than MAX_QUBITS qubits before allocating anything."""
+    if n > MAX_QUBITS:
+        raise ValueError(f"{field} is too large: {n} (at most {MAX_QUBITS} qubits)")
 
 
 def path_graph(n: int) -> BipartiteGraphState:
@@ -82,6 +89,7 @@ def grid_graph(w: int, h: int) -> BipartiteGraphState:
     """w x h square lattice with checkerboard bipartition ((row+col) even -> B)."""
     if w < 1 or h < 1:
         raise ValueError("grid dimensions must be positive")
+    _check_size("grid w*h", w * h)
     b_index: dict[tuple[int, int], int] = {}
     w_index: dict[tuple[int, int], int] = {}
     for r in range(h):
@@ -113,6 +121,9 @@ def rhg_lattice(lx: int, ly: int, lz: int) -> BipartiteGraphState:
     """
     if lx < 1 or ly < 1 or lz < 1:
         raise ValueError("lattice dimensions must be positive")
+    faces = (lx + 1) * ly * lz + lx * (ly + 1) * lz + lx * ly * (lz + 1)
+    edges = lx * (ly + 1) * (lz + 1) + (lx + 1) * ly * (lz + 1) + (lx + 1) * (ly + 1) * lz
+    _check_size("rhg faces + edges", faces + edges)
     dims = (lx, ly, lz)
 
     edge_keys = []
@@ -208,7 +219,7 @@ def from_json(text: str) -> BipartiteGraphState:
     for field, n in (("n_b", n_b), ("n_w", n_w)):
         if type(n) is not int or n < 0:
             raise ValueError(f"graph field {field!r} must be a non-negative integer, got {n!r}")
-        _check_size(f"graph field {field!r}", n)
+    _check_size("graph fields 'n_b' + 'n_w'", n_b + n_w)
     if not isinstance(edge_list, list):
         raise ValueError("graph field 'edges' must be a list of [b, w] index pairs")
     rows = [0] * n_b

@@ -14,7 +14,6 @@ partition shuffle, then (only when requested) raw outcome sampling.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import random
 import sys
@@ -40,6 +39,7 @@ __all__ = [
     "draw_attack",
     "run_protocol",
     "run_trials",
+    "transcript_lines",
     "estimate",
     "transcript_to_json",
 ]
@@ -50,6 +50,8 @@ _CLASS = {
     (1, 0): BlockClass(1, 0),
     (1, 1): BlockClass(1, 1),
 }
+# The persisted spelling of each class, as json.dumps writes [s, t].
+_CLASS_JSON = {(s, t): f"[{int(s)}, {int(t)}]" for s in (False, True) for t in (False, True)}
 
 # Bulk IID draws. random() is ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 over two
 # consecutive Mersenne-Twister words, and getrandbits(64 * m) returns the words
@@ -183,7 +185,6 @@ class _Plan:
             raise ValueError(f"k={k} is too large")
         self.g = g
         self.k = k
-        self.n_copies = n
         self.copies = list(range(n))
         self._vectors: dict[tuple[int, int], BitVector] = {}
         clean = self._class_record(0, 0)
@@ -370,16 +371,19 @@ def _trial(plan: _Plan, seed: int) -> tuple[random.Random, list[_Record], list[i
     return rng, records, order, accepted
 
 
+def _partition(order: list[int], k: int) -> list[int]:
+    """Group of each copy (1, 2, or 3 for the kept one) from _trial's order."""
+    partition = [2] * len(order)
+    for i in order[:k]:
+        partition[i] = 1
+    partition[order[-1]] = 3
+    return partition
+
+
 def _run_full(plan: _Plan, seed: int, record_outcomes: bool) -> Transcript:
     rng, records, order, accepted = _trial(plan, seed)
     k = plan.k
-    partition = [0] * plan.n_copies
-    for i in order[:k]:
-        partition[i] = 1
-    for i in order[k : 2 * k]:
-        partition[i] = 2
-    third = order[-1]
-    partition[third] = 3
+    partition = _partition(order, k)
 
     raw = None
     if record_outcomes:
@@ -390,7 +394,7 @@ def _run_full(plan: _Plan, seed: int, record_outcomes: bool) -> Transcript:
                 outcomes.append((i, *sample_outcomes(plan.g, attack, group, rng)))
         raw = tuple(sorted(outcomes, key=lambda item: item[0]))
 
-    kept = records[third]
+    kept = records[order[-1]]
     return Transcript(
         k=k,
         seed=seed,
@@ -433,6 +437,30 @@ def run_trials(
         yield _run_full(plan, trial_seed(master_seed, index), False)
 
 
+def transcript_lines(
+    g: BipartiteGraphState,
+    k: int,
+    model: AdversaryModel,
+    trials: int,
+    master_seed: int,
+) -> Iterator[tuple[str, bool, int]]:
+    """Stream (line, accepted, third_fidelity) for trials 0..trials-1.
+
+    Each line is transcript_to_json of the matching run_trials transcript,
+    formatted straight from the trial kernel without building the transcript.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    plan = _Plan(g, k, model)
+    for index in range(trials):
+        seed = trial_seed(master_seed, index)
+        _, records, order, accepted = _trial(plan, seed)
+        kept = records[order[-1]]
+        third = int(not (kept[0] or kept[1]))
+        classes = [_CLASS_JSON[bool(sigma1), bool(sigma2)] for sigma1, sigma2, _ in records]
+        yield _json_line(index, seed, _partition(order, k), classes, accepted, third), accepted, third
+
+
 def estimate(
     g: BipartiteGraphState,
     k: int,
@@ -465,15 +493,25 @@ def estimate(
     )
 
 
+def _json_line(
+    trial: int,
+    seed: int,
+    partition: Iterable[int],
+    classes: Iterable[str],
+    accepted: bool,
+    third_fidelity: int,
+) -> str:
+    """One line of the persisted transcript schema: json.dumps of the dict
+    {"trial", "seed", "partition", "classes", "accepted", "third_fidelity"},
+    with its default separators. ``classes`` holds _CLASS_JSON fragments."""
+    return (
+        f'{{"trial": {trial}, "seed": {seed}, "partition": [{", ".join(map(str, partition))}], '
+        f'"classes": [{", ".join(classes)}], "accepted": {"true" if accepted else "false"}, '
+        f'"third_fidelity": {third_fidelity}}}'
+    )
+
+
 def transcript_to_json(t: Transcript, trial: int) -> str:
     """One JSON line in the persisted transcript schema."""
-    return json.dumps(
-        {
-            "trial": trial,
-            "seed": t.seed,
-            "partition": list(t.partition),
-            "classes": [[c.s, c.t] for c in t.classes],
-            "accepted": t.accepted,
-            "third_fidelity": t.third_fidelity,
-        }
-    )
+    classes = [_CLASS_JSON[c.s, c.t] for c in t.classes]
+    return _json_line(trial, t.seed, t.partition, classes, t.accepted, t.third_fidelity)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stabtest.cli import main, parse_adversary, parse_graph
+from stabtest.graphs import MAX_QUBITS
 from stabtest.protocol import ClassMixture, Honest, IidPauli, SingleBadCopy
 
 
@@ -208,7 +210,8 @@ def test_simulate_infinite_counts_fail_cleanly(tmp_path, path_name, doc):
     assert len(_error_lines(err)) == 1, err
 
 
-# Counts past sys.maxsize only: smaller huge counts would allocate real memory.
+# Counts past sys.maxsize, and graphs past MAX_QUBITS, which are refused before
+# anything is allocated. rhg:1x4x1638 has exactly MAX_QUBITS + 1 faces and edges.
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -217,14 +220,32 @@ def test_simulate_infinite_counts_fail_cleanly(tmp_path, path_name, doc):
         (["reduce", "--graph", f"edgeless:{10**20}"], "vertex count"),
         (["simulate", "--graph", "path:3", "--k", str(10**20), "--adversary", "honest"], "k="),
         (["simulate", "--graph", "path:3", "--k", str(2**63), "--adversary", "honest"], "k="),
+        (["reduce", "--graph", f"path:{MAX_QUBITS + 1}"], "path length"),
+        (["reduce", "--graph", f"edgeless:{MAX_QUBITS + 1}"], "vertex count"),
+        (["reduce", "--graph", f"grid:{MAX_QUBITS + 1}x1"], "grid w*h"),
+        (["reduce", "--graph", "grid:100000x100000"], "grid w*h"),
+        (["reduce", "--graph", "rhg:1x4x1638"], "rhg faces + edges"),
+        (["simulate", "--graph", f"path:{MAX_QUBITS + 1}", "--k", "1", "--adversary", "honest"],
+         "path length"),
     ],
-    ids=["path", "path-2^63", "edgeless", "k", "k-2^63"],
+    ids=["path", "path-2^63", "edgeless", "k", "k-2^63", "path-cap", "edgeless-cap", "grid-cap",
+         "grid-100000x100000", "rhg-cap", "simulate-path-cap"],
 )
 def test_oversized_counts_fail_cleanly(tmp_path, argv, field):
     status, _, err = _run_main(argv + (["--outdir", str(tmp_path)] if argv[0] == "simulate" else []))
     assert status == 2
     lines = _error_lines(err)
     assert len(lines) == 1 and field in lines[0], err
+
+
+@pytest.mark.parametrize("n_b, n_w", [(MAX_QUBITS + 1, 0), (MAX_QUBITS // 2, MAX_QUBITS // 2 + 1)])
+def test_json_graph_past_the_cap_fails_cleanly(tmp_path, n_b, n_w):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n_b": n_b, "n_w": n_w, "edges": []}))
+    status, _, err = _run_main(["reduce", "--graph", str(path)])
+    assert status == 2
+    lines = _error_lines(err)
+    assert len(lines) == 1 and "'n_b' + 'n_w'" in lines[0], err
 
 
 # Counts and indices must be JSON integers, and graph sizes non-negative: other
@@ -291,7 +312,13 @@ def test_failed_simulate_keeps_previous_outputs(tmp_path, capsys):
 # Boundary fuzzing: every input ends in exit 0, or exit 2 with exactly one
 # error line; exit 1 (an oracle mismatch or a bound violation) never occurs.
 # Sizes stay tiny (n <= 8 qubits, at most 3 trials, oracle k <= 6,
-# verify-bounds k-max <= 3).
+# verify-bounds k-max <= 3), except for graph counts at the size cap: those
+# past it are refused before anything is allocated, and those at or just
+# under it are built only as edgeless graphs, through parse_graph alone, since
+# reduce and IID trials cost time that grows with the graph.
+_BOUNDARY = (MAX_QUBITS - 1, MAX_QUBITS, MAX_QUBITS + 1, 2**62, sys.maxsize)
+_PAST_CAP = st.sampled_from(_BOUNDARY[2:])
+_LARGE_SIDES = st.sampled_from(_BOUNDARY)
 _VALUES = st.one_of(
     st.integers(-1, 4),
     st.sampled_from([0.5, 1.5, float("inf"), float("nan"), None, True, [], {},
@@ -299,8 +326,8 @@ _VALUES = st.one_of(
 )
 _GRAPH_DOCS = st.one_of(
     st.fixed_dictionaries({
-        "n_b": _VALUES,
-        "n_w": _VALUES,
+        "n_b": st.one_of(_VALUES, _PAST_CAP),
+        "n_w": st.one_of(_VALUES, _PAST_CAP),
         "edges": st.one_of(_VALUES, st.lists(st.one_of(st.lists(_VALUES, max_size=3), _VALUES),
                                               max_size=4)),
     }),
@@ -314,6 +341,14 @@ _BUILTIN_GRAPHS = st.sampled_from([
     "path:1", "path:5", "path:8", "path:0", "path:x", "grid:2x2", "grid:2x4", "grid:0x3", "grid:3",
     "edgeless:1", "edgeless:8", "edgeless:-2", "rhg:0x1x1", "rhg:x", "moebius:3", "",
 ])
+# Every side drawn from _BOUNDARY puts grid: and rhg: past the cap.
+_PAST_CAP_GRAPHS = st.one_of(
+    st.builds("path:{}".format, _PAST_CAP),
+    st.builds("edgeless:{}".format, _PAST_CAP),
+    st.builds("grid:{}x{}".format, _LARGE_SIDES, _LARGE_SIDES),
+    st.builds("rhg:{}x{}x{}".format, _LARGE_SIDES, st.one_of(st.just(1), _LARGE_SIDES),
+              st.one_of(st.just(1), _LARGE_SIDES)),
+)
 _FLIP_PROBS = st.sampled_from(["0", "0.3", "1", "-0.1", "1.5", "nan", "inf", "x"])
 _ADVERSARIES = st.one_of(
     st.sampled_from(["honest", "honest:1", "mystery", "mixture:", "single-bad:1", "iid:0.1"]),
@@ -324,7 +359,7 @@ _NUMBERS = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["x", "", "1.5
 
 
 @given(
-    graph=st.one_of(_BUILTIN_GRAPHS, _GRAPH_DOCS),
+    graph=st.one_of(_BUILTIN_GRAPHS, _GRAPH_DOCS, _PAST_CAP_GRAPHS),
     adversary=st.one_of(_ADVERSARIES, _MIXTURE_DOCS),
     k=_NUMBERS,
     trials=_NUMBERS,
@@ -332,9 +367,10 @@ _NUMBERS = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["x", "", "1.5
     command=st.sampled_from(["simulate", "reduce", "oracle", "verify-bounds"]),
     profile=st.tuples(st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 6)),
     k_max=st.integers(-1, 3),
+    edgeless=st.sampled_from(_BOUNDARY),
 )
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command, profile, k_max):
+def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command, profile, k_max, edgeless):
     with tempfile.TemporaryDirectory() as tmp:
         if not isinstance(graph, str):
             with open(os.path.join(tmp, "g.json"), "w") as fh:
@@ -359,6 +395,11 @@ def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command, profile,
     assert status in (0, 2), (argv, status, err)
     if status == 2:
         assert len(_error_lines(err)) == 1, (argv, err)
+    if edgeless <= MAX_QUBITS:
+        assert parse_graph(f"edgeless:{edgeless}").n == edgeless
+    else:
+        with pytest.raises(ValueError, match="vertex count is too large"):
+            parse_graph(f"edgeless:{edgeless}")
 
 
 def test_outdir_env_default(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from stabtest.gf2 import BitMatrix
 from stabtest.graphs import (
+    MAX_QUBITS,
     BipartiteGraphState,
     edgeless_graph,
     edges,
@@ -148,6 +149,22 @@ def test_rhg_counts_match_formula():
 def test_rhg_rejects_empty():
     with pytest.raises(ValueError):
         rhg_lattice(0, 1, 1)
+
+
+def test_graph_size_cap():
+    assert edgeless_graph(MAX_QUBITS).n == MAX_QUBITS
+    assert from_json(json.dumps({"n_b": MAX_QUBITS - 1, "n_w": 1, "edges": []})).n == MAX_QUBITS
+    past = MAX_QUBITS + 1
+    for build, args in [
+        (path_graph, (past,)),
+        (edgeless_graph, (past,)),
+        (grid_graph, (past, 1)),
+        (rhg_lattice, (1, 4, 1638)),  # exactly past qubits by the face and edge counts
+    ]:
+        with pytest.raises(ValueError, match=f"too large: {past} "):
+            build(*args)
+    with pytest.raises(ValueError, match="'n_b' \\+ 'n_w'"):
+        from_json(json.dumps({"n_b": MAX_QUBITS, "n_w": 1, "edges": []}))
 
 
 def test_validate_flags_isolated_vertices():

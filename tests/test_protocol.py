@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stabtest.cli import parse_graph
 from stabtest.gf2 import BitMatrix, BitVector
 from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
 from stabtest.pauli import BlockClass, BlockPauli, identity_attack, syndromes
@@ -20,6 +21,7 @@ from stabtest.protocol import (
     estimate,
     run_protocol,
     run_trials,
+    transcript_lines,
     transcript_to_json,
     trial_seed,
 )
@@ -231,6 +233,66 @@ def test_transcript_json_schema():
     assert doc["trial"] == 9
     assert doc["partition"] == list(tr.partition)
     assert doc["classes"] == [[c.s, c.t] for c in tr.classes]
+
+
+def _schema_line(tr, trial):
+    """The persisted schema through json.dumps: the reference the formatter must match."""
+    return json.dumps(
+        {
+            "trial": trial,
+            "seed": tr.seed,
+            "partition": list(tr.partition),
+            "classes": [[c.s, c.t] for c in tr.classes],
+            "accepted": tr.accepted,
+            "third_fidelity": tr.third_fidelity,
+        }
+    )
+
+
+def _explicit(g, k):
+    """Per copy: clean, an X flip on a B vertex, or Z flips on both sides."""
+    clean = identity_attack(g)
+    z_both = BlockPauli(BitVector.zero(g.n_b), BitVector.zero(g.n_w),
+                        BitVector.unit(g.n_b, 0), BitVector.unit(g.n_w, 0))
+    copies = []
+    for j in range(2 * k + 1):
+        x_b = BlockPauli(BitVector.unit(g.n_b, j % g.n_b), BitVector.zero(g.n_w),
+                         BitVector.zero(g.n_b), BitVector.zero(g.n_w))
+        copies.append(((0.5, clean), (0.25, x_b), (0.25, z_both)))
+    return Explicit(tuple(copies))
+
+
+_LINE_MODELS = {
+    "honest": Honest(),
+    "single-bad:1,0": SingleBadCopy(BlockClass(1, 0)),
+    "single-bad:0,1": SingleBadCopy(BlockClass(0, 1)),
+    "single-bad:1,1": SingleBadCopy(BlockClass(1, 1)),
+    "iid:0,0": IidPauli(0.0, 0.0),
+    "iid:1,1": IidPauli(1.0, 1.0),
+    "iid:0.3,0.1": IidPauli(0.3, 0.1),
+    "mixture": _mixture(Fraction(1, 2), {(0, 0): Fraction(3, 4), (2, 1): Fraction(1, 4)}, {(1, 0): 1}),
+    "explicit": None,  # sized per graph by _explicit
+}
+
+
+@pytest.mark.parametrize("graph", ["path:5", "grid:3x3", "rhg:2x2x2"])
+@pytest.mark.parametrize("kind", sorted(_LINE_MODELS))
+def test_transcript_lines_match_transcripts(graph, kind):
+    g = parse_graph(graph)
+    k = 2
+    model = _explicit(g, k) if kind == "explicit" else _LINE_MODELS[kind]
+    transcripts = list(run_trials(g, k, model, 60, 17))
+    produced = list(transcript_lines(g, k, model, 60, 17))
+    lines = [line for line, _, _ in produced]
+    assert lines == [transcript_to_json(t, i) for i, t in enumerate(transcripts)]
+    assert lines == [_schema_line(t, i) for i, t in enumerate(transcripts)]
+    assert [(ok, third) for _, ok, third in produced] == [(t.accepted, t.third_fidelity) for t in transcripts]
+
+
+def test_transcript_lines_need_a_trial():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            next(transcript_lines(G5, 2, Honest(), trials, 0))
 
 
 def test_single_bad_rates_near_closed_form():
