@@ -1,9 +1,10 @@
 """Exact acceptance and fidelity analytics for the 2k+1-copy test.
 
-All probabilities are computed with Fraction arithmetic, so every identity
-checked against these functions is exact. Counts (a, b, c) say how many of
-the 2k+1 copies carry attacks of class (1,0), (0,1) and (1,1); the remaining
-copies are clean. Falling factorials absorb the out-of-range cases: a count
+All probabilities are computed exactly, as Fractions or, in the
+verify-bounds sweep, as integer (numerator, denominator) pairs, so every
+identity checked against these functions is exact. Counts (a, b, c) say how
+many of the 2k+1 copies carry attacks of class (1,0), (0,1) and (1,1); the
+remaining copies are clean. Falling factorials absorb the out-of-range cases: a count
 that cannot be hidden from its test group makes math.perm return 0 and the
 probability collapses to 0 without special casing.
 """
@@ -213,22 +214,64 @@ def xi(a: int, b: int, k: int) -> Fraction:
     return (k + 1 - a) * (k + 1 - b) - (k + 1) ** 2 + a * b + ratio
 
 
+def _falling(n: int, count: int) -> list[int]:
+    """[P(n, 0), ..., P(n, count - 1)] by a running product; P(n, j) = 0 for j > n."""
+    out = [1]
+    for j in range(count - 1):
+        out.append(out[-1] * (n - j))
+    return out
+
+
 def bounds_rows(k_max: int) -> Iterator[tuple]:
     """Rows (k, a, b, c, pass, joint, conditional, xi, bound_ok) for k <= k_max,
-    c in {0, 1} and a, b <= k + 1 - c. bound_ok: joint >= pass - 1/(2k+1) and
-    xi >= 0 (xi is None for c = 1)."""
+    c in {0, 1} and a, b <= k + 1 - c, in that order.
+
+    Every rational is an exact (numerator, denominator) pair of ints with a
+    positive denominator, not reduced; xi is None for c = 1. bound_ok is
+    joint >= pass - 1/(2k+1) and xi >= 0, decided by integer
+    cross-multiplication. Each k builds one table of falling factorials, so no
+    ClassCounts, Profile or Fraction is built per row; `profile` and `xi` give
+    the same values as Fractions and are the reference for this sweep.
+
+    API note: the rationals used to be yielded as Fractions; the pairs replace
+    them, and `cli.cmd_verify_bounds` is the only caller in the package.
+    """
     for k in range(1, k_max + 1):
-        slack = Fraction(1, 2 * k + 1)
-        for c in (0, 1):
-            cap = k + 1 - c
-            for a in range(cap + 1):
-                for b in range(cap + 1):
-                    if a + b + c > 2 * k + 1:
-                        continue
-                    row = profile(ClassCounts(a, b, c, k))
-                    xi_val = None if c else xi(a, b, k)
-                    ok = row.joint >= row.passing - slack and (xi_val is None or xi_val >= 0)
-                    yield k, a, b, c, row.passing, row.joint, row.conditional, xi_val, ok
+        n = 2 * k + 1
+        kk = (k + 1) ** 2
+        # P(k+1, j), P(k, j) for j <= k+1; P(2k+1, j) for j <= 2k+1; P(2k, j) for j <= 2k.
+        pk1 = _falling(k + 1, k + 2)
+        pk = _falling(k, k + 2)
+        p2k1 = _falling(n, n + 1)
+        p2k = _falling(2 * k, n)
+        # c = 0: pass = (kk - ab) P(k+1,a) P(k+1,b) / (kk P(2k+1,a+b)),
+        # joint = P(k,a) P(k,b) / P(2k+1,a+b), conditional = (k+1-a)(k+1-b) / (kk - ab),
+        # xi = (k+1-a)(k+1-b) - (kk - ab) + kk P(2k+1,a+b) / (n P(k+1,a) P(k+1,b)).
+        for a in range(k + 2):
+            pk1_a, pk_a = pk1[a], pk[a]
+            for b in range(k + 2 if a <= k else k + 1):
+                s = p2k1[a + b]
+                perms = pk1_a * pk1[b]
+                cond_num = (k + 1 - a) * (k + 1 - b)
+                cond_den = kk - a * b
+                pass_num = cond_den * perms
+                pass_den = kk * s
+                joint_num = pk_a * pk[b]
+                xi_den = n * perms
+                xi_num = (cond_num - cond_den) * xi_den + pass_den
+                # joint >= pass - 1/n, multiplied through by n * kk * s > 0.
+                ok = n * (kk * joint_num - pass_num) + pass_den >= 0 and xi_num >= 0
+                yield (k, a, b, 0, (pass_num, pass_den), (joint_num, s), (cond_num, cond_den),
+                       (xi_num, xi_den), ok)
+        # c = 1: pass = P(k,a) P(k,b) / (n P(2k,a+b)); joint and conditional are 0.
+        for a in range(k + 1):
+            pk_a = pk[a]
+            for b in range(k + 1):
+                pass_num = pk_a * pk[b]
+                pass_den = n * p2k[a + b]
+                # 0 >= pass - 1/n, multiplied through by pass_den > 0.
+                yield (k, a, b, 1, (pass_num, pass_den), (0, 1), (0, 1), None,
+                       pass_den >= n * pass_num)
 
 
 def lemma_check(beta: Rational, q0: Weights, q1: Weights, k: int, alpha: Rational) -> LemmaVerdict:

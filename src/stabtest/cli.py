@@ -154,6 +154,12 @@ def _fmt_dec(x: Fraction | None) -> str:
     return "" if x is None else f"{float(x):.12g}"
 
 
+def _fmt_pair(x: tuple[int, int] | None) -> str:
+    # int / int is correctly rounded, as is float(Fraction), so this prints
+    # exactly what _fmt_dec prints for the same rational.
+    return "" if x is None else f"{x[0] / x[1]:.12g}"
+
+
 def _matrix_lines(m: BitMatrix) -> list[str]:
     if m.n_rows == 0 or m.n_cols == 0:
         return [f"  (empty {m.n_rows}x{m.n_cols})"]
@@ -276,8 +282,8 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
             if not ok:
                 violations += 1
             writer.writerow(
-                [k, a, b, c, _fmt_dec(p), _fmt_dec(joint), _fmt_dec(conditional),
-                 _fmt_dec(xi_val), str(ok).lower()]
+                [k, a, b, c, _fmt_pair(p), _fmt_pair(joint), _fmt_pair(conditional),
+                 _fmt_pair(xi_val), str(ok).lower()]
             )
     if args.out:
         print(f"wrote {args.out}: {rows} rows, {violations} violations")

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -27,6 +26,7 @@ from .graphs import BipartiteGraphState
 from .pauli import BlockClass, BlockPauli, sample_outcomes, syndrome_masks, syndromes
 
 __all__ = [
+    "MAX_COPIES",
     "Honest",
     "SingleBadCopy",
     "IidPauli",
@@ -159,6 +159,12 @@ class EstimateResult:
     counts: dict[str, int]
 
 
+# Largest number of copies, 2k+1, that a run accepts. Every trial builds
+# records, an order and a shuffle of that length, so the cap bounds a trial's
+# memory the way graphs.MAX_QUBITS bounds a graph's.
+MAX_COPIES = 2**16
+
+
 def trial_seed(master_seed: int, index: int) -> int:
     """Derived per-trial seed: top 8 bytes of SHA-256('{master_seed}:{index}')."""
     digest = hashlib.sha256(f"{master_seed}:{index}".encode()).digest()
@@ -181,8 +187,8 @@ class _Plan:
         if k < 1:
             raise ValueError("k must be at least 1")
         n = 2 * k + 1
-        if n > sys.maxsize:
-            raise ValueError(f"k={k} is too large")
+        if n > MAX_COPIES:
+            raise ValueError(f"k={k} is too large: {n} copies (at most {MAX_COPIES})")
         self.g = g
         self.k = k
         self.copies = list(range(n))

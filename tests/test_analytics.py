@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,13 @@ import pytest
 from stabtest.analytics import (
     ClassCounts,
     DomainError,
+    bounds_rows,
     conditional_fidelity,
     joint_prob,
     lemma_check,
     oracle,
     pass_prob,
+    profile,
     t_functionals,
     theorem1_bound,
     trace_bound,
@@ -260,3 +263,37 @@ def test_oracle_matches_closed_forms_on_random_profiles():
         assert res.passing == pass_prob(cc)
         if c == 0:
             assert res.joint == joint_prob(a, b, k)
+
+
+def test_bounds_rows_match_profile_and_xi():
+    # The table-driven sweep against the Fraction closed forms, row by row.
+    # Its range and order are those of the nested loops below.
+    rows = list(bounds_rows(20))
+    expected_keys = [
+        (k, a, b, c)
+        for k in range(1, 21)
+        for c in (0, 1)
+        for a in range(k + 2 - c)
+        for b in range(k + 2 - c)
+        if a + b + c <= 2 * k + 1
+    ]
+    assert [row[:4] for row in rows] == expected_keys
+    for k, a, b, c, passing, joint, conditional, xi_val, ok in rows:
+        pairs = [passing, joint, conditional] + ([] if c else [xi_val])
+        assert all(type(n) is int and type(d) is int and d > 0 for n, d in pairs)
+        ref = profile(ClassCounts(a, b, c, k))
+        assert Fraction(*passing) == ref.passing
+        assert Fraction(*joint) == ref.joint
+        assert Fraction(*conditional) == ref.conditional
+        ref_xi = None if c else xi(a, b, k)
+        assert (xi_val is None) == (ref_xi is None)
+        if ref_xi is not None:
+            assert Fraction(*xi_val) == ref_xi
+        assert ok == (ref.joint >= ref.passing - Fraction(1, 2 * k + 1)
+                      and (ref_xi is None or ref_xi >= 0))
+
+
+def test_bounds_rows_count_per_k():
+    counts = Counter(row[0] for row in bounds_rows(40))
+    assert counts == {k: (k + 2) ** 2 - 1 + (k + 1) ** 2 for k in range(1, 41)}
+    assert sum(counts.values()) == 49360

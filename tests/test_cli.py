@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from stabtest.cli import main, parse_adversary, parse_graph
 from stabtest.graphs import MAX_QUBITS
-from stabtest.protocol import ClassMixture, Honest, IidPauli, SingleBadCopy
+from stabtest.protocol import MAX_COPIES, ClassMixture, Honest, IidPauli, SingleBadCopy
 
 
 def test_parse_graph_builtins():
@@ -210,8 +210,9 @@ def test_simulate_infinite_counts_fail_cleanly(tmp_path, path_name, doc):
     assert len(_error_lines(err)) == 1, err
 
 
-# Counts past sys.maxsize, and graphs past MAX_QUBITS, which are refused before
-# anything is allocated. rhg:1x4x1638 has exactly MAX_QUBITS + 1 faces and edges.
+# Counts past sys.maxsize, graphs past MAX_QUBITS and k past MAX_COPIES, which
+# are refused before anything is allocated. rhg:1x4x1638 has exactly
+# MAX_QUBITS + 1 faces and edges; k = MAX_COPIES // 2 gives MAX_COPIES + 1 copies.
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -227,15 +228,25 @@ def test_simulate_infinite_counts_fail_cleanly(tmp_path, path_name, doc):
         (["reduce", "--graph", "rhg:1x4x1638"], "rhg faces + edges"),
         (["simulate", "--graph", f"path:{MAX_QUBITS + 1}", "--k", "1", "--adversary", "honest"],
          "path length"),
+        (["simulate", "--graph", "path:1", "--k", str(MAX_COPIES // 2), "--adversary", "honest",
+          "--trials", "1"], "k="),
     ],
     ids=["path", "path-2^63", "edgeless", "k", "k-2^63", "path-cap", "edgeless-cap", "grid-cap",
-         "grid-100000x100000", "rhg-cap", "simulate-path-cap"],
+         "grid-100000x100000", "rhg-cap", "simulate-path-cap", "k-cap"],
 )
 def test_oversized_counts_fail_cleanly(tmp_path, argv, field):
     status, _, err = _run_main(argv + (["--outdir", str(tmp_path)] if argv[0] == "simulate" else []))
     assert status == 2
     lines = _error_lines(err)
     assert len(lines) == 1 and field in lines[0], err
+
+
+def test_k_at_the_copy_cap_is_accepted(tmp_path):
+    k = MAX_COPIES // 2 - 1
+    status, out, err = _run_main(["simulate", "--graph", "path:1", "--k", str(k), "--adversary", "honest",
+                                  "--trials", "1", "--outdir", str(tmp_path)])
+    assert (status, err) == (0, "")
+    assert f"({MAX_COPIES - 1} copies per trial)" in out
 
 
 @pytest.mark.parametrize("n_b, n_w", [(MAX_QUBITS + 1, 0), (MAX_QUBITS // 2, MAX_QUBITS // 2 + 1)])
@@ -315,7 +326,8 @@ def test_failed_simulate_keeps_previous_outputs(tmp_path, capsys):
 # verify-bounds k-max <= 3), except for graph counts at the size cap: those
 # past it are refused before anything is allocated, and those at or just
 # under it are built only as edgeless graphs, through parse_graph alone, since
-# reduce and IID trials cost time that grows with the graph.
+# reduce and IID trials cost time that grows with the graph. Likewise a k at or
+# past the copy cap runs one honest trial at most.
 _BOUNDARY = (MAX_QUBITS - 1, MAX_QUBITS, MAX_QUBITS + 1, 2**62, sys.maxsize)
 _PAST_CAP = st.sampled_from(_BOUNDARY[2:])
 _LARGE_SIDES = st.sampled_from(_BOUNDARY)
@@ -356,12 +368,13 @@ _ADVERSARIES = st.one_of(
     st.builds("iid:{},{}".format, _FLIP_PROBS, _FLIP_PROBS),
 )
 _NUMBERS = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["x", "", "1.5"]))
+_LARGE_K = (str(MAX_COPIES // 2 - 1), str(MAX_COPIES // 2), str(2**62))
 
 
 @given(
     graph=st.one_of(_BUILTIN_GRAPHS, _GRAPH_DOCS, _PAST_CAP_GRAPHS),
     adversary=st.one_of(_ADVERSARIES, _MIXTURE_DOCS),
-    k=_NUMBERS,
+    k=st.one_of(_NUMBERS, st.sampled_from(_LARGE_K)),
     trials=_NUMBERS,
     alpha=st.one_of(st.none(), st.sampled_from(["3/10", "1/0", "0", "1", "2", "-1", "x", "1e400", "nan"])),
     command=st.sampled_from(["simulate", "reduce", "oracle", "verify-bounds"]),
@@ -371,6 +384,8 @@ _NUMBERS = st.one_of(st.integers(-1, 3).map(str), st.sampled_from(["x", "", "1.5
 )
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command, profile, k_max, edgeless):
+    if k in _LARGE_K:
+        adversary, trials = "honest", "1"
     with tempfile.TemporaryDirectory() as tmp:
         if not isinstance(graph, str):
             with open(os.path.join(tmp, "g.json"), "w") as fh:

@@ -130,6 +130,9 @@ ESTIMATE_GOLDEN = {
 
 # sha256 of the CSV written by `verify-bounds --k-max 8 --out`.
 BOUNDS_GOLDEN = "7662e119798a9905128aa7b6f3cf24556c1d100f069b3de0b7a1eea62e9f2794"
+# The same at --k-max 40, whose rows carry integers of about 400 bits; the
+# benchmark's exact-sweep workload pins the same hash.
+BOUNDS_GOLDEN_K40 = "66e65b353050e0339bf3c4eadfd7333e8855ad43d5543bf32c7b190510d57fd8"
 
 # graph -> sha256 of the stdout of `reduce --graph <graph>`, captured before
 # mat_inverse, mat_mul and the column helpers of gf2 were rewritten. C and D
@@ -197,6 +200,13 @@ def test_verify_bounds_matches_golden_hash(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     assert main(["verify-bounds", "--k-max", "8", "--out", str(out)]) == 0
     assert _sha(out.read_bytes()) == BOUNDS_GOLDEN
+
+
+def test_verify_bounds_at_benchmark_size_matches_golden_hash(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    assert main(["verify-bounds", "--k-max", "40", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}: 49360 rows, 0 violations\n"
+    assert _sha(out.read_bytes()) == BOUNDS_GOLDEN_K40
 
 
 @pytest.mark.parametrize("graph", sorted(REDUCE_GOLDEN))
