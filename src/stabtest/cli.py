@@ -41,6 +41,7 @@ from .protocol import run_trials, transcript_to_json  # noqa: F401
 from .reduction import compute_reduction, converted_relations
 
 __all__ = [
+    "MAX_BOUNDS_K",
     "parse_graph",
     "parse_adversary",
     "cmd_simulate",
@@ -52,6 +53,11 @@ __all__ = [
 
 SUMMARY_HEADER = ["k", "adversary", "trials", "pass_rate", "cond_fidelity", "bound_alpha", "bound_value"]
 BOUNDS_HEADER = ["k", "a", "b", "c", "pass", "joint", "conditional", "xi", "bound_ok"]
+
+# Largest --k-max whose rows all print as floats. At each k the largest xi is
+# that of row (a, b, c) = (0, k+1, 0), and it grows with k: about 1.43e308 at
+# k = 510, past the largest float from k = 511 on.
+MAX_BOUNDS_K = 510
 
 
 def parse_graph(spec: str) -> BipartiteGraphState:
@@ -272,6 +278,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
     if args.k_max < 1:
         raise ValueError("k-max must be at least 1")
+    if args.k_max > MAX_BOUNDS_K:
+        raise ValueError(f"k-max={args.k_max} is too large: xi overflows a float past k={MAX_BOUNDS_K}")
     rows = 0
     violations = 0
     with _atomic_write(Path(args.out), newline="") if args.out else nullcontext(sys.stdout) as out:

@@ -225,17 +225,22 @@ def mat_inverse(m: BitMatrix) -> BitMatrix:
     return BitMatrix(n, n, tuple(r >> n for r in rows))
 
 
-def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    """Basis of {x : m.x = 0}, one vector per free column, ascending index."""
-    rows, pivots = _rref(m)
-    placed = [0] * m.n_cols
+def _rref_kernel(rows: list[int], pivots: list[int], n_cols: int) -> list[int]:
+    """Kernel vectors of a matrix from its `_rref`, one per free column,
+    ascending index: e_f plus the pivots of the rows that hold bit f."""
+    placed = [0] * n_cols
     for r, p in zip(rows, pivots):
         placed[p] = r
     # Column f of the RREF, with row r moved to bit pivots[r], is the pivot
     # part of the kernel vector for free column f.
-    columns = BitMatrix(m.n_cols, m.n_cols, tuple(placed)).transpose().rows
+    columns = BitMatrix(n_cols, n_cols, tuple(placed)).transpose().rows
     pivot_set = set(pivots)
-    return [BitVector(m.n_cols, (1 << f) | c) for f, c in enumerate(columns) if f not in pivot_set]
+    return [(1 << f) | c for f, c in enumerate(columns) if f not in pivot_set]
+
+
+def kernel_basis(m: BitMatrix) -> list[BitVector]:
+    """Basis of {x : m.x = 0}, one vector per free column, ascending index."""
+    return [BitVector(m.n_cols, v) for v in _rref_kernel(*_rref(m), m.n_cols)]
 
 
 def column_space_basis(m: BitMatrix) -> tuple[list[BitVector], list[BitVector]]:

@@ -10,16 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    column_space_basis,
-    extend_to_basis,
-    kernel_basis,
-    mat_inverse,
-    mat_mul,
-    mat_vec,
-)
+from .gf2 import BitMatrix, BitVector, _rref, _rref_kernel, extend_to_basis, mat_inverse, mat_mul, mat_vec
+# perfbench/spans.py patches these by getattr; without them `--trace 1` dies with AttributeError.
+from .gf2 import column_space_basis, kernel_basis  # noqa: F401
 from .graphs import BipartiteGraphState
 
 __all__ = [
@@ -61,20 +54,28 @@ class CheckRelation:
 def compute_reduction(g: BipartiteGraphState) -> Reduction:
     """Construct C and D with the deterministic basis rules and verify the block form.
 
-    Columns of C are the kept columns of A followed by the standard-vector
-    completion; columns of D are the preimages of the kept columns followed by
-    a kernel basis.
+    Columns of C are the kept columns of A (its leftmost independent ones)
+    followed by the standard-vector completion; columns of D are the unit
+    vectors of the kept columns followed by a kernel basis. All of it comes
+    from one RREF of A, whose pivots are the kept columns. D^-1 is read off
+    that RREF too: in the (pivot, free) frame D = [e_p | e_f + sum R e_p],
+    so D^-1 is the RREF rows followed by e_f for each free column f. Only C
+    is inverted by elimination.
     """
     a = g.adjacency
-    c_basis, d_pre = column_space_basis(a)
-    n_prime = len(c_basis)
-    c_cols = list(c_basis) + extend_to_basis(c_basis, g.n_b)
-    d_cols = list(d_pre) + kernel_basis(a)
-    c_mat = BitMatrix.from_columns(c_cols, g.n_b)
-    d_mat = BitMatrix.from_columns(d_cols, g.n_w)
+    rows, pivots = _rref(a)
+    n_prime = len(pivots)
+    columns = g.adjacency_t.rows
+    c_basis = [BitVector(g.n_b, columns[p]) for p in pivots]
+    # Rows of C^T and D^T are the columns of C and D.
+    c_t = BitMatrix(g.n_b, g.n_b, tuple(v.bits for v in c_basis + extend_to_basis(c_basis, g.n_b)))
+    d_t = BitMatrix(g.n_w, g.n_w, tuple([1 << p for p in pivots] + _rref_kernel(rows, pivots, g.n_w)))
+    c_mat = c_t.transpose()
+    d_mat = d_t.transpose()
     c_inv = mat_inverse(c_mat)
-    d_inv = mat_inverse(d_mat)
-    a_prime = mat_mul(mat_mul(c_inv, a), d_mat)
+    pivot_set = set(pivots)
+    d_inv = BitMatrix(g.n_w, g.n_w, tuple(rows + [1 << f for f in range(g.n_w) if f not in pivot_set]))
+    a_prime = mat_mul(c_inv, mat_mul(a, d_mat))
     for i in range(g.n_b):
         expected = (1 << i) if i < n_prime else 0
         if a_prime.rows[i] != expected:
@@ -85,8 +86,8 @@ def compute_reduction(g: BipartiteGraphState) -> Reduction:
         n_prime=n_prime,
         c_inv=c_inv,
         d_inv=d_inv,
-        c_t=c_mat.transpose(),
-        d_t=d_mat.transpose(),
+        c_t=c_t,
+        d_t=d_t,
     )
 
 

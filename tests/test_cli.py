@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stabtest.cli import main, parse_adversary, parse_graph
+from stabtest.analytics import xi
+from stabtest.cli import MAX_BOUNDS_K, _fmt_pair, main, parse_adversary, parse_graph
 from stabtest.graphs import MAX_QUBITS
 from stabtest.protocol import MAX_COPIES, ClassMixture, Honest, IidPauli, SingleBadCopy
 
@@ -241,6 +242,30 @@ def test_oversized_counts_fail_cleanly(tmp_path, argv, field):
     assert len(lines) == 1 and field in lines[0], err
 
 
+def test_bounds_cap_is_the_last_k_whose_rows_print():
+    # Row (0, k+1, 0) has the largest xi of its k (checked on every row of
+    # k = MAX_BOUNDS_K and the next), so the cap is where it stops fitting.
+    def extremal(k):
+        x = xi(0, k + 1, k)
+        return x.numerator, x.denominator
+
+    assert 1e308 < float(_fmt_pair(extremal(MAX_BOUNDS_K))) < sys.float_info.max
+    with pytest.raises(OverflowError):
+        _fmt_pair(extremal(MAX_BOUNDS_K + 1))
+
+
+@pytest.mark.parametrize("k_max", [MAX_BOUNDS_K + 1, 2**62])
+def test_k_max_past_the_cap_writes_nothing(tmp_path, k_max):
+    out_path = tmp_path / "bounds.csv"
+    for argv in (["verify-bounds", "--k-max", str(k_max)],
+                 ["verify-bounds", "--k-max", str(k_max), "--out", str(out_path)]):
+        status, out, err = _run_main(argv)
+        assert (status, out) == (2, "")
+        lines = _error_lines(err)
+        assert len(lines) == 1 and "k-max=" in lines[0], err
+    assert os.listdir(tmp_path) == []
+
+
 def test_k_at_the_copy_cap_is_accepted(tmp_path):
     k = MAX_COPIES // 2 - 1
     status, out, err = _run_main(["simulate", "--graph", "path:1", "--k", str(k), "--adversary", "honest",
@@ -327,7 +352,8 @@ def test_failed_simulate_keeps_previous_outputs(tmp_path, capsys):
 # past it are refused before anything is allocated, and those at or just
 # under it are built only as edgeless graphs, through parse_graph alone, since
 # reduce and IID trials cost time that grows with the graph. Likewise a k at or
-# past the copy cap runs one honest trial at most.
+# past the copy cap runs one honest trial at most, and a k-max past its cap is
+# refused before any row is computed.
 _BOUNDARY = (MAX_QUBITS - 1, MAX_QUBITS, MAX_QUBITS + 1, 2**62, sys.maxsize)
 _PAST_CAP = st.sampled_from(_BOUNDARY[2:])
 _LARGE_SIDES = st.sampled_from(_BOUNDARY)
@@ -379,7 +405,7 @@ _LARGE_K = (str(MAX_COPIES // 2 - 1), str(MAX_COPIES // 2), str(2**62))
     alpha=st.one_of(st.none(), st.sampled_from(["3/10", "1/0", "0", "1", "2", "-1", "x", "1e400", "nan"])),
     command=st.sampled_from(["simulate", "reduce", "oracle", "verify-bounds"]),
     profile=st.tuples(st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 12), st.integers(-1, 6)),
-    k_max=st.integers(-1, 3),
+    k_max=st.one_of(st.integers(-1, 3), st.sampled_from([MAX_BOUNDS_K + 1, 2**62])),
     edgeless=st.sampled_from(_BOUNDARY),
 )
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])

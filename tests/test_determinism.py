@@ -135,14 +135,17 @@ BOUNDS_GOLDEN = "7662e119798a9905128aa7b6f3cf24556c1d100f069b3de0b7a1eea62e9f279
 BOUNDS_GOLDEN_K40 = "66e65b353050e0339bf3c4eadfd7333e8855ad43d5543bf32c7b190510d57fd8"
 
 # graph -> sha256 of the stdout of `reduce --graph <graph>`, captured before
-# mat_inverse, mat_mul and the column helpers of gf2 were rewritten. C and D
-# are fixed by the basis rules, so any change to them shows up here.
+# mat_inverse, mat_mul and the column helpers of gf2 were rewritten (rhg:4x4x4,
+# the benchmark's smallest lattice: before compute_reduction was built from one
+# RREF of A). C and D are fixed by the basis rules, so any change to them shows
+# up here.
 REDUCE_GOLDEN = {
     "path:3": "427fedf0ef7d42b3ecc8ce3f51aa7313801c335d3f7866916f8767444e13de41",
     "path:6": "a022c71c0467e1193c9ec0d95f2e2c0b3b202f1391084bb988332ba32d8eefe8",
     "grid:3x3": "545a33630431e1999d28f11ee0e8c789e58c540ef542c3e0b9dbea98115b7add",
     "rhg:2x2x2": "d0cd74b49cc10d887a8958fd0fd88895dc40c53db75be290bf03cdc3abfab2d1",
     "rhg:3x3x3": "f5ebb9d149d03e29743d5e9afed9a47e7bb0d9dc2a1c3b7a2ae24590bc666c75",
+    "rhg:4x4x4": "7f0e719c0e90ac506f45ebf40cca1b2eef0c1647f19c58e33e53d4b08aeb6548",
     "nb0.json": "22b5c3a34f7c882eda11946ac745f7a779dfe670331086c74d9a4e7dd76589cf",
     "nw0.json": "ce61003768da59cfd33d208dddd6f67d5539b7c9aa59f1eebef9d37cc281a3a5",
 }

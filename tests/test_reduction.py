@@ -3,9 +3,20 @@ import random
 
 import pytest
 
-from stabtest.gf2 import BitMatrix, BitVector, mat_mul, mat_vec, rank
-from stabtest.graphs import BipartiteGraphState, edgeless_graph, path_graph, grid_graph
+from stabtest.gf2 import (
+    BitMatrix,
+    BitVector,
+    column_space_basis,
+    extend_to_basis,
+    kernel_basis,
+    mat_inverse,
+    mat_mul,
+    mat_vec,
+    rank,
+)
+from stabtest.graphs import BipartiteGraphState, edgeless_graph, path_graph, grid_graph, rhg_lattice
 from stabtest.reduction import (
+    Reduction,
     check_relations,
     compute_reduction,
     convert_group1,
@@ -103,6 +114,50 @@ def test_block_form_on_random_graphs():
         assert a_prime == _block_form(g.n_b, g.n_w, r.n_prime)
         assert mat_mul(r.c_mat, r.c_inv) == BitMatrix.identity(g.n_b)
         assert mat_mul(r.d_mat, r.d_inv) == BitMatrix.identity(g.n_w)
+        assert r.c_t == r.c_mat.transpose()
+        assert r.d_t == r.d_mat.transpose()
+
+
+def _reference_reduction(g):
+    """The construction compute_reduction used before it was built from one
+    RREF of A: three eliminations of A (kept columns, completion, kernel),
+    C and D from their columns, and both inverses by elimination."""
+    a = g.adjacency
+    c_basis, d_pre = column_space_basis(a)
+    c_mat = BitMatrix.from_columns(list(c_basis) + extend_to_basis(c_basis, g.n_b), g.n_b)
+    d_mat = BitMatrix.from_columns(list(d_pre) + kernel_basis(a), g.n_w)
+    return Reduction(
+        c_mat=c_mat,
+        d_mat=d_mat,
+        n_prime=len(c_basis),
+        c_inv=mat_inverse(c_mat),
+        d_inv=mat_inverse(d_mat),
+        c_t=c_mat.transpose(),
+        d_t=d_mat.transpose(),
+    )
+
+
+def _reference_cases():
+    """600 random graphs with 0..12 vertices a side, dense to sparse, then
+    the lattices the benchmark reduces and two larger structured graphs."""
+    rng = random.Random(909)
+    for _ in range(600):
+        n_b, n_w = rng.randrange(13), rng.randrange(13)
+        density = rng.random()
+        rows = tuple(sum((rng.random() < density) << j for j in range(n_w)) for _ in range(n_b))
+        yield BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, rows))
+    for size in (4, 5, 6):
+        yield rhg_lattice(size, size, size)
+    yield grid_graph(9, 7)
+    yield path_graph(40)
+
+
+def test_reduction_matches_reference_construction():
+    for g in _reference_cases():
+        r = compute_reduction(g)
+        assert r == _reference_reduction(g), (g.n_b, g.n_w)
+        assert mat_mul(r.d_inv, r.d_mat) == BitMatrix.identity(g.n_w)
+        assert mat_mul(r.c_inv, r.c_mat) == BitMatrix.identity(g.n_b)
         assert r.c_t == r.c_mat.transpose()
         assert r.d_t == r.d_mat.transpose()
 
