@@ -31,6 +31,7 @@ from .pauli import BlockClass
 from .protocol import (
     AdversaryModel,
     ClassMixture,
+    EstimateResult,
     Honest,
     IidPauli,
     SingleBadCopy,
@@ -110,9 +111,6 @@ def _load_mixture(path: str) -> ClassMixture:
             if not isinstance(row, list) or len(row) != 3:
                 raise ValueError(f"mixture field {name!r} has row {row!r}, expected [a, b, weight]")
             a, b, w = row
-            # Exact JSON integers: bool is an int subclass, and int() truncates 0.5 and parses "1".
-            if type(a) is not int or type(b) is not int:
-                raise ValueError(f"mixture field {name!r} has row {row!r} with non-integer counts")
             atoms.append(((a, b), _fraction(w, f"mixture field {name!r} weight")))
         total = sum(w for _, w in atoms)
         if total <= 0:
@@ -213,8 +211,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 accepted += 1
                 clean += third
 
-        pass_rate = Fraction(accepted, args.trials)
-        cond = Fraction(clean, accepted) if accepted else None
+        result = EstimateResult.from_counts(args.trials, accepted, clean)
+        pass_rate, cond = result.pass_rate, result.conditional_fidelity
         alpha = args.alpha if args.alpha is not None else pass_rate
         try:
             bound = analytics.theorem1_bound(alpha, args.k)

@@ -110,7 +110,7 @@ class ClassMixture:
         q0: Mapping[tuple[int, int], object] | Iterable[tuple[tuple[int, int], object]],
         q1: Mapping[tuple[int, int], object] | Iterable[tuple[tuple[int, int], object]],
     ) -> "ClassMixture":
-        return cls(Fraction(beta), _canon_weights(q0), _canon_weights(q1))
+        return cls(Fraction(beta), _canon_weights("q0", q0), _canon_weights("q1", q1))
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,14 @@ AdversaryModel = Union[Honest, SingleBadCopy, IidPauli, ClassMixture, Explicit]
 _Record = tuple[int, int, tuple[int, int, int, int]]
 
 
-def _canon_weights(q) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+def _canon_weights(name: str, q) -> tuple[tuple[tuple[int, int], Fraction], ...]:
     items = q.items() if isinstance(q, Mapping) else q
     out = []
     for (a, b), w in items:
-        out.append(((int(a), int(b)), Fraction(w)))
+        # Exact ints only: bool is an int subclass, and int() truncates 0.5 and parses "2".
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(f"mixture field {name!r} has atom {(a, b)!r} with non-integer counts")
+        out.append(((a, b), Fraction(w)))
     out.sort(key=lambda item: item[0])
     return tuple(out)
 
@@ -146,7 +149,6 @@ class Transcript:
     seed: int
     partition: tuple[int, ...]
     classes: tuple[BlockClass, ...]
-    observed_syndromes: tuple[tuple[int, BitVector], ...]
     accepted: bool
     third_fidelity: int
     raw_outcomes: tuple[tuple[int, BitVector, BitVector], ...] | None = None
@@ -157,6 +159,16 @@ class EstimateResult:
     pass_rate: Fraction
     conditional_fidelity: Fraction | None
     counts: dict[str, int]
+
+    @classmethod
+    def from_counts(cls, trials: int, accepted: int, clean: int) -> "EstimateResult":
+        """pass_rate is accepted/trials; conditional_fidelity is the clean
+        fraction among accepted trials, or None when nothing was accepted."""
+        return cls(
+            pass_rate=Fraction(accepted, trials),
+            conditional_fidelity=Fraction(clean, accepted) if accepted else None,
+            counts={"trials": trials, "accepted": accepted, "accepted_clean": clean},
+        )
 
 
 # Largest number of copies, 2k+1, that a run accepts. Every trial builds
@@ -179,8 +191,8 @@ class _Plan:
     attack. Each adversary model is prepared once, in its own branch below,
     into ``draw(rng)``, which returns one record per copy. Records of fixed
     attacks (the clean copy, the class representatives, explicit atoms) are
-    built here, together with their syndrome BitVectors; IID records are
-    drawn fresh in every trial.
+    built here once and shared by every trial; IID records are drawn fresh in
+    every trial.
     """
 
     def __init__(self, g: BipartiteGraphState, k: int, model: AdversaryModel):
@@ -192,7 +204,6 @@ class _Plan:
         self.g = g
         self.k = k
         self.copies = list(range(n))
-        self._vectors: dict[tuple[int, int], BitVector] = {}
         clean = self._class_record(0, 0)
 
         if isinstance(model, Honest):
@@ -284,12 +295,14 @@ class _Plan:
                 total = 0.0
                 picks = []
                 for prob, attack in atoms:
-                    if prob < 0:
-                        raise ValueError("explicit probabilities must be nonnegative")
+                    # Not "prob < 0", which is false for NaN.
+                    if not prob >= 0:
+                        raise ValueError(f"explicit probabilities must be nonnegative, got {prob!r}")
                     total += prob
+                    # syndromes() also checks that the attack fits the graph.
                     sigma1, sigma2 = syndromes(g, attack)
                     masks = (attack.u_b.bits, attack.u_w.bits, attack.v_b.bits, attack.v_w.bits)
-                    picks.append((total, self._fixed(sigma1, sigma2, masks)))
+                    picks.append((total, (sigma1.bits, sigma2.bits, masks)))
                 if abs(total - 1.0) > 1e-9:
                     raise ValueError("explicit copy distribution is not normalized")
                 tables.append(picks)
@@ -304,13 +317,6 @@ class _Plan:
             raise ValueError(f"unknown adversary model: {model!r}")
         self.draw = draw
 
-    def _fixed(
-        self, sigma1: BitVector, sigma2: BitVector, masks: tuple[int, int, int, int]
-    ) -> _Record:
-        self._vectors[1, sigma1.bits] = sigma1
-        self._vectors[2, sigma2.bits] = sigma2
-        return sigma1.bits, sigma2.bits, masks
-
     def _class_record(self, s: int, t: int) -> _Record:
         """Canonical attack of class (s, t): Z on the first vertex of each flagged side."""
         g = self.g
@@ -318,14 +324,7 @@ class _Plan:
             raise ValueError("class with s=1 is not realizable: graph has no B vertices")
         if t and g.n_w == 0:
             raise ValueError("class with t=1 is not realizable: graph has no W vertices")
-        return self._fixed(BitVector(g.n_b, s), BitVector(g.n_w, t), (0, 0, s, t))
-
-    def observed(self, group: int, sigma: int) -> BitVector:
-        """The syndrome a group-1 or group-2 test sees, shared for fixed attacks."""
-        vector = self._vectors.get((group, sigma))
-        if vector is None:
-            vector = BitVector(self.g.n_b if group == 1 else self.g.n_w, sigma)
-        return vector
+        return s, t, (0, 0, s, t)
 
 
 def _cumulative(
@@ -353,11 +352,16 @@ def draw_attack(
     return [_block_pauli(g, masks) for _, _, masks in _Plan(g, k, model).draw(rng)]
 
 
-def _trial(plan: _Plan, seed: int) -> tuple[random.Random, list[_Record], list[int], bool]:
+# What _trial returns: (rng, records, order, accepted, third_fidelity).
+_Round = tuple[random.Random, list[_Record], list[int], bool, int]
+
+
+def _trial(plan: _Plan, seed: int) -> _Round:
     """One round: draw the copies, partition them, test them.
 
-    Returns (rng, records, order, accepted). order[:k] is group 1, order[k:2k]
-    group 2 and order[-1] the kept copy; rng is left where the shuffle left it.
+    order[:k] is group 1, order[k:2k] group 2 and order[-1] the kept copy;
+    third_fidelity is 1 iff the kept copy is clean, and rng is left where the
+    shuffle left it.
     """
     rng = random.Random(seed)
     records = plan.draw(rng)
@@ -374,7 +378,25 @@ def _trial(plan: _Plan, seed: int) -> tuple[random.Random, list[_Record], list[i
             if records[j][1]:
                 accepted = False
                 break
-    return rng, records, order, accepted
+    kept = records[order[-1]]
+    return rng, records, order, accepted, int(not (kept[0] or kept[1]))
+
+
+def _trials(
+    g: BipartiteGraphState, k: int, model: AdversaryModel, trials: int, master_seed: int
+) -> Iterator[tuple[int, _Round]]:
+    """(seed, _trial's round) for trials 0..trials-1 under derived per-trial seeds.
+
+    The one trial loop behind run_trials, transcript_lines and estimate.
+    trial_seed is looked up on the module at every trial, as a traced run
+    replaces it there.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    plan = _Plan(g, k, model)
+    for index in range(trials):
+        seed = trial_seed(master_seed, index)
+        yield seed, _trial(plan, seed)
 
 
 def _partition(order: list[int], k: int) -> list[int]:
@@ -386,33 +408,25 @@ def _partition(order: list[int], k: int) -> list[int]:
     return partition
 
 
-def _run_full(plan: _Plan, seed: int, record_outcomes: bool) -> Transcript:
-    rng, records, order, accepted = _trial(plan, seed)
-    k = plan.k
-    partition = _partition(order, k)
-
+def _transcript(
+    g: BipartiteGraphState, k: int, seed: int, round_: _Round, record_outcomes: bool = False
+) -> Transcript:
+    rng, records, order, accepted, third = round_
     raw = None
     if record_outcomes:
         outcomes = []
         for group, members in ((1, order[:k]), (2, order[k : 2 * k])):
             for i in sorted(members):
-                attack = _block_pauli(plan.g, records[i][2])
-                outcomes.append((i, *sample_outcomes(plan.g, attack, group, rng)))
+                attack = _block_pauli(g, records[i][2])
+                outcomes.append((i, *sample_outcomes(g, attack, group, rng)))
         raw = tuple(sorted(outcomes, key=lambda item: item[0]))
-
-    kept = records[order[-1]]
     return Transcript(
         k=k,
         seed=seed,
-        partition=tuple(partition),
+        partition=tuple(_partition(order, k)),
         classes=tuple(_CLASS[bool(sigma1), bool(sigma2)] for sigma1, sigma2, _ in records),
-        observed_syndromes=tuple(
-            (i, plan.observed(group, records[i][group - 1]))
-            for i, group in enumerate(partition)
-            if group != 3
-        ),
         accepted=accepted,
-        third_fidelity=int(not (kept[0] or kept[1])),
+        third_fidelity=third,
         raw_outcomes=raw,
     )
 
@@ -425,7 +439,7 @@ def run_protocol(
     record_outcomes: bool = False,
 ) -> Transcript:
     """Run one full protocol round and return its transcript."""
-    return _run_full(_Plan(g, k, model), seed, record_outcomes)
+    return _transcript(g, k, seed, _trial(_Plan(g, k, model), seed), record_outcomes)
 
 
 def run_trials(
@@ -436,11 +450,8 @@ def run_trials(
     master_seed: int,
 ) -> Iterator[Transcript]:
     """Stream transcripts for trials 0..trials-1 under derived per-trial seeds."""
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    plan = _Plan(g, k, model)
-    for index in range(trials):
-        yield _run_full(plan, trial_seed(master_seed, index), False)
+    for seed, round_ in _trials(g, k, model, trials, master_seed):
+        yield _transcript(g, k, seed, round_)
 
 
 def transcript_lines(
@@ -455,14 +466,9 @@ def transcript_lines(
     Each line is transcript_to_json of the matching run_trials transcript,
     formatted straight from the trial kernel without building the transcript.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    plan = _Plan(g, k, model)
-    for index in range(trials):
-        seed = trial_seed(master_seed, index)
-        _, records, order, accepted = _trial(plan, seed)
-        kept = records[order[-1]]
-        third = int(not (kept[0] or kept[1]))
+    for index, (seed, (_, records, order, accepted, third)) in enumerate(
+        _trials(g, k, model, trials, master_seed)
+    ):
         classes = [_CLASS_JSON[bool(sigma1), bool(sigma2)] for sigma1, sigma2, _ in records]
         yield _json_line(index, seed, _partition(order, k), classes, accepted, third), accepted, third
 
@@ -474,29 +480,16 @@ def estimate(
     trials: int,
     master_seed: int,
 ) -> EstimateResult:
-    """Monte Carlo aggregate over derived per-trial seeds.
-
-    pass_rate is exact (accepted/trials); conditional_fidelity is the clean
-    fraction among accepted trials, or None when nothing was accepted.
-    Aggregates equal those of run_trials with the same arguments.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    plan = _Plan(g, k, model)
+    """Monte Carlo aggregate over derived per-trial seeds, through
+    EstimateResult.from_counts. Aggregates equal those of run_trials with the
+    same arguments."""
     accepted = 0
     clean = 0
-    for index in range(trials):
-        _, records, order, ok = _trial(plan, trial_seed(master_seed, index))
+    for _, (_, _, _, ok, third) in _trials(g, k, model, trials, master_seed):
         if ok:
             accepted += 1
-            kept = records[order[-1]]
-            if not (kept[0] or kept[1]):
-                clean += 1
-    return EstimateResult(
-        pass_rate=Fraction(accepted, trials),
-        conditional_fidelity=Fraction(clean, accepted) if accepted else None,
-        counts={"trials": trials, "accepted": accepted, "accepted_clean": clean},
-    )
+            clean += third
+    return EstimateResult.from_counts(trials, accepted, clean)
 
 
 def _json_line(

@@ -104,13 +104,16 @@ SIMULATE_GOLDEN = {
     ),
 }
 
-# graph -> sha256 of the reprs of run_protocol(g, 2, IidPauli(0.3, 0.1), seed,
-# record_outcomes=True) for seeds 0..4, one per line.
+# graph -> sha256 of, for seeds 0..4 one per line, the repr of the tuple of
+# RECORDED_FIELDS of run_protocol(g, 2, IidPauli(0.3, 0.1), seed,
+# record_outcomes=True). Captured before Transcript lost its
+# observed_syndromes field, which the whole-transcript repr hashed before.
+RECORDED_FIELDS = ("k", "seed", "partition", "classes", "accepted", "third_fidelity", "raw_outcomes")
 RECORDED_GOLDEN = {
-    "path:1": "e2c47df96462d1e5a40bdca4f1c5289ba7093407c90b8e53ea06d3375ab5812c",
-    "path:5": "039feb5f9c2402f4a4a53d7763768cf53e4c9095bd46f140e647da04297ff41a",
-    "grid:3x3": "f5eb0e8fbd4869d8500d320132d4eee40247ddc0c775824956e940e42c8ddfc3",
-    "rhg:2x2x2": "4b6798bd4f5a66ee786b1ec7bef870933818764097c1450cb16a812452a912f1",
+    "path:1": "20293d99fec2afdcc45f3ee8591e4416ca158b7ff904c1d634493a47b2e37acd",
+    "path:5": "a85265de24c0e4094cbb148c33731efd42b59d28d4ef915c2733a6327697d181",
+    "grid:3x3": "3b7097f3d23d9b9bcda57d47c6736b9d6b1d426f09ff01e58b490c2cc8e84ceb",
+    "rhg:2x2x2": "7e0ae1ee2a34ef71aab8b31d122b6a17f85a6b702d0b835bb743a8789798c1f3",
 }
 
 # (graph, p_x, p_z) -> sha256 of repr(estimate(g, 2, IidPauli(p_x, p_z), 300, 5)).
@@ -173,8 +176,9 @@ def simulate_hashes(tmp_path, monkeypatch, graph: str, adversary: str) -> tuple[
 
 def recorded_hash(graph: str) -> str:
     g = parse_graph(graph)
-    lines = [repr(run_protocol(g, 2, IidPauli(0.3, 0.1), seed, record_outcomes=True))
-             for seed in range(5)]
+    transcripts = (run_protocol(g, 2, IidPauli(0.3, 0.1), seed, record_outcomes=True)
+                   for seed in range(5))
+    lines = [repr(tuple(getattr(t, f) for f in RECORDED_FIELDS)) for t in transcripts]
     return _sha("\n".join(lines).encode())
 
 

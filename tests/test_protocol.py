@@ -13,6 +13,7 @@ from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lat
 from stabtest.pauli import BlockClass, BlockPauli, identity_attack, syndromes
 from stabtest.protocol import (
     ClassMixture,
+    EstimateResult,
     Explicit,
     Honest,
     IidPauli,
@@ -25,6 +26,7 @@ from stabtest.protocol import (
     transcript_to_json,
     trial_seed,
 )
+from stabtest.reduction import relation_failures
 
 G5 = path_graph(5)
 
@@ -45,7 +47,6 @@ def test_honest_run_always_accepts():
         tr = run_protocol(G5, 2, Honest(), seed)
         assert tr.accepted and tr.third_fidelity == 1
         assert all(cls == BlockClass(0, 0) for cls in tr.classes)
-        assert all(s.is_zero() for _, s in tr.observed_syndromes)
 
 
 def test_partition_shape():
@@ -54,9 +55,6 @@ def test_partition_shape():
     assert sorted(tr.partition).count(1) == 3
     assert sorted(tr.partition).count(2) == 3
     assert tr.partition.count(3) == 1
-    # observed syndromes cover exactly the two test groups, in copy order
-    indices = [i for i, _ in tr.observed_syndromes]
-    assert indices == sorted(i for i, grp in enumerate(tr.partition) if grp in (1, 2))
 
 
 def test_single_bad_copy_accept_iff_hidden():
@@ -88,7 +86,45 @@ def test_transcript_reproducible():
 def test_record_outcomes_consistency():
     tr = run_protocol(grid_graph(3, 3), 2, IidPauli(0.3, 0.3), 5, record_outcomes=True)
     assert tr.raw_outcomes is not None
-    assert [i for i, _, _ in tr.raw_outcomes] == [i for i, _ in tr.observed_syndromes]
+    assert [i for i, _, _ in tr.raw_outcomes] == [i for i, grp in enumerate(tr.partition) if grp != 3]
+
+
+_RECORD_MODELS = {
+    "iid": IidPauli(0.2, 0.1),
+    "single-bad:1,0": SingleBadCopy(BlockClass(1, 0)),
+    "single-bad:1,1": SingleBadCopy(BlockClass(1, 1)),
+    "mixture": ClassMixture.from_weights(
+        Fraction(1, 2), {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 4), (2, 1): Fraction(1, 4)},
+        {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)},
+    ),
+}
+
+
+def test_recorded_outcomes_decide_the_verdict():
+    # Alice accepts from her own measurement record: every test copy's
+    # relation failures, computed from its outcomes, must be zero. Those
+    # failures are the syndrome its group observes of the attack drawn for it.
+    runs = accepted = 0
+    for graph in ("path:5", "grid:3x3", "rhg:2x2x2"):
+        g = parse_graph(graph)
+        for model in _RECORD_MODELS.values():
+            for k in (1, 2, 3):
+                for seed in range(40):
+                    tr = run_protocol(g, k, model, seed, record_outcomes=True)
+                    attacks = draw_attack(model, k, g, random.Random(seed))
+                    tested = [i for i, grp in enumerate(tr.partition) if grp != 3]
+                    assert [i for i, _, _ in tr.raw_outcomes] == tested
+                    all_zero = True
+                    for i, x, z in tr.raw_outcomes:
+                        group = tr.partition[i]
+                        failures = relation_failures(g, group, x, z)
+                        assert failures == syndromes(g, attacks[i])[group - 1]
+                        all_zero = all_zero and failures.is_zero()
+                    assert tr.accepted == all_zero
+                    runs += 1
+                    accepted += tr.accepted
+    assert runs == 1440
+    assert 0 < accepted < runs
 
 
 def test_run_trials_yields_derived_seeds():
@@ -116,6 +152,11 @@ def test_estimate_matches_full_runs(model):
             clean += tr.third_fidelity
     assert est.counts == {"trials": 300, "accepted": accepted, "accepted_clean": clean}
     assert est.pass_rate == Fraction(accepted, 300)
+    # simulate tallies transcript_lines and builds its summary the same way.
+    tally = [(ok, third) for _, ok, third in transcript_lines(G5, 2, model, 300, 77)]
+    lines_accepted = sum(ok for ok, _ in tally)
+    lines_clean = sum(third for ok, third in tally if ok)
+    assert EstimateResult.from_counts(300, lines_accepted, lines_clean) == est
 
 
 def test_estimate_with_nothing_accepted():
@@ -154,6 +195,19 @@ def test_mixture_validation_errors():
         estimate(G5, 1, _mixture(1, {(0, 0): 1}, {(3, 0): 1}), 10, 0)
     with pytest.raises(ValueError):
         estimate(G5, 1, _mixture(1, {(-1, 0): 1}, {(0, 0): 1}), 10, 0)
+
+
+@pytest.mark.parametrize("count", [0.5, True, "2", 2.0])
+@pytest.mark.parametrize("field", ["q0", "q1"])
+def test_mixture_counts_must_be_ints(field, count):
+    # int() would turn (0.5, 0) into the clean profile and accept True and "2".
+    weights = {"q0": {(0, 0): 1}, "q1": {(0, 0): 1}}
+    weights[field] = [((count, 0), 1)]
+    with pytest.raises(ValueError, match=f"'{field}'.*non-integer"):
+        ClassMixture.from_weights(Fraction(1, 2), weights["q0"], weights["q1"])
+    weights[field] = [((0, count), 1)]
+    with pytest.raises(ValueError, match=f"'{field}'.*non-integer"):
+        ClassMixture.from_weights(Fraction(1, 2), weights["q0"], weights["q1"])
 
 
 def test_iid_validation():
@@ -211,6 +265,21 @@ def test_explicit_rejects_unnormalized():
     copies = tuple((((0.5, clean),),) * 5)
     with pytest.raises(ValueError):
         estimate(G5, 2, Explicit(copies), 10, 0)
+
+
+def test_explicit_rejects_nan_probability():
+    # NaN fails every comparison, so "prob < 0" and the normalization check
+    # both let it through, and the model would run as always clean.
+    clean = identity_attack(G5)
+    bad = BlockPauli(BitVector.zero(G5.n_b), BitVector.zero(G5.n_w),
+                     BitVector.unit(G5.n_b, 0), BitVector.zero(G5.n_w))
+    model = Explicit((((math.nan, bad), (1.0, clean)),) + (((1.0, clean),),) * 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        estimate(G5, 2, model, 10, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_protocol(G5, 2, model, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        draw_attack(model, 2, G5, random.Random(0))
 
 
 def test_k_must_be_positive():

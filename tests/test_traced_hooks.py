@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from stabtest import reduction
-from stabtest.graphs import rhg_lattice
+from stabtest import protocol, reduction
+from stabtest.graphs import path_graph, rhg_lattice
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -40,3 +40,22 @@ def test_compute_reduction_calls_the_traced_gf2_names(monkeypatch):
         monkeypatch.setattr(reduction, name, counted)
     reduction.compute_reduction(rhg_lattice(2, 2, 2))
     assert calls == {"mat_inverse": 1, "mat_mul": 2}
+
+
+@pytest.mark.parametrize("entry", ["estimate", "transcript_lines", "run_trials"])
+def test_trial_loops_call_the_traced_trial_seed(monkeypatch, entry):
+    # The traced run times protocol.trial_seed through the module name and
+    # marks the start of a job's trial loop by its first call; a loop that
+    # captured the function instead would read 0 there without failing.
+    calls = []
+    inner = protocol.trial_seed
+
+    def counted(master_seed, index):
+        calls.append(index)
+        return inner(master_seed, index)
+
+    monkeypatch.setattr(protocol, "trial_seed", counted)
+    result = getattr(protocol, entry)(path_graph(5), 2, protocol.Honest(), 7, 3)
+    if entry != "estimate":
+        list(result)
+    assert calls == list(range(7))
