@@ -121,11 +121,19 @@ def profile(cc: ClassCounts) -> Profile:
     return Profile(p, joint, conditional_fidelity(cc.a, cc.b, cc.k) if p else None)
 
 
+def _check_int_counts(name: str, a, b) -> None:
+    """Refuse an atom (a, b) of mixture field name unless both are exact ints."""
+    # bool is an int subclass, and int() would truncate 0.5 and parse "2".
+    if type(a) is not int or type(b) is not int:
+        raise DomainError(f"mixture field {name!r} has atom {(a, b)!r} with non-integer counts")
+
+
 def _checked_weights(name: str, q: Weights, budget: int) -> list[tuple[int, int, Fraction]]:
     items = q.items() if isinstance(q, Mapping) else list(q)
     out = []
     total = Fraction(0)
     for (a, b), w in items:
+        _check_int_counts(name, a, b)
         if a < 0 or b < 0:
             raise DomainError(f"{name} atom ({a}, {b}) has negative counts")
         if a + b > budget:

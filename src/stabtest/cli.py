@@ -160,8 +160,12 @@ def _fmt_dec(x: Fraction | None) -> str:
 
 def _fmt_pair(x: tuple[int, int] | None) -> str:
     # int / int is correctly rounded, as is float(Fraction), so this prints
-    # exactly what _fmt_dec prints for the same rational.
-    return "" if x is None else f"{x[0] / x[1]:.12g}"
+    # exactly what _fmt_dec prints for the same rational. The denominator is
+    # positive, so a zero numerator is +0.0, which .12g prints as "0".
+    if x is None:
+        return ""
+    num, den = x
+    return f"{num / den:.12g}" if num else "0"
 
 
 def _matrix_lines(m: BitMatrix) -> list[str]:
@@ -280,17 +284,29 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
         raise ValueError(f"k-max={args.k_max} is too large: xi overflows a float past k={MAX_BOUNDS_K}")
     rows = 0
     violations = 0
+    fmt = _fmt_pair
+    # Every field is an int, a .12g decimal, "" or true/false, none of which a
+    # CSV writer would quote, so rows are plain joins. Every value of a row is
+    # symmetric in (a, b), and row (b, a, c) of the same k comes first when
+    # a > b, so its text is kept in `tails` (one k at a time) and reused.
+    tails: dict[tuple[int, int, int], str] = {}
+    tails_k = 0
     with _atomic_write(Path(args.out), newline="") if args.out else nullcontext(sys.stdout) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(BOUNDS_HEADER)
+        write = out.write
+        write(",".join(BOUNDS_HEADER) + "\n")
         for k, a, b, c, p, joint, conditional, xi_val, ok in analytics.bounds_rows(args.k_max):
             rows += 1
             if not ok:
                 violations += 1
-            writer.writerow(
-                [k, a, b, c, _fmt_pair(p), _fmt_pair(joint), _fmt_pair(conditional),
-                 _fmt_pair(xi_val), str(ok).lower()]
-            )
+            if k != tails_k:
+                tails.clear()
+                tails_k = k
+            if a > b:
+                tail = tails[b, a, c]
+            else:
+                tail = f"{fmt(p)},{fmt(joint)},{fmt(conditional)},{fmt(xi_val)},{'true' if ok else 'false'}\n"
+                tails[a, b, c] = tail
+            write(f"{k},{a},{b},{c},{tail}")
     if args.out:
         print(f"wrote {args.out}: {rows} rows, {violations} violations")
     return 1 if violations else 0

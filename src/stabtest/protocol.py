@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .analytics import checked_mixture
+from .analytics import _check_int_counts, checked_mixture
 from .gf2 import BitVector
 from .graphs import BipartiteGraphState
 from .pauli import BlockClass, BlockPauli, sample_outcomes, syndrome_masks, syndromes
@@ -133,9 +133,7 @@ def _canon_weights(name: str, q) -> tuple[tuple[tuple[int, int], Fraction], ...]
     items = q.items() if isinstance(q, Mapping) else q
     out = []
     for (a, b), w in items:
-        # Exact ints only: bool is an int subclass, and int() truncates 0.5 and parses "2".
-        if type(a) is not int or type(b) is not int:
-            raise ValueError(f"mixture field {name!r} has atom {(a, b)!r} with non-integer counts")
+        _check_int_counts(name, a, b)
         out.append(((a, b), Fraction(w)))
     out.sort(key=lambda item: item[0])
     return tuple(out)

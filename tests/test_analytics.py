@@ -201,6 +201,11 @@ def test_t_functionals_validation():
         t_functionals(F(1, 2), {(6, 0): 1}, {(0, 0): 1}, 2)
     with pytest.raises(DomainError):
         t_functionals(F(1, 2), {(0, 0): 1}, {(5, 0): 1}, 2)
+    # Counts must be exact ints: 0.5 used to end in a TypeError from math.perm
+    # and True to run as 1.
+    for count in (0.5, True):
+        with pytest.raises(DomainError, match="'q0'.*non-integer"):
+            t_functionals(1, [((count, 0), 1)], [((0, 0), 1)], 1)
 
 
 def test_lemma_check_equality_case():
@@ -291,6 +296,25 @@ def test_bounds_rows_match_profile_and_xi():
             assert Fraction(*xi_val) == ref_xi
         assert ok == (ref.joint >= ref.passing - Fraction(1, 2 * k + 1)
                       and (ref_xi is None or ref_xi >= 0))
+
+
+def test_bounds_rows_are_symmetric_in_a_and_b():
+    # Swapping the test groups swaps classes (1,0) and (0,1), so row (k, a, b, c)
+    # carries the same int pairs and verdict as row (k, b, a, c), which the sweep
+    # yields first when a > b; the verify-bounds writer reuses that row's text.
+    position = {}
+    values = {}
+    for i, (k, a, b, c, *rest) in enumerate(bounds_rows(40)):
+        position[k, a, b, c] = i
+        values[k, a, b, c] = tuple(rest)
+    mirrored = 0
+    for (k, a, b, c), row_values in values.items():
+        if a > b:
+            assert row_values == values[k, b, a, c]
+            assert position[k, b, a, c] < position[k, a, b, c]
+            mirrored += 1
+    # (k+2)(k+1)/2 pairs with a > b at c = 0 and (k+1)k/2 at c = 1.
+    assert mirrored == sum((k + 1) ** 2 for k in range(1, 41))
 
 
 def test_bounds_rows_count_per_k():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stabtest.analytics import xi
+from stabtest.analytics import bounds_rows, xi
 from stabtest.cli import MAX_BOUNDS_K, _fmt_pair, main, parse_adversary, parse_graph
 from stabtest.graphs import MAX_QUBITS
 from stabtest.protocol import MAX_COPIES, ClassMixture, Honest, IidPauli, SingleBadCopy
@@ -495,6 +495,35 @@ def test_verify_bounds_stdout(capsys):
     assert rc == 0
     header = out.splitlines()[0]
     assert header == "k,a,b,c,pass,joint,conditional,xi,bound_ok"
+
+
+def _reference_bounds_csv(k_max):
+    """The verify-bounds CSV as the earlier csv.writer loop wrote it: one list
+    per row, every rational divided and printed, no mirrored-row reuse."""
+    def fmt(x):
+        return "" if x is None else f"{x[0] / x[1]:.12g}"
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["k", "a", "b", "c", "pass", "joint", "conditional", "xi", "bound_ok"])
+    rows = violations = 0
+    for k, a, b, c, p, joint, conditional, xi_val, ok in bounds_rows(k_max):
+        rows += 1
+        violations += not ok
+        writer.writerow([k, a, b, c, fmt(p), fmt(joint), fmt(conditional), fmt(xi_val), str(ok).lower()])
+    return buf.getvalue(), rows, violations
+
+
+@pytest.mark.parametrize("k_max", range(1, 13))
+def test_verify_bounds_matches_the_csv_writer_reference(tmp_path, capsys, k_max):
+    expected, rows, violations = _reference_bounds_csv(k_max)
+    assert violations == 0
+    out_path = tmp_path / "bounds.csv"
+    assert main(["verify-bounds", "--k-max", str(k_max), "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == expected.encode()
+    assert capsys.readouterr() == (f"wrote {out_path}: {rows} rows, 0 violations\n", "")
+    assert main(["verify-bounds", "--k-max", str(k_max)]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_oracle_command_agreement(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stabtest.analytics import DomainError
 from stabtest.cli import parse_graph
 from stabtest.gf2 import BitMatrix, BitVector
 from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
@@ -208,6 +209,13 @@ def test_mixture_counts_must_be_ints(field, count):
     weights[field] = [((0, count), 1)]
     with pytest.raises(ValueError, match=f"'{field}'.*non-integer"):
         ClassMixture.from_weights(Fraction(1, 2), weights["q0"], weights["q1"])
+
+
+def test_directly_built_mixture_refuses_non_integer_counts():
+    # Built without from_weights, the 0.5 count used to reach math.perm as a TypeError.
+    model = ClassMixture(Fraction(1), (((0.5, 0), Fraction(1)),), (((0, 0), Fraction(1)),))
+    with pytest.raises(DomainError, match="'q0'.*non-integer"):
+        estimate(G5, 1, model, 100, 0)
 
 
 def test_iid_validation():

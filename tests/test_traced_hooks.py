@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from stabtest import protocol, reduction
+from stabtest import cli, protocol, reduction
 from stabtest.graphs import path_graph, rhg_lattice
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -59,3 +59,20 @@ def test_trial_loops_call_the_traced_trial_seed(monkeypatch, entry):
     if entry != "estimate":
         list(result)
     assert calls == list(range(7))
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("cmd_verify_bounds", ["verify-bounds", "--k-max", "1"]),
+        ("cmd_simulate", ["simulate", "--graph", "path:3", "--k", "1", "--adversary", "honest"]),
+    ],
+)
+def test_main_dispatches_through_the_traced_commands(monkeypatch, name, argv):
+    # The traced run times cli.cmd_verify_bounds and cli.cmd_simulate by
+    # swapping the module names; a parser that bound the functions at import
+    # would bypass the swap and both spans would read 0 without failing.
+    calls = []
+    monkeypatch.setattr(cli, name, lambda args: calls.append(args.command) or 0)
+    assert cli.main(argv) == 0
+    assert calls == [argv[0]]
