@@ -38,6 +38,8 @@ __all__ = [
 
 Rational = Union[int, Fraction]
 Weights = Union[Mapping[tuple[int, int], Rational], Iterable[tuple[tuple[int, int], Rational]]]
+# Checked mixture atoms: ((a, b), weight) in the order given.
+Atoms = tuple[tuple[tuple[int, int], Fraction], ...]
 
 
 class DomainError(ValueError):
@@ -121,44 +123,45 @@ def profile(cc: ClassCounts) -> Profile:
     return Profile(p, joint, conditional_fidelity(cc.a, cc.b, cc.k) if p else None)
 
 
-def _check_int_counts(name: str, a, b) -> None:
-    """Refuse an atom (a, b) of mixture field name unless both are exact ints."""
-    # bool is an int subclass, and int() would truncate 0.5 and parse "2".
-    if type(a) is not int or type(b) is not int:
-        raise DomainError(f"mixture field {name!r} has atom {(a, b)!r} with non-integer counts")
+def _checked_atoms(name: str, q: Weights) -> Atoms:
+    """The atoms of mixture field name as ((a, b), Fraction) pairs, in the order given.
 
-
-def _checked_weights(name: str, q: Weights, budget: int) -> list[tuple[int, int, Fraction]]:
-    items = q.items() if isinstance(q, Mapping) else list(q)
+    Checks every rule that does not depend on k: counts are exact
+    nonnegative ints, and weights are nonnegative and sum to exactly 1.
+    """
     out = []
-    total = Fraction(0)
-    for (a, b), w in items:
-        _check_int_counts(name, a, b)
+    for (a, b), w in q.items() if isinstance(q, Mapping) else q:
+        # bool is an int subclass, and int() would truncate 0.5 and parse "2".
+        if type(a) is not int or type(b) is not int:
+            raise DomainError(f"mixture field {name!r} has atom {(a, b)!r} with non-integer counts")
         if a < 0 or b < 0:
             raise DomainError(f"{name} atom ({a}, {b}) has negative counts")
-        if a + b > budget:
-            raise DomainError(f"{name} atom ({a}, {b}) exceeds the copy budget")
         w = Fraction(w)
         if w < 0:
             raise DomainError(f"{name} weight for ({a}, {b}) is negative")
-        total += w
-        out.append((a, b, w))
+        out.append(((a, b), w))
+    total = sum((w for _, w in out), Fraction(0))
     if total != 1:
         raise DomainError(f"{name} weights sum to {total}, expected 1")
-    return out
+    return tuple(out)
 
 
-def checked_mixture(
-    beta: Rational, q0: Weights, q1: Weights, k: int
-) -> tuple[list[tuple[int, int, Fraction]], list[tuple[int, int, Fraction]]]:
+def checked_mixture(beta: Rational, q0: Weights, q1: Weights, k: int) -> tuple[Atoms, Atoms]:
     """Validate the mixture adversary (beta, Q0, Q1) at k >= 1.
 
-    Returns the (a, b, weight) atoms of Q0, which spread over all 2k+1
+    Returns the ((a, b), weight) atoms of Q0, which spread over all 2k+1
     copies, and of Q1, which spread over the 2k copies beside the (1,1) one.
     """
     if not 0 <= Fraction(beta) <= 1:
         raise DomainError("beta must be in [0, 1]")
-    return _checked_weights("q0", q0, 2 * k + 1), _checked_weights("q1", q1, 2 * k)
+    checked = []
+    for name, q, budget in (("q0", q0, 2 * k + 1), ("q1", q1, 2 * k)):
+        atoms = _checked_atoms(name, q)
+        for (a, b), _ in atoms:
+            if a + b > budget:
+                raise DomainError(f"{name} atom ({a}, {b}) exceeds the copy budget")
+        checked.append(atoms)
+    return checked[0], checked[1]
 
 
 def t_functionals(
@@ -173,9 +176,9 @@ def t_functionals(
     if k < 1:
         raise DomainError("k must be at least 1")
     atoms0, atoms1 = checked_mixture(beta, q0, q1, k)
-    t1 = sum((w * pass_prob(ClassCounts(a, b, 0, k)) for a, b, w in atoms0), Fraction(0))
-    t2 = sum((w * pass_prob(ClassCounts(a, b, 1, k)) for a, b, w in atoms1), Fraction(0))
-    t3 = sum((w * joint_prob(a, b, k) for a, b, w in atoms0), Fraction(0))
+    t1 = sum((w * pass_prob(ClassCounts(a, b, 0, k)) for (a, b), w in atoms0), Fraction(0))
+    t2 = sum((w * pass_prob(ClassCounts(a, b, 1, k)) for (a, b), w in atoms1), Fraction(0))
+    t3 = sum((w * joint_prob(a, b, k) for (a, b), w in atoms0), Fraction(0))
     return t1, t2, t3
 
 
@@ -312,43 +315,28 @@ def lemma_check(beta: Rational, q0: Weights, q1: Weights, k: int, alpha: Rationa
 def oracle(cc: ClassCounts) -> Profile:
     """Brute-force check of pass_prob / joint_prob by enumerating partitions.
 
-    Equivalently enumerates placements of the bad copies over the 2k+1 slots
-    with the partition fixed: slots 0..k-1 are group 1, k..2k-1 group 2, slot
-    2k the third copy. Limited to k <= 5 to keep enumeration instant.
+    The bad copies sit at fixed places: copies 0..a-1 are of class (1,0), the
+    next b of (0,1), the next c of (1,1), the rest clean. Every (k, k, 1)
+    partition is counted once: group 1, then the kept copy among the k+1
+    copies left, group 2 being the other k. That is the uniform partition of
+    pass_prob. Limited to k <= 5 to keep enumeration instant.
     """
     if cc.k > 5:
         raise DomainError("brute-force oracle is limited to k <= 5")
     a, b, c, k = cc.a, cc.b, cc.c, cc.k
     n = 2 * k + 1
-    group1 = (1 << k) - 1
-    group2 = ((1 << k) - 1) << k
-    third = n - 1
-    total = 0
-    passing = 0
-    joint = 0
-    slots = tuple(range(n))
-    for pos_a in combinations(slots, a):
-        taken_a = set(pos_a)
-        rest_a = [s for s in slots if s not in taken_a]
-        for pos_b in combinations(rest_a, b):
-            taken_b = set(pos_b)
-            rest_b = [s for s in rest_a if s not in taken_b]
-            for pos_c in combinations(rest_b, c):
-                total += 1
-                s_mask = 0
-                t_mask = 0
-                for p in pos_a:
-                    s_mask |= 1 << p
-                for p in pos_b:
-                    t_mask |= 1 << p
-                for p in pos_c:
-                    s_mask |= 1 << p
-                    t_mask |= 1 << p
-                if (s_mask & group1) or (t_mask & group2):
-                    continue
+    bad = a + b + c
+    # Copies group 1's test flags, classes (1,0) and (1,1), and group 2's, (0,1) and (1,1).
+    flagged1 = {*range(a), *range(a + b, bad)}
+    flagged2 = set(range(a, bad))
+    total = passing = joint = 0
+    for group1 in combinations(range(n), k):
+        left = set(range(n)).difference(group1)
+        for kept in left:
+            total += 1
+            if flagged1.isdisjoint(group1) and flagged2.isdisjoint(left - {kept}):
                 passing += 1
-                if not (((s_mask | t_mask) >> third) & 1):
-                    joint += 1
+                joint += kept >= bad
     return Profile(
         passing=Fraction(passing, total),
         joint=Fraction(joint, total),

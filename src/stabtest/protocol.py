@@ -16,11 +16,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Union
 
-from .analytics import _check_int_counts, checked_mixture
+from .analytics import _checked_atoms, checked_mixture
 from .gf2 import BitVector
 from .graphs import BipartiteGraphState
 from .pauli import BlockClass, BlockPauli, sample_outcomes, syndrome_masks, syndromes
@@ -97,6 +99,10 @@ class ClassMixture:
     With probability beta the bad-copy counts (a, b) of classes (1,0) and
     (0,1) are drawn from Q0 and no (1,1) copy is sent; otherwise (a, b) comes
     from Q1 and exactly one (1,1) copy is added. Placements are uniform.
+
+    The atom is drawn by comparing one random() with float running totals of
+    the weights, so a realized atom probability can differ from its stated
+    weight by float rounding, about 2**-53 per atom.
     """
 
     beta: Fraction
@@ -110,7 +116,13 @@ class ClassMixture:
         q0: Mapping[tuple[int, int], object] | Iterable[tuple[tuple[int, int], object]],
         q1: Mapping[tuple[int, int], object] | Iterable[tuple[tuple[int, int], object]],
     ) -> "ClassMixture":
-        return cls(Fraction(beta), _canon_weights("q0", q0), _canon_weights("q1", q1))
+        """Mixture with checked atoms (analytics._checked_atoms), each field
+        sorted by (a, b); a stable sort, so repeated (a, b) atoms keep their
+        order. The copy budget needs k and is checked when the mixture runs."""
+        def canon(name, q):
+            return tuple(sorted(_checked_atoms(name, q), key=lambda atom: atom[0]))
+
+        return cls(Fraction(beta), canon("q0", q0), canon("q1", q1))
 
 
 @dataclass(frozen=True)
@@ -118,6 +130,11 @@ class Explicit:
     """Fully explicit adversary: one attack distribution per copy.
 
     Each entry of ``copies`` is a tuple of (probability, BlockPauli) atoms.
+    Atoms are drawn as for ClassMixture, from float running totals, so a
+    realized probability can differ from the stated one by float rounding,
+    about 2**-53 per atom. The totals need only come within 1e-9 of 1; when
+    they stop short of 1, the last atom absorbs the shortfall, and when they
+    pass 1, the atoms beyond 1 lose the excess.
     """
 
     copies: tuple[tuple[tuple[float, BlockPauli], ...], ...]
@@ -127,16 +144,6 @@ AdversaryModel = Union[Honest, SingleBadCopy, IidPauli, ClassMixture, Explicit]
 
 # One copy in a trial: (sigma1, sigma2, (u_b, u_w, v_b, v_w)); see _Plan.
 _Record = tuple[int, int, tuple[int, int, int, int]]
-
-
-def _canon_weights(name: str, q) -> tuple[tuple[tuple[int, int], Fraction], ...]:
-    items = q.items() if isinstance(q, Mapping) else q
-    out = []
-    for (a, b), w in items:
-        _check_int_counts(name, a, b)
-        out.append(((a, b), Fraction(w)))
-    out.sort(key=lambda item: item[0])
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -215,24 +222,20 @@ class _Plan:
                 records[rng.randrange(n)] = bad
                 return records
         elif isinstance(model, ClassMixture):
-            checked_mixture(model.beta, model.q0, model.q1, k)
-            beta = float(model.beta)
-            cum0 = _cumulative(model.q0)
-            cum1 = _cumulative(model.q1)
+            # (counts, running totals) of Q0, then of Q1, from the checked atoms.
+            tables = [
+                ([counts for counts, _ in atoms], _running_totals(w for _, w in atoms))
+                for atoms in checked_mixture(model.beta, model.q0, model.q1, k)
+            ]
+            beta = float(Fraction(model.beta))
             rep10 = self._class_record(1, 0)
             rep01 = self._class_record(0, 1)
             rep11 = self._class_record(1, 1)
 
             def draw(rng: random.Random) -> list[_Record]:
-                if rng.random() < beta:
-                    cum, c = cum0, 0
-                else:
-                    cum, c = cum1, 1
-                x = rng.random()
-                # Without a break, (a, b) is the last atom's.
-                for threshold, (a, b) in cum:
-                    if x < threshold:
-                        break
+                c = 0 if rng.random() < beta else 1
+                counts, totals = tables[c]
+                a, b = counts[_pick(totals, rng.random())]
                 records = [clean] * n
                 chosen = rng.sample(range(n), a + b + c)
                 for pos in chosen[:a]:
@@ -286,31 +289,25 @@ class _Plan:
                 raise ValueError(
                     f"explicit model has {len(model.copies)} copies, needs {n}"
                 )
-            # Per copy, (running total, record) in atom order: the totals are
-            # summed exactly as a scan over the atoms would sum them.
+            # Per copy, (records, running totals) in atom order.
             tables = []
             for atoms in model.copies:
-                total = 0.0
-                picks = []
+                records = []
                 for prob, attack in atoms:
                     # Not "prob < 0", which is false for NaN.
                     if not prob >= 0:
                         raise ValueError(f"explicit probabilities must be nonnegative, got {prob!r}")
-                    total += prob
                     # syndromes() also checks that the attack fits the graph.
                     sigma1, sigma2 = syndromes(g, attack)
                     masks = (attack.u_b.bits, attack.u_w.bits, attack.v_b.bits, attack.v_w.bits)
-                    picks.append((total, (sigma1.bits, sigma2.bits, masks)))
-                if abs(total - 1.0) > 1e-9:
+                    records.append((sigma1.bits, sigma2.bits, masks))
+                totals = _running_totals(prob for prob, _ in atoms)
+                if not totals or abs(totals[-1] - 1.0) > 1e-9:
                     raise ValueError("explicit copy distribution is not normalized")
-                tables.append(picks)
+                tables.append((records, totals))
 
             def draw(rng: random.Random) -> list[_Record]:
-                records = []
-                for picks in tables:
-                    x = rng.random()
-                    records.append(next((record for total, record in picks if x < total), picks[-1][1]))
-                return records
+                return [records[_pick(totals, rng.random())] for records, totals in tables]
         else:
             raise ValueError(f"unknown adversary model: {model!r}")
         self.draw = draw
@@ -325,15 +322,15 @@ class _Plan:
         return s, t, (0, 0, s, t)
 
 
-def _cumulative(
-    atoms: tuple[tuple[tuple[int, int], Fraction], ...]
-) -> list[tuple[float, tuple[int, int]]]:
-    out = []
-    total = 0.0
-    for (a, b), w in atoms:
-        total += float(w)
-        out.append((total, (a, b)))
-    return out
+def _running_totals(weights: Iterable) -> list[float]:
+    """Float running totals of the weights: 0.0 plus float(w), left to right."""
+    return list(accumulate(map(float, weights), initial=0.0))[1:]
+
+
+def _pick(totals: list[float], x: float) -> int:
+    """The categorical draw of both weighted-atom adversaries: the index of
+    the first running total above x, or the last index when none is."""
+    return min(bisect_right(totals, x), len(totals) - 1)
 
 
 def _block_pauli(g: BipartiteGraphState, masks: tuple[int, int, int, int]) -> BlockPauli:

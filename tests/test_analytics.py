@@ -255,6 +255,20 @@ def test_oracle_k_cap():
         oracle(ClassCounts(0, 0, 0, 6))
 
 
+def test_oracle_matches_profile_at_its_largest_k():
+    # Criterion 3 compares every profile up to k = 4; this covers the last k the oracle allows.
+    k = 5
+    n = 2 * k + 1
+    checked = 0
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            for c in range(n + 1 - a - b):
+                cc = ClassCounts(a, b, c, k)
+                assert oracle(cc) == profile(cc), (a, b, c)
+                checked += 1
+    assert checked == 364
+
+
 def test_oracle_matches_closed_forms_on_random_profiles():
     rng = random.Random(31)
     for _ in range(40):

@@ -11,7 +11,9 @@ import json
 import pytest
 
 from stabtest.cli import main, parse_graph
-from stabtest.protocol import IidPauli, estimate, run_protocol
+from stabtest.gf2 import BitVector
+from stabtest.pauli import BlockPauli, identity_attack
+from stabtest.protocol import Explicit, IidPauli, estimate, run_protocol, run_trials, transcript_to_json
 
 MIXTURE = {"beta": "0.5", "q0": [[0, 0, 3], [2, 1, 1]], "q1": [[1, 0, 1]]}
 
@@ -160,6 +162,34 @@ REDUCE_DOCS = {
 }
 
 
+# sha256 of the transcript_to_json lines of run_trials, and the estimate
+# counts, for _explicit_model on grid:3x3 with k = 3, 300 trials, seed 21.
+# No CLI adversary is Explicit, so SIMULATE_GOLDEN does not pin its draw.
+EXPLICIT_GOLDEN = (
+    "e16bd03b9eb5dbbbe3a1f17974bfa45e23c069a69fc93188915c5654665077ff",
+    {"trials": 300, "accepted": 38, "accepted_clean": 19},
+)
+
+
+def _explicit_model(g, k):
+    """Up to four atoms per copy, zero-probability atoms first, in the middle
+    and last, and one copy whose totals stop 1e-10 short of 1."""
+    zero_b, zero_w = BitVector.zero(g.n_b), BitVector.zero(g.n_w)
+    clean = identity_attack(g)
+    x_b = BlockPauli(BitVector.unit(g.n_b, 0), zero_w, zero_b, zero_w)
+    z_w = BlockPauli(zero_b, zero_w, zero_b, BitVector.unit(g.n_w, 1))
+    z_both = BlockPauli(zero_b, zero_w, BitVector.unit(g.n_b, 2), BitVector.unit(g.n_w, 0))
+    rows = (
+        ((0.5, clean), (0.0, z_both), (0.3, x_b), (0.2, z_w)),
+        ((0.1, x_b), (0.1, z_w), (0.1, z_both), (0.7, clean)),
+        ((0.0, x_b), (0.25, z_both), (0.75, clean)),
+        ((0.6, clean), (0.4, z_both), (0.0, x_b)),
+        ((1 / 3, z_w), (1 / 3, clean), (1 / 3, x_b), (0.0, z_both)),
+        ((0.3, x_b), (0.3, z_w), (0.3999999999, clean)),
+    )
+    return Explicit(tuple(rows[j % len(rows)] for j in range(2 * k + 1)))
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -201,6 +231,13 @@ def test_recorded_outcomes_match_golden_hashes(graph):
 @pytest.mark.parametrize("graph, p_x, p_z", sorted(ESTIMATE_GOLDEN))
 def test_estimate_matches_golden_hashes(graph, p_x, p_z):
     assert estimate_hash(graph, p_x, p_z) == ESTIMATE_GOLDEN[graph, p_x, p_z]
+
+
+def test_explicit_draw_matches_golden_hash():
+    g = parse_graph("grid:3x3")
+    model = _explicit_model(g, 3)
+    lines = [transcript_to_json(t, i) for i, t in enumerate(run_trials(g, 3, model, 300, 21))]
+    assert (_sha(("\n".join(lines) + "\n").encode()), estimate(g, 3, model, 300, 21).counts) == EXPLICIT_GOLDEN
 
 
 def test_verify_bounds_matches_golden_hash(tmp_path, capsys):

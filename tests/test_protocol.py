@@ -27,6 +27,7 @@ from stabtest.protocol import (
     transcript_to_json,
     trial_seed,
 )
+from stabtest.protocol import _pick, _running_totals
 from stabtest.reduction import relation_failures
 
 G5 = path_graph(5)
@@ -216,6 +217,70 @@ def test_directly_built_mixture_refuses_non_integer_counts():
     model = ClassMixture(Fraction(1), (((0.5, 0), Fraction(1)),), (((0, 0), Fraction(1)),))
     with pytest.raises(DomainError, match="'q0'.*non-integer"):
         estimate(G5, 1, model, 100, 0)
+
+
+_DIRECT_Q0 = {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 4), (2, 1): Fraction(1, 4)}
+
+
+@pytest.mark.parametrize(
+    "q0, q1",
+    [
+        (_DIRECT_Q0, {(0, 0): 1}),
+        ({ab: str(w) for ab, w in _DIRECT_Q0.items()}, {(0, 0): "1/2", (1, 0): "1/2"}),
+    ],
+    ids=["dict", "strings"],
+)
+def test_directly_built_mixture_runs_like_from_weights(q0, q1):
+    # The atoms are already in (a, b) order, so from_weights keeps them as given.
+    # A dict used to crash the draw on unpacking, and "1/2" on float().
+    direct = ClassMixture(Fraction(1, 2), q0, q1)
+    built = ClassMixture.from_weights(Fraction(1, 2), q0, q1)
+    for k in (1, 2):
+        assert estimate(G5, k, direct, 400, 8).counts == estimate(G5, k, built, 400, 8).counts
+
+
+@pytest.mark.parametrize(
+    "q0", [{(0, 0): Fraction(1, 2)}, {(0, 0): Fraction(3, 2), (1, 0): Fraction(-1, 2)}],
+    ids=["sum-1/2", "negative"],
+)
+@pytest.mark.parametrize("field", ["q0", "q1"])
+def test_from_weights_refuses_bad_weights_at_construction(field, q0):
+    weights = {"q0": {(0, 0): 1}, "q1": {(0, 0): 1}}
+    weights[field] = q0
+    with pytest.raises(DomainError, match=field):
+        ClassMixture.from_weights(Fraction(1, 2), weights["q0"], weights["q1"])
+
+
+def _reference_pick(totals, x):
+    """The scan both weighted-atom draws used: the first atom whose running
+    total exceeds x, else the last atom."""
+    for i, total in enumerate(totals):
+        if x < total:
+            return i
+    return len(totals) - 1
+
+
+_WEIGHTS = st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 2.0**-53, 0.5, 1 / 3])),
+    min_size=1, max_size=8,
+)
+
+
+@given(weights=_WEIGHTS, x=st.floats(0.0, 1.0, exclude_max=True))
+@example(weights=[0.0, 0.5, 0.0, 0.5], x=0.5)
+@example(weights=[0.3, 0.3, 0.3999999999], x=0.99999999995)
+@example(weights=[0.0], x=0.0)
+@settings(max_examples=200, deadline=None)
+def test_pick_matches_the_reference_scan(weights, x):
+    totals = _running_totals(weights)
+    reference, total = [], 0.0
+    for w in weights:
+        total += w
+        reference.append(total)
+    assert totals == reference
+    # x itself, x exactly at each total, and x at or above the last total.
+    for y in [x, *totals, math.nextafter(totals[-1], 2.0), 1.0]:
+        assert _pick(totals, y) == _reference_pick(totals, y), (totals, y)
 
 
 def test_iid_validation():
