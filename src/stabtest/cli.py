@@ -268,12 +268,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     for name, mat in (("C", r.c_mat), ("C^-1", r.c_inv), ("D", r.d_mat), ("D^-1", r.d_inv)):
         print(f"{name} =")
         print("\n".join(_matrix_lines(mat)))
-    print("group 1 checks (X measured on B, Z on W):")
-    for rel in converted_relations(r, 1):
-        print(f"  {_relation_line(rel)}")
-    print("group 2 checks (Z measured on B, X on W; X labels are W vertices):")
-    for rel in converted_relations(r, 2):
-        print(f"  {_relation_line(rel)}")
+    for group, header in (
+        (1, "group 1 checks (X measured on B, Z on W):"),
+        (2, "group 2 checks (Z measured on B, X on W; X labels are W vertices):"),
+    ):
+        print(header)
+        for rel in converted_relations(r, group):
+            print(f"  {_relation_line(rel)}")
     return 0
 
 

@@ -54,6 +54,19 @@ class BipartiteGraphState:
     def adjacency_t(self) -> BitMatrix:
         return self.adjacency.transpose()
 
+    def check_matrix(self, group: int) -> BitMatrix:
+        """Parity checks x = M·z of one test group; row j of M is the Z-support
+        of the check on X-measured vertex j.
+
+            group 1: X on B, Z on W -> M = A
+            group 2: Z on B, X on W -> M = Aᵀ
+        """
+        if group == 1:
+            return self.adjacency
+        if group == 2:
+            return self.adjacency_t
+        raise ValueError("group must be 1 or 2")
+
 
 # Largest graph, in qubits, that the builders and from_json accept. An
 # adjacency row is an int as wide as the highest W index it touches, so on

@@ -135,22 +135,12 @@ def sample_outcomes(
     group: int,
     rng: random.Random,
 ) -> tuple[BitVector, BitVector]:
-    """Sample one block's measurement record under the attack.
-
-    Group 1 measures X on B and Z on W; group 2 measures Z on B and X on W.
-    Returns (x_outcomes, z_outcomes). The Z record is uniform; the X record is
-    pinned so that the relation-failure pattern equals the relevant syndrome
-    deterministically.
+    """Sample one block's (x_outcomes, z_outcomes) under the attack, on the
+    sides g.check_matrix(group) names. The Z record is uniform; the X record is
+    pinned so that the relation-failure pattern equals the relevant syndrome.
     """
     _check_dims(g, p)
-    if group == 1:
-        base = rng.getrandbits(g.n_w)
-        z_obs = BitVector(g.n_w, base ^ p.u_w.bits)
-        x_obs = mat_vec(g.adjacency, BitVector(g.n_w, base)) ^ p.v_b
-        return x_obs, z_obs
-    if group == 2:
-        base = rng.getrandbits(g.n_b)
-        z_obs = BitVector(g.n_b, base ^ p.u_b.bits)
-        x_obs = mat_vec(g.adjacency_t, BitVector(g.n_b, base)) ^ p.v_w
-        return x_obs, z_obs
-    raise ValueError("group must be 1 or 2")
+    m = g.check_matrix(group)
+    base = BitVector(m.n_cols, rng.getrandbits(m.n_cols))
+    x_flip, z_flip = (p.v_b, p.u_w) if group == 1 else (p.v_w, p.u_b)
+    return mat_vec(m, base) ^ x_flip, base ^ z_flip

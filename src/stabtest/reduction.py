@@ -19,8 +19,7 @@ __all__ = [
     "Reduction",
     "CheckRelation",
     "compute_reduction",
-    "convert_group1",
-    "convert_group2",
+    "convert",
     "check_relations",
     "relation_failures",
     "relations_hold",
@@ -91,47 +90,35 @@ def compute_reduction(g: BipartiteGraphState) -> Reduction:
     )
 
 
-def convert_group1(r: Reduction, x_b: BitVector, z_w: BitVector) -> tuple[BitVector, BitVector]:
-    """Classical data conversion for a group-1 test: (C^-1 x, D^-1 z)."""
-    if x_b.n != r.c_inv.n_cols or z_w.n != r.d_inv.n_cols:
-        raise ValueError("outcome length mismatch")
-    return mat_vec(r.c_inv, x_b), mat_vec(r.d_inv, z_w)
+def _conversion(r: Reduction, group: int) -> tuple[BitMatrix, BitMatrix]:
+    """(X-side, Z-side) conversion matrices of one test group.
+
+        group 1: (C^-1, D^-1)
+        group 2: (D^T, C^T)
+    """
+    if group == 1:
+        return r.c_inv, r.d_inv
+    if group == 2:
+        return r.d_t, r.c_t
+    raise ValueError("group must be 1 or 2")
 
 
-def convert_group2(r: Reduction, z_b: BitVector, x_w: BitVector) -> tuple[BitVector, BitVector]:
-    """Classical data conversion for a group-2 test: (C^T z, D^T x)."""
-    if z_b.n != r.c_t.n_cols or x_w.n != r.d_t.n_cols:
-        raise ValueError("outcome length mismatch")
-    return mat_vec(r.c_t, z_b), mat_vec(r.d_t, x_w)
+def convert(r: Reduction, group: int, x: BitVector, z: BitVector) -> tuple[BitVector, BitVector]:
+    """Classical data conversion for one test group: (x', z') from raw (x, z)."""
+    x_mat, z_mat = _conversion(r, group)
+    return mat_vec(x_mat, x), mat_vec(z_mat, z)
 
 
 def check_relations(g: BipartiteGraphState, group: int) -> list[CheckRelation]:
-    """Full stabilizer relation set for one test group.
-
-    Group 1 (X on B, Z on W): one relation per B vertex j, X_j = XOR of Z over
-    the neighborhood of j. Group 2 (Z on B, X on W): one relation per W vertex
-    i, X_i = XOR of Z over the neighborhood of i.
-    """
-    if group == 1:
-        return [
-            CheckRelation(BitVector.unit(g.n_b, j), g.adjacency.row(j), 1)
-            for j in range(g.n_b)
-        ]
-    if group == 2:
-        return [
-            CheckRelation(BitVector.unit(g.n_w, i), g.adjacency_t.row(i), 2)
-            for i in range(g.n_w)
-        ]
-    raise ValueError("group must be 1 or 2")
+    """Full stabilizer relation set for one test group: relation j says X_j
+    equals the XOR of Z over row j of g.check_matrix(group)."""
+    m = g.check_matrix(group)
+    return [CheckRelation(BitVector.unit(m.n_rows, j), m.row(j), group) for j in range(m.n_rows)]
 
 
 def relation_failures(g: BipartiteGraphState, group: int, x: BitVector, z: BitVector) -> BitVector:
     """Failure bit per relation; zero means every check passed."""
-    if group == 1:
-        return x ^ mat_vec(g.adjacency, z)
-    if group == 2:
-        return x ^ mat_vec(g.adjacency_t, z)
-    raise ValueError("group must be 1 or 2")
+    return x ^ mat_vec(g.check_matrix(group), z)
 
 
 def relations_hold(g: BipartiteGraphState, group: int, x: BitVector, z: BitVector) -> bool:
@@ -141,35 +128,16 @@ def relations_hold(g: BipartiteGraphState, group: int, x: BitVector, z: BitVecto
 def converted_checks_hold(r: Reduction, group: int, x: BitVector, z: BitVector) -> bool:
     """Evaluate the converted test: equality on the first n_prime coordinates
     and zero on the remaining converted x coordinates."""
-    if group == 1:
-        xp, zp = convert_group1(r, x, z)
-    elif group == 2:
-        zp, xp = convert_group2(r, z, x)
-    else:
-        raise ValueError("group must be 1 or 2")
-    low = (1 << r.n_prime) - 1
-    if (xp.bits ^ zp.bits) & low:
-        return False
-    return xp.bits & ~low == 0
+    xp, zp = convert(r, group, x, z)
+    return xp.bits == zp.bits & ((1 << r.n_prime) - 1)
 
 
 def converted_relations(r: Reduction, group: int) -> list[CheckRelation]:
-    """The converted test as explicit parity checks on raw outcomes.
-
-    Group 1: relation i compares the XOR of X outcomes over row i of C^-1
-    with the XOR of Z outcomes over row i of D^-1; rows past n_prime are
-    pure X parity checks (empty z side). Group 2 mirrors this with D^T rows
-    on the X side and C^T rows on the Z side.
-    """
-    out = []
-    if group == 1:
-        for i in range(r.c_inv.n_rows):
-            z_mask = r.d_inv.row(i) if i < r.n_prime else BitVector.zero(r.d_inv.n_cols)
-            out.append(CheckRelation(r.c_inv.row(i), z_mask, 1))
-        return out
-    if group == 2:
-        for i in range(r.d_t.n_rows):
-            z_mask = r.c_t.row(i) if i < r.n_prime else BitVector.zero(r.c_t.n_cols)
-            out.append(CheckRelation(r.d_t.row(i), z_mask, 2))
-        return out
-    raise ValueError("group must be 1 or 2")
+    """The converted test as parity checks on raw outcomes: row i of the X-side
+    conversion matrix against row i of the Z-side one, empty past n_prime."""
+    x_mat, z_mat = _conversion(r, group)
+    empty = BitVector.zero(z_mat.n_cols)
+    return [
+        CheckRelation(x_mat.row(i), z_mat.row(i) if i < r.n_prime else empty, group)
+        for i in range(x_mat.n_rows)
+    ]

@@ -15,12 +15,12 @@ from stabtest.gf2 import (
     rank,
 )
 from stabtest.graphs import BipartiteGraphState, edgeless_graph, path_graph, grid_graph, rhg_lattice
+from stabtest.pauli import identity_attack, sample_outcomes
 from stabtest.reduction import (
     Reduction,
     check_relations,
     compute_reduction,
-    convert_group1,
-    convert_group2,
+    convert,
     converted_checks_hold,
     converted_relations,
     relation_failures,
@@ -168,12 +168,12 @@ def test_conversions_are_linear_bijections():
     r = compute_reduction(g)
     x = BitVector(g.n_b, rng.getrandbits(g.n_b))
     z = BitVector(g.n_w, rng.getrandbits(g.n_w))
-    xp, zp = convert_group1(r, x, z)
+    xp, zp = convert(r, 1, x, z)
     assert mat_vec(r.c_mat, xp) == x
     assert mat_vec(r.d_mat, zp) == z
     z_b = BitVector(g.n_b, rng.getrandbits(g.n_b))
     x_w = BitVector(g.n_w, rng.getrandbits(g.n_w))
-    zq, xq = convert_group2(r, z_b, x_w)
+    xq, zq = convert(r, 2, x_w, z_b)
     assert zq == mat_vec(r.c_t, z_b)
     assert xq == mat_vec(r.d_t, x_w)
 
@@ -181,9 +181,9 @@ def test_conversions_are_linear_bijections():
 def test_convert_rejects_wrong_lengths():
     r = compute_reduction(path_graph(5))
     with pytest.raises(ValueError):
-        convert_group1(r, BitVector.zero(1), BitVector.zero(2))
+        convert(r, 1, BitVector.zero(1), BitVector.zero(2))
     with pytest.raises(ValueError):
-        convert_group2(r, BitVector.zero(3), BitVector.zero(5))
+        convert(r, 2, BitVector.zero(5), BitVector.zero(3))
 
 
 @pytest.mark.parametrize("builder", [lambda: path_graph(5), lambda: path_graph(6), lambda: grid_graph(2, 3)])
@@ -232,6 +232,26 @@ def test_check_relations_structure():
         assert rel.z_mask == g.adjacency.transpose().row(i)
     with pytest.raises(ValueError):
         check_relations(g, 3)
+
+
+@pytest.mark.parametrize("group", [0, 3])
+def test_group_taking_functions_refuse_other_groups(group):
+    g = path_graph(5)
+    r = compute_reduction(g)
+    x, z = BitVector.zero(g.n_b), BitVector.zero(g.n_w)
+    calls = [
+        lambda: g.check_matrix(group),
+        lambda: check_relations(g, group),
+        lambda: relation_failures(g, group, x, z),
+        lambda: relations_hold(g, group, x, z),
+        lambda: convert(r, group, x, z),
+        lambda: converted_checks_hold(r, group, x, z),
+        lambda: converted_relations(r, group),
+        lambda: sample_outcomes(g, identity_attack(g), group, random.Random(0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="group must be 1 or 2"):
+            call()
 
 
 def test_relation_failures_pinpoint_breaks():
