@@ -10,6 +10,7 @@ from .analytics import (
     pass_prob,
     t_functionals,
     theorem1_bound,
+    theorem1_verdict,
     trace_bound,
     xi,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "run_trials",
     "t_functionals",
     "theorem1_bound",
+    "theorem1_verdict",
     "trace_bound",
     "xi",
 ]

@@ -29,6 +29,7 @@ __all__ = [
     "checked_mixture",
     "t_functionals",
     "theorem1_bound",
+    "theorem1_verdict",
     "trace_bound",
     "xi",
     "bounds_rows",
@@ -66,9 +67,11 @@ class ClassCounts:
 
 @dataclass(frozen=True)
 class LemmaVerdict:
+    """Theorem 1 at one threshold alpha (see theorem1_verdict)."""
+
     passing: Fraction
     conditional: Fraction | None
-    bound: Fraction
+    bound: Fraction | None
     premise: bool
     holds: bool
 
@@ -182,8 +185,8 @@ def t_functionals(
     return t1, t2, t3
 
 
-def theorem1_bound(alpha, k: int):
-    """Fidelity floor 1 - 1/(alpha(2k+1)), defined for alpha > 1/(2k+1).
+def _theorem1_floor(alpha, k: int):
+    """1 - 1/(alpha(2k+1)), or None where alpha(2k+1) <= 1 and Theorem 1 says nothing.
 
     Exact inputs give an exact Fraction; float input gives a float.
     """
@@ -192,10 +195,33 @@ def theorem1_bound(alpha, k: int):
     n = 2 * k + 1
     exact = Fraction(alpha)
     if exact * n <= 1:
-        raise DomainError("alpha must exceed 1/(2k+1)")
+        return None
     if isinstance(alpha, float):
         return 1.0 - 1.0 / (alpha * n)
     return 1 - Fraction(1, exact * n)
+
+
+def theorem1_bound(alpha, k: int):
+    """Fidelity floor 1 - 1/(alpha(2k+1)); DomainError unless alpha > 1/(2k+1)."""
+    bound = _theorem1_floor(alpha, k)
+    if bound is None:
+        raise DomainError("alpha must exceed 1/(2k+1)")
+    return bound
+
+
+def theorem1_verdict(passing: Fraction, conditional: Fraction | None, alpha: Rational, k: int) -> LemmaVerdict:
+    """Theorem 1 at threshold alpha for a state that passes with probability
+    passing and then keeps a copy of fidelity conditional (None if never).
+
+    bound is the floor, None where alpha(2k+1) <= 1. Premise: bound is defined
+    and passing >= alpha; then holds says conditional >= bound, and otherwise
+    holds is vacuously True. lemma_check passes exact values, simulate rates.
+    """
+    alpha = Fraction(alpha)
+    bound = _theorem1_floor(alpha, k)
+    premise = bound is not None and passing >= alpha
+    # The premise forces passing >= alpha > 0, so conditional is defined.
+    return LemmaVerdict(passing, conditional, bound, premise, not premise or conditional >= bound)
 
 
 def trace_bound(alpha, k: int) -> float:
@@ -286,30 +312,14 @@ def bounds_rows(k_max: int) -> Iterator[tuple]:
 
 
 def lemma_check(beta: Rational, q0: Weights, q1: Weights, k: int, alpha: Rational) -> LemmaVerdict:
-    """Check the mixture fidelity bound at threshold alpha, exactly.
-
-    Premise: alpha > 1/(2k+1) and the mixture's acceptance probability is at
-    least alpha. Conclusion: conditional fidelity >= 1 - 1/(alpha(2k+1)).
-    A failed premise makes the verdict vacuously true.
-    """
-    alpha = Fraction(alpha)
-    if alpha <= 0:
+    """theorem1_verdict for the mixture adversary (beta, Q0, Q1) at a positive
+    threshold alpha, from its exact acceptance probability and conditional fidelity."""
+    if Fraction(alpha) <= 0:
         raise DomainError("alpha must be positive")
     beta = Fraction(beta)
     t1, t2, t3 = t_functionals(beta, q0, q1, k)
     passing = beta * t1 + (1 - beta) * t2
-    conditional = beta * t3 / passing if passing else None
-    n = 2 * k + 1
-    bound = 1 - Fraction(1, alpha * n)
-    premise = alpha * n > 1 and passing >= alpha
-    if not premise:
-        holds = True
-    else:
-        # premise forces passing >= alpha > 0, so conditional is defined
-        holds = conditional >= bound
-    return LemmaVerdict(
-        passing=passing, conditional=conditional, bound=bound, premise=premise, holds=holds
-    )
+    return theorem1_verdict(passing, beta * t3 / passing if passing else None, alpha, k)
 
 
 def oracle(cc: ClassCounts) -> Profile:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analytics
-from .analytics import ClassCounts, DomainError
+from .analytics import ClassCounts
 from .gf2 import BitMatrix
 from .graphs import (
     BipartiteGraphState,
@@ -43,6 +43,7 @@ from .reduction import compute_reduction, converted_relations
 
 __all__ = [
     "MAX_BOUNDS_K",
+    "MAX_DIGITS",
     "parse_graph",
     "parse_adversary",
     "cmd_simulate",
@@ -83,11 +84,25 @@ def parse_graph(spec: str) -> BipartiteGraphState:
     return from_json(path.read_text())
 
 
+# Most digits of a numerator or denominator read from --alpha or a mixture
+# file: below Python's 4300-digit limit for printing an int, with room for the
+# bound 1 - 1/(alpha(2k+1)), whose denominator is alpha's numerator times 2k+1.
+MAX_DIGITS = 4000
+
+
 def _fraction(value, field: str) -> Fraction:
+    text = str(value)
+    _, e, exp = text.lower().partition("e")
     try:
-        return Fraction(str(value))
+        # Fraction expands a decimal exponent into a power of ten, which takes
+        # seconds for 1e-10000000, so a longer exponent is refused before that.
+        too_long = bool(e) and abs(int(exp)) > MAX_DIGITS
+        x = None if too_long else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{field} must be a fraction p/q or a decimal, got {value!r}") from exc
+    if too_long or max(abs(x.numerator), x.denominator) >= 10**MAX_DIGITS:
+        raise ValueError(f"{field} needs more than {MAX_DIGITS} digits in its numerator or denominator")
+    return x
 
 
 def probability(text: str) -> Fraction:
@@ -207,8 +222,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     accepted = 0
     clean = 0
-    # Both files are replaced at the end, so a failed run keeps the old pair.
-    with _atomic_write(transcript_path) as fh, _atomic_write(summary_path, newline="") as summary:
+    # Both files are replaced at the end and the report is formatted before
+    # that, so a run that fails keeps the old pair. The inner block exits
+    # first: transcripts.jsonl is moved first and summary.csv last.
+    with _atomic_write(summary_path, newline="") as summary, _atomic_write(transcript_path) as fh:
         for line, ok, third in transcript_lines(g, args.k, model, args.trials, args.seed):
             fh.write(line + "\n")
             if ok:
@@ -218,43 +235,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         result = EstimateResult.from_counts(args.trials, accepted, clean)
         pass_rate, cond = result.pass_rate, result.conditional_fidelity
         alpha = args.alpha if args.alpha is not None else pass_rate
-        try:
-            bound = analytics.theorem1_bound(alpha, args.k)
-        except DomainError:
-            bound = None
+        verdict = analytics.theorem1_verdict(pass_rate, cond, alpha, args.k)
+        bound = verdict.bound
 
         writer = csv.writer(summary, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
-        writer.writerow(
-            [
-                args.k,
-                args.adversary,
-                args.trials,
-                _fmt_dec(pass_rate),
-                _fmt_dec(cond),
-                _fmt_dec(alpha),
-                _fmt_dec(bound),
-            ]
-        )
+        writer.writerow([args.k, args.adversary, args.trials, *map(_fmt_dec, (pass_rate, cond, alpha, bound))])
 
-    print(f"graph: {args.graph} (n_b={g.n_b}, n_w={g.n_w})")
-    print(f"k: {args.k} ({2 * args.k + 1} copies per trial)")
-    print(f"adversary: {args.adversary}")
-    print(f"trials: {args.trials} (master seed {args.seed})")
-    print(f"pass_rate: {_fmt_rat(pass_rate)} [{accepted}/{args.trials} accepted]")
-    print(f"conditional_fidelity: {_fmt_rat(cond)}")
-    source = "--alpha" if args.alpha is not None else "empirical pass rate"
-    print(f"alpha: {_fmt_rat(alpha)} [{source}]")
-    if bound is None:
-        print("fidelity_bound: not applicable (alpha <= 1/(2k+1))")
-        print("bound respected: n/a")
-    else:
-        print(f"fidelity_bound: {_fmt_rat(bound)}")
-        if cond is None:
-            print("bound respected: n/a (no accepted trials)")
+        if bound is None:
+            floor, respected = "not applicable (alpha <= 1/(2k+1))", "n/a"
+        elif verdict.premise:
+            floor, respected = _fmt_rat(bound), "yes" if verdict.holds else "no"
         else:
-            print(f"bound respected: {'yes' if cond >= bound else 'no'}")
-    print(f"wrote {transcript_path} and {summary_path}")
+            floor = _fmt_rat(bound)
+            respected = "n/a (no accepted trials)" if cond is None else "n/a (pass rate below alpha)"
+        source = "--alpha" if args.alpha is not None else "empirical pass rate"
+        report = [
+            f"graph: {args.graph} (n_b={g.n_b}, n_w={g.n_w})",
+            f"k: {args.k} ({2 * args.k + 1} copies per trial)",
+            f"adversary: {args.adversary}",
+            f"trials: {args.trials} (master seed {args.seed})",
+            f"pass_rate: {_fmt_rat(pass_rate)} [{accepted}/{args.trials} accepted]",
+            f"conditional_fidelity: {_fmt_rat(cond)}",
+            f"alpha: {_fmt_rat(alpha)} [{source}]",
+            f"fidelity_bound: {floor}",
+            f"bound respected: {respected}",
+            f"wrote {transcript_path} and {summary_path}",
+        ]
+    print("\n".join(report))
     return 0
 
 

@@ -244,20 +244,16 @@ def kernel_basis(m: BitMatrix) -> list[BitVector]:
 
 
 def column_space_basis(m: BitMatrix) -> tuple[list[BitVector], list[BitVector]]:
-    """Greedy left-to-right basis of the column space with preimages.
+    """Basis of the column space with preimages: the kept columns are the
+    pivot columns of m's RREF, which are its leftmost independent columns.
 
     Returns (c_basis, d_preimages) where c_basis[i] is a kept column of m,
     d_preimages[i] is the standard basis vector of the kept column index,
     so m . d_preimages[i] = c_basis[i].
     """
-    echelon: dict[int, int] = {}
-    c_basis = []
-    d_preimages = []
-    for j, col in enumerate(m.transpose().rows):
-        if _insert(col, echelon):
-            c_basis.append(BitVector(m.n_rows, col))
-            d_preimages.append(BitVector.unit(m.n_cols, j))
-    return c_basis, d_preimages
+    columns = m.transpose().rows
+    pivots = _rref(m)[1]
+    return [BitVector(m.n_rows, columns[p]) for p in pivots], [BitVector.unit(m.n_cols, p) for p in pivots]
 
 
 def extend_to_basis(partial: Sequence[BitVector], dim: int) -> list[BitVector]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .gf2 import BitMatrix
 
@@ -120,8 +121,17 @@ def grid_graph(w: int, h: int) -> BipartiteGraphState:
     return BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, tuple(rows)))
 
 
-def _axes_other_than(a: int) -> tuple[int, ...]:
-    return tuple(x for x in range(3) if x != a)
+def _cell_keys(dims: tuple[int, int, int], face: bool) -> list[tuple[int, int, int, int]]:
+    """Ascending (axis, x, y, z) keys of the edges or faces of the complex.
+
+    An edge runs along its axis, so it takes dims[axis] positions there and
+    dims + 1 on the other two axes; a face is the other way round.
+    """
+    return [
+        (a, *corner)
+        for a in range(3)
+        for corner in product(*(range(dims[d] + ((d == a) == face)) for d in range(3)))
+    ]
 
 
 def rhg_lattice(lx: int, ly: int, lz: int) -> BipartiteGraphState:
@@ -138,32 +148,13 @@ def rhg_lattice(lx: int, ly: int, lz: int) -> BipartiteGraphState:
     edges = lx * (ly + 1) * (lz + 1) + (lx + 1) * ly * (lz + 1) + (lx + 1) * (ly + 1) * lz
     _check_size("rhg faces + edges", faces + edges)
     dims = (lx, ly, lz)
-
-    edge_keys = []
-    for a in range(3):
-        ranges = [range(dims[d] + 1) for d in range(3)]
-        ranges[a] = range(dims[a])
-        for x in ranges[0]:
-            for y in ranges[1]:
-                for z in ranges[2]:
-                    edge_keys.append((a, x, y, z))
-    edge_keys.sort()
+    edge_keys = _cell_keys(dims, face=False)
     edge_index = {key: i for i, key in enumerate(edge_keys)}
-
-    face_keys = []
-    for a in range(3):
-        ranges = [range(dims[d]) for d in range(3)]
-        ranges[a] = range(dims[a] + 1)
-        for x in ranges[0]:
-            for y in ranges[1]:
-                for z in ranges[2]:
-                    face_keys.append((a, x, y, z))
-    face_keys.sort()
+    face_keys = _cell_keys(dims, face=True)
 
     rows = [0] * len(face_keys)
-    for j, (a, x, y, z) in enumerate(face_keys):
-        t1, t2 = _axes_other_than(a)
-        origin = (x, y, z)
+    for j, (a, *origin) in enumerate(face_keys):
+        t1, t2 = (d for d in range(3) if d != a)
         for direction, shift_axis in ((t1, t2), (t2, t1)):
             for shift in (0, 1):
                 corner = list(origin)
@@ -184,24 +175,10 @@ def edgeless_graph(n: int) -> BipartiteGraphState:
 
 
 def validate(g: BipartiteGraphState) -> list[str]:
-    """Check dimension consistency; return notes about isolated vertices.
-
-    Isolated vertices are allowed, so the return value is informational. A
-    malformed adjacency raises ValueError.
-    """
-    if g.adjacency.n_rows != g.n_b or g.adjacency.n_cols != g.n_w:
-        raise ValueError("adjacency dimensions do not match declared sizes")
-    notes = []
-    for j in range(g.n_b):
-        if g.adjacency.rows[j] == 0:
-            notes.append(f"isolated B vertex {j}")
-    col_union = 0
-    for r in g.adjacency.rows:
-        col_union |= r
-    for i in range(g.n_w):
-        if not (col_union >> i) & 1:
-            notes.append(f"isolated W vertex {i}")
-    return notes
+    """Notes about isolated vertices, which are allowed, so the return value
+    is informational. BipartiteGraphState already checks the dimensions."""
+    notes = [f"isolated B vertex {j}" for j, row in enumerate(g.adjacency.rows) if not row]
+    return notes + [f"isolated W vertex {i}" for i, col in enumerate(g.adjacency_t.rows) if not col]
 
 
 def edges(g: BipartiteGraphState) -> list[tuple[int, int]]:

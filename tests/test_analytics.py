@@ -17,6 +17,7 @@ from stabtest.analytics import (
     profile,
     t_functionals,
     theorem1_bound,
+    theorem1_verdict,
     trace_bound,
     xi,
 )
@@ -230,6 +231,32 @@ def test_lemma_check_vacuous_when_premise_fails():
 def test_lemma_check_rejects_nonpositive_alpha():
     with pytest.raises(DomainError):
         lemma_check(F(1, 2), {(0, 0): 1}, {(0, 0): 1}, 2, 0)
+
+
+def test_lemma_check_has_no_bound_where_the_floor_is_undefined():
+    verdict = lemma_check(1, {(0, 0): 1}, {(0, 0): 1}, 2, F(1, 5))
+    assert verdict.bound is None
+    assert lemma_check(1, {(0, 0): 1}, {(0, 0): 1}, 2, F(1, 10)).bound is None
+
+
+def test_theorem1_verdict_cases():
+    # premise holds: the floor is compared, and may fail for empirical rates
+    assert theorem1_verdict(F(1, 2), F(1, 3), F(3, 10), 2).holds
+    verdict = theorem1_verdict(F(1, 2), F(1, 4), F(1, 2), 2)
+    assert verdict.premise and not verdict.holds and verdict.bound == F(3, 5)
+    # passing below alpha: vacuously true, bound still reported
+    verdict = theorem1_verdict(F(9, 25), F(0), F(1, 2), 1)
+    assert (verdict.bound, verdict.premise, verdict.holds) == (F(1, 3), False, True)
+    # nothing accepted
+    verdict = theorem1_verdict(F(0), None, F(1, 2), 1)
+    assert not verdict.premise and verdict.holds
+    # alpha(2k+1) <= 1: no floor at all
+    for alpha in (0, F(1, 3)):
+        verdict = theorem1_verdict(F(1, 2), F(0), alpha, 1)
+        assert (verdict.bound, verdict.premise, verdict.holds) == (None, False, True)
+    assert theorem1_verdict(F(1, 2), F(1, 3), F(3, 10), 2).bound == theorem1_bound(F(3, 10), 2)
+    with pytest.raises(DomainError):
+        theorem1_verdict(F(1, 2), F(1, 2), F(1, 2), 0)
 
 
 def test_oracle_spot_values():

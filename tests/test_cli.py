@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stabtest.analytics import bounds_rows, xi
-from stabtest.cli import MAX_BOUNDS_K, _fmt_pair, main, parse_adversary, parse_graph
+from stabtest import cli
+from stabtest.cli import MAX_BOUNDS_K, MAX_DIGITS, _fmt_pair, main, parse_adversary, parse_graph
 from stabtest.graphs import MAX_QUBITS
 from stabtest.protocol import MAX_COPIES, ClassMixture, Honest, IidPauli, SingleBadCopy
 
@@ -110,6 +111,33 @@ def test_simulate_respects_alpha_flag(tmp_path, capsys):
     assert "alpha: 3/10" in out
     assert "fidelity_bound: 1/3" in out
     assert "bound respected: yes" in out
+
+
+NOT_APPLICABLE = ["fidelity_bound: not applicable (alpha <= 1/(2k+1))", "bound respected: n/a"]
+
+
+# The last two report lines of single-bad:1,1 runs on path:3. Pass rates
+# 9/25 < 1/2 and 26/125 < 9/10 are below --alpha, where Theorem 1 says
+# nothing, so the verdict is n/a and not a violation. Seed 0 with 2 trials
+# accepts nothing.
+@pytest.mark.parametrize(
+    "k, trials, alpha, expected",
+    [
+        ("1", "50", ["--alpha", "1/2"],
+         ["fidelity_bound: 1/3 (0.333333)", "bound respected: n/a (pass rate below alpha)"]),
+        ("2", "2000", ["--alpha", "9/10"],
+         ["fidelity_bound: 7/9 (0.777778)", "bound respected: n/a (pass rate below alpha)"]),
+        ("1", "2", ["--alpha", "1/2"], ["fidelity_bound: 1/3 (0.333333)", "bound respected: n/a (no accepted trials)"]),
+        ("1", "2", ["--alpha", "0"], NOT_APPLICABLE),
+        ("1", "2", [], NOT_APPLICABLE),
+    ],
+    ids=["below-alpha-k1", "below-alpha-k2", "none-accepted", "alpha-0", "empirical-alpha-0"],
+)
+def test_simulate_verdict_lines(tmp_path, k, trials, alpha, expected):
+    status, out, _ = _run_main(["simulate", "--graph", "path:3", "--k", k, "--adversary", "single-bad:1,1",
+                                "--trials", trials, "--outdir", str(tmp_path), *alpha])
+    assert status == 0
+    assert out.splitlines()[-3:-1] == expected
 
 
 def test_simulate_malformed_adversary_fails(tmp_path, capsys):
@@ -343,6 +371,77 @@ def test_failed_simulate_keeps_previous_outputs(tmp_path, capsys):
     assert "copy budget" in capsys.readouterr().err
     assert {name: (outdir / name).read_bytes() for name in names} == before
     assert sorted(os.listdir(outdir)) == sorted(names)
+
+
+def _simulate_outputs(outdir, trials):
+    argv = ["simulate", "--graph", "path:3", "--k", "1", "--adversary", "single-bad:0,1",
+            "--trials", trials, "--alpha", "1/2", "--outdir", str(outdir)]
+    return _run_main(argv)
+
+
+def test_failed_report_keeps_previous_outputs(tmp_path, monkeypatch):
+    # The report is formatted before either file is moved, so a formatter that
+    # raises leaves both old files in place and no temporary file behind.
+    outdir = tmp_path / "out"
+    assert _simulate_outputs(outdir, "20")[0] == 0
+    names = ["summary.csv", "transcripts.jsonl"]
+    before = {name: (outdir / name).read_bytes() for name in names}
+
+    def broken(x):
+        raise ValueError("formatter failed")
+
+    monkeypatch.setattr(cli, "_fmt_rat", broken)
+    status, out, err = _simulate_outputs(outdir, "30")
+    assert status == 2 and out == ""
+    assert _error_lines(err) == ["error: formatter failed"]
+    assert sorted(os.listdir(outdir)) == names
+    assert {name: (outdir / name).read_bytes() for name in names} == before
+
+
+def test_failed_transcript_move_keeps_previous_summary(tmp_path):
+    # transcripts.jsonl is moved first, so when that move fails summary.csv
+    # is not replaced either.
+    outdir = tmp_path / "out"
+    assert _simulate_outputs(outdir, "20")[0] == 0
+    summary = (outdir / "summary.csv").read_bytes()
+    (outdir / "transcripts.jsonl").unlink()
+    (outdir / "transcripts.jsonl").mkdir()
+    status, out, err = _simulate_outputs(outdir, "30")
+    assert status == 2 and out == ""
+    assert len(_error_lines(err)) == 1, err
+    assert (outdir / "summary.csv").read_bytes() == summary
+    assert sorted(os.listdir(outdir)) == ["summary.csv", "transcripts.jsonl"]
+
+
+TOO_MANY_DIGITS = ["1e-99999999", f"1e-{MAX_DIGITS}", "1/" + "9" * (MAX_DIGITS + 1),
+                   "0." + "3" * (MAX_DIGITS + 100)]
+
+
+@pytest.mark.parametrize("value", TOO_MANY_DIGITS, ids=["huge-exponent", "cap-exponent", "denominator",
+                                                         "long-decimal"])
+@pytest.mark.parametrize("field", ["--alpha", "beta", "q0"])
+def test_values_past_the_digit_cap_fail_before_any_trial(tmp_path, field, value):
+    mixture = {"--alpha": MIX_OK, "beta": {**MIX_OK, "beta": value}, "q0": {**MIX_OK, "q0": [[0, 0, value]]}}
+    path = tmp_path / "mix.json"
+    path.write_text(json.dumps(mixture[field]))
+    argv = ["simulate", "--graph", "path:5", "--k", "1", "--adversary", f"mixture:{path}",
+            "--trials", "5", "--outdir", str(tmp_path / "out")]
+    status, out, err = _run_main(argv + (["--alpha", value] if field == "--alpha" else []))
+    assert status == 2 and out == ""
+    lines = _error_lines(err)
+    assert len(lines) == 1 and field in lines[0], err
+    assert not (tmp_path / "out").exists()
+
+
+def test_values_at_the_digit_cap_are_read_exactly(tmp_path):
+    # 10**-(MAX_DIGITS - 1) has a denominator of exactly MAX_DIGITS digits.
+    status, out, _ = _run_main(["simulate", "--graph", "path:3", "--k", "1", "--adversary", "honest",
+                                "--trials", "2", "--alpha", f"1e-{MAX_DIGITS - 1}", "--outdir", str(tmp_path)])
+    assert status == 0
+    assert f"alpha: 1/1{'0' * (MAX_DIGITS - 1)} (0) [--alpha]" in out
+    with pytest.raises(ValueError, match=f"beta needs more than {MAX_DIGITS} digits"):
+        cli._fraction("9" * (MAX_DIGITS + 1), "beta")
+    assert cli._fraction("9" * MAX_DIGITS, "beta") == 10**MAX_DIGITS - 1
 
 
 # Boundary fuzzing: every input ends in exit 0, or exit 2 with exactly one
