@@ -106,10 +106,16 @@ def _fraction(value, field: str) -> Fraction:
 
 
 def probability(text: str) -> Fraction:
-    """argparse type of --alpha: an exact fraction in [0, 1]."""
-    p = _fraction(text, "alpha")
-    if not 0 <= p <= 1:
-        raise ValueError(f"alpha must lie in [0, 1], got {text!r}")
+    """argparse type of --alpha: an exact fraction in [0, 1].
+
+    Errors are raised as ArgumentTypeError, whose message argparse prints;
+    for a ValueError it prints only "invalid probability value"."""
+    try:
+        p = _fraction(text, "alpha")
+        if not 0 <= p <= 1:
+            raise ValueError(f"alpha must lie in [0, 1], got {text!r}")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return p
 
 

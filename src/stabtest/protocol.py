@@ -9,6 +9,15 @@ are reproducible regardless of execution order.
 
 RNG consumption order within a trial: adversary draw first, then the
 partition shuffle, then (only when requested) raw outcome sampling.
+
+The partition shuffle, a mixture's bad-copy placements and a single bad
+copy's place are drawn by the kernel's own loops over rng.getrandbits. Each
+loop consumes the same Mersenne-Twister words in the same order as the
+CPython 3.11 random.Random method it stands for (shuffle, sample(range(n), m)
+and randrange(n)), returns the same result and leaves the generator in the
+same state; tests/test_protocol.py compares them. Transcripts therefore do not
+depend on the random.py of the running Python: if a later CPython changes
+those methods, the comparison tests fail and the transcripts stay as they are.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .analytics import _checked_atoms, checked_mixture
 from .gf2 import BitVector
@@ -209,6 +218,7 @@ class _Plan:
         self.g = g
         self.k = k
         self.copies = list(range(n))
+        self.steps = _shuffle_steps(n)
         clean = self._class_record(0, 0)
 
         if isinstance(model, Honest):
@@ -219,7 +229,8 @@ class _Plan:
 
             def draw(rng: random.Random) -> list[_Record]:
                 records = [clean] * n
-                records[rng.randrange(n)] = bad
+                # The words and the value of random.Random.randrange(n).
+                records[_sample(rng.getrandbits, n, 1)[0]] = bad
                 return records
         elif isinstance(model, ClassMixture):
             # (counts, running totals) of Q0, then of Q1, from the checked atoms.
@@ -237,7 +248,7 @@ class _Plan:
                 counts, totals = tables[c]
                 a, b = counts[_pick(totals, rng.random())]
                 records = [clean] * n
-                chosen = rng.sample(range(n), a + b + c)
+                chosen = _sample(rng.getrandbits, n, a + b + c)
                 for pos in chosen[:a]:
                     records[pos] = rep10
                 for pos in chosen[a : a + b]:
@@ -333,6 +344,55 @@ def _pick(totals: list[float], x: float) -> int:
     return min(bisect_right(totals, x), len(totals) - 1)
 
 
+def _shuffle_steps(n: int) -> list[tuple[int, int]]:
+    """The steps of random.Random.shuffle over n items, last position first:
+    (i, width), where position i swaps with a draw below i + 1 taken
+    width = (i + 1).bit_length() bits at a time."""
+    return [(i, (i + 1).bit_length()) for i in reversed(range(1, n))]
+
+
+def _shuffle(getrandbits: Callable[[int], int], order: list[int], steps: list[tuple[int, int]]) -> None:
+    """random.Random.shuffle(order) drawn from getrandbits, over the
+    _shuffle_steps of len(order)."""
+    for i, width in steps:
+        j = getrandbits(width)
+        while j > i:
+            j = getrandbits(width)
+        order[i], order[j] = order[j], order[i]
+
+
+def _sample(getrandbits: Callable[[int], int], n: int, m: int) -> list[int]:
+    """random.Random.sample(range(n), m) for 0 <= m <= n, drawn from getrandbits.
+
+    Both of sample's branches, with its choice between them: a pool of the
+    unpicked values while n is at most setsize, else redraws of values
+    already picked.
+    """
+    setsize = 21
+    if m > 5:
+        setsize += 4 ** math.ceil(math.log(m * 3, 4))
+    chosen = []
+    if n <= setsize:
+        pool = list(range(n))
+        for left in range(n, n - m, -1):
+            width = left.bit_length()
+            j = getrandbits(width)
+            while j >= left:
+                j = getrandbits(width)
+            chosen.append(pool[j])
+            pool[j] = pool[left - 1]
+    else:
+        width = n.bit_length()
+        selected = set()
+        for _ in range(m):
+            j = getrandbits(width)
+            while j >= n or j in selected:
+                j = getrandbits(width)
+            selected.add(j)
+            chosen.append(j)
+    return chosen
+
+
 def _block_pauli(g: BipartiteGraphState, masks: tuple[int, int, int, int]) -> BlockPauli:
     u_b, u_w, v_b, v_w = masks
     return BlockPauli(
@@ -361,7 +421,7 @@ def _trial(plan: _Plan, seed: int) -> _Round:
     rng = random.Random(seed)
     records = plan.draw(rng)
     order = plan.copies[:]
-    rng.shuffle(order)
+    _shuffle(rng.getrandbits, order, plan.steps)
     k = plan.k
     accepted = True
     for j in order[:k]:

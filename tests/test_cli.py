@@ -430,6 +430,18 @@ def test_values_past_the_digit_cap_fail_before_any_trial(tmp_path, field, value)
     assert status == 2 and out == ""
     lines = _error_lines(err)
     assert len(lines) == 1 and field in lines[0], err
+    assert f"more than {MAX_DIGITS} digits" in lines[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["2", "-1/2", "1.0000001"])
+def test_alpha_outside_the_unit_interval_says_so(tmp_path, value):
+    status, out, err = _run_main(["simulate", "--graph", "path:3", "--k", "1", "--adversary", "honest",
+                                  "--trials", "2", f"--alpha={value}", "--outdir", str(tmp_path / "out")])
+    assert status == 2 and out == ""
+    assert _error_lines(err) == [
+        f"stabtest simulate: error: argument --alpha: alpha must lie in [0, 1], got {value!r}"
+    ], err
     assert not (tmp_path / "out").exists()
 
 

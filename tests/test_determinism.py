@@ -13,7 +13,16 @@ import pytest
 from stabtest.cli import main, parse_graph
 from stabtest.gf2 import BitVector
 from stabtest.pauli import BlockPauli, identity_attack
-from stabtest.protocol import Explicit, IidPauli, estimate, run_protocol, run_trials, transcript_to_json
+from stabtest.protocol import (
+    ClassMixture,
+    Explicit,
+    IidPauli,
+    estimate,
+    run_protocol,
+    run_trials,
+    transcript_lines,
+    transcript_to_json,
+)
 
 MIXTURE = {"beta": "0.5", "q0": [[0, 0, 3], [2, 1, 1]], "q1": [[1, 0, 1]]}
 
@@ -171,6 +180,19 @@ EXPLICIT_GOLDEN = (
 )
 
 
+# sha256 of the transcript_lines of a mixture on grid:3x3 with k = 11 (23
+# copies, up to 5 bad ones), 300 trials, seed 8, and the estimate counts.
+# 23 copies pass sample's 21-entry set size, so this pins its set branch,
+# which no 2k+1 <= 21 golden reaches. Captured while the kernel still called
+# random.Random.sample and random.Random.shuffle.
+MIXTURE_K11_GOLDEN = (
+    "a41fe50bcdbbee166061bb38c7ae79e04bb33be17d332a5bf04f26fd8e3b0374",
+    {"trials": 300, "accepted": 37, "accepted_clean": 35},
+)
+MIXTURE_K11 = ("1/3", {(0, 0): "1/4", (2, 1): "1/4", (3, 2): "1/2"},
+               {(0, 0): "1/5", (1, 0): "2/5", (2, 2): "2/5"})
+
+
 def _explicit_model(g, k):
     """Up to four atoms per copy, zero-probability atoms first, in the middle
     and last, and one copy whose totals stop 1e-10 short of 1."""
@@ -238,6 +260,13 @@ def test_explicit_draw_matches_golden_hash():
     model = _explicit_model(g, 3)
     lines = [transcript_to_json(t, i) for i, t in enumerate(run_trials(g, 3, model, 300, 21))]
     assert (_sha(("\n".join(lines) + "\n").encode()), estimate(g, 3, model, 300, 21).counts) == EXPLICIT_GOLDEN
+
+
+def test_mixture_past_the_sample_set_size_matches_golden_hash():
+    g = parse_graph("grid:3x3")
+    model = ClassMixture.from_weights(*MIXTURE_K11)
+    lines = [line for line, _, _ in transcript_lines(g, 11, model, 300, 8)]
+    assert (_sha(("\n".join(lines) + "\n").encode()), estimate(g, 11, model, 300, 8).counts) == MIXTURE_K11_GOLDEN
 
 
 def test_verify_bounds_matches_golden_hash(tmp_path, capsys):

@@ -13,6 +13,7 @@ from stabtest.gf2 import BitMatrix, BitVector
 from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
 from stabtest.pauli import BlockClass, BlockPauli, identity_attack, syndromes
 from stabtest.protocol import (
+    MAX_COPIES,
     ClassMixture,
     EstimateResult,
     Explicit,
@@ -27,7 +28,7 @@ from stabtest.protocol import (
     transcript_to_json,
     trial_seed,
 )
-from stabtest.protocol import _pick, _running_totals
+from stabtest.protocol import _pick, _Plan, _running_totals, _sample, _shuffle, _shuffle_steps, _trial
 from stabtest.reduction import relation_failures
 
 G5 = path_graph(5)
@@ -523,3 +524,82 @@ def test_iid_estimate_matches_full_runs_on_random_graphs(g, k, p_x, p_z, seed):
     runs = [tr for tr in run_trials(g, k, model, 5, seed) if tr.accepted]
     assert est.counts["accepted"] == len(runs)
     assert est.counts["accepted_clean"] == sum(tr.third_fidelity for tr in runs)
+
+
+# The kernel's getrandbits loops against the random.Random methods they stand
+# for: the same result and the same generator state afterwards. n covers
+# every small size, two larger ones and the largest copy count a run accepts;
+# m is 0 (no draw), 1 (the draws of randrange), 5 (the largest m of the
+# 21-entry set size), 6 (the first m whose set size grows, to 85), n // 2 and
+# n. Pool branch: n <= 21, or m > 5 with n within the grown set size; set
+# branch: n > 21 with m <= 5, or n = 101, 1001 and MAX_COPIES - 1 with m = 6.
+_STREAM_SIZES = [*range(1, 71), 101, 1001, MAX_COPIES - 1]
+
+
+@pytest.mark.parametrize("n", _STREAM_SIZES)
+def test_shuffle_draws_the_stream_of_random_shuffle(n):
+    for seed in range(4):
+        ref = random.Random(seed)
+        expected = list(range(n))
+        ref.shuffle(expected)
+        rng = random.Random(seed)
+        order = list(range(n))
+        _shuffle(rng.getrandbits, order, _shuffle_steps(n))
+        assert order == expected
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", _STREAM_SIZES)
+def test_sample_draws_the_stream_of_random_sample(n):
+    for m in sorted({0, 1, 5, 6, n // 2, n} & set(range(n + 1))):
+        for seed in range(4):
+            ref = random.Random(seed)
+            expected = ref.sample(range(n), m)
+            rng = random.Random(seed)
+            assert _sample(rng.getrandbits, n, m) == expected, (n, m, seed)
+            assert rng.getstate() == ref.getstate(), (n, m, seed)
+
+
+@pytest.mark.parametrize("n", _STREAM_SIZES)
+def test_one_sample_draws_the_stream_of_randrange(n):
+    for seed in range(4):
+        ref = random.Random(seed)
+        rng = random.Random(seed)
+        assert _sample(rng.getrandbits, n, 1) == [ref.randrange(n)]
+        assert rng.getstate() == ref.getstate()
+
+
+def _class_record(s, t):
+    return s, t, (0, 0, s, t)
+
+
+@pytest.mark.parametrize("k", [2, 10, 11, 50])
+def test_trial_draws_match_the_random_methods(k):
+    # The loops above in the trial kernel: a single bad copy is placed by
+    # randrange(n), a mixture's bad copies by sample(range(n), m), and the
+    # order is shuffled after the draw.
+    n = 2 * k + 1
+    single = _Plan(G5, k, SingleBadCopy(BlockClass(1, 1)))
+    mixture = _Plan(G5, k, _mixture("1/2", {(0, 0): "1/4", (3, 2): "3/4"}, {(1, 2): 1}))
+    for seed in range(20):
+        ref = random.Random(seed)
+        expected = [_class_record(0, 0)] * n
+        expected[ref.randrange(n)] = _class_record(1, 1)
+        order = list(range(n))
+        ref.shuffle(order)
+        rng, records, got_order, _, _ = _trial(single, seed)
+        assert (records, got_order, rng.getstate()) == (expected, order, ref.getstate())
+
+        ref = random.Random(seed)
+        c = 0 if ref.random() < 0.5 else 1
+        x = ref.random()
+        a, b = (1, 2) if c else (0, 0) if x < 0.25 else (3, 2)
+        chosen = ref.sample(range(n), a + b + c)
+        expected = [_class_record(0, 0)] * n
+        for positions, s, t in ((chosen[:a], 1, 0), (chosen[a : a + b], 0, 1), (chosen[a + b :], 1, 1)):
+            for pos in positions:
+                expected[pos] = _class_record(s, t)
+        order = list(range(n))
+        ref.shuffle(order)
+        rng, records, got_order, _, _ = _trial(mixture, seed)
+        assert (records, got_order, rng.getstate()) == (expected, order, ref.getstate())
