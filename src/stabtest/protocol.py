@@ -5,7 +5,9 @@ copies uniformly into groups of sizes (k, k, 1), tests group 1 against the
 B-side syndromes and group 2 against the W-side syndromes, and records the
 third copy's fidelity indicator. Everything is driven by a single seeded RNG
 per trial; per-trial seeds derive from a master seed via SHA-256, so results
-are reproducible regardless of execution order.
+are reproducible regardless of execution order. A trial loop reseeds one
+generator per trial to the state random.Random(seed) would start from (see
+_trials).
 
 RNG consumption order within a trial: adversary draw first, then the
 partition shuffle, then (only when requested) raw outcome sampling.
@@ -22,7 +24,7 @@ those methods, the comparison tests fail and the transcripts stay as they are.
 
 from __future__ import annotations
 
-import hashlib
+import _random
 import math
 import random
 from bisect import bisect_right
@@ -30,6 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Union
+
+try:
+    # hashlib loads OpenSSL; the lean built-in module gives the same digest.
+    from _sha256 import sha256 as _sha256
+except ImportError:
+    from hashlib import sha256 as _sha256
 
 from .analytics import _checked_atoms, checked_mixture
 from .gf2 import BitVector
@@ -193,7 +201,7 @@ MAX_COPIES = 2**16
 
 def trial_seed(master_seed: int, index: int) -> int:
     """Derived per-trial seed: top 8 bytes of SHA-256('{master_seed}:{index}')."""
-    digest = hashlib.sha256(f"{master_seed}:{index}".encode()).digest()
+    digest = _sha256(f"{master_seed}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -411,14 +419,14 @@ def draw_attack(
 _Round = tuple[random.Random, list[_Record], list[int], bool, int]
 
 
-def _trial(plan: _Plan, seed: int) -> _Round:
-    """One round: draw the copies, partition them, test them.
+def _trial(plan: _Plan, rng: random.Random) -> _Round:
+    """One round from a freshly seeded generator: draw the copies, partition
+    them, test them.
 
     order[:k] is group 1, order[k:2k] group 2 and order[-1] the kept copy;
-    third_fidelity is 1 iff the kept copy is clean, and rng is left where the
-    shuffle left it.
+    third_fidelity is 1 iff the kept copy is clean. The round returns rng
+    itself, left where the shuffle left it.
     """
-    rng = random.Random(seed)
     records = plan.draw(rng)
     order = plan.copies[:]
     _shuffle(rng.getrandbits, order, plan.steps)
@@ -442,24 +450,31 @@ def _trials(
 ) -> Iterator[tuple[int, _Round]]:
     """(seed, _trial's round) for trials 0..trials-1 under derived per-trial seeds.
 
-    The one trial loop behind run_trials, transcript_lines and estimate.
-    trial_seed is looked up on the module at every trial, as a traced run
-    replaces it there.
+    The one trial loop behind run_trials, transcript_lines and estimate. It
+    keeps one generator and reseeds it for every trial with the C seeding
+    that random.Random(seed) runs for an int seed, which leaves the same
+    state. Every round holds that shared generator, so no consumer may use a
+    round's rng once the next trial has been drawn. trial_seed is looked up on
+    the module at every trial, as a traced run replaces it there.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     plan = _Plan(g, k, model)
+    rng = random.Random()
+    reseed = _random.Random.seed
     for index in range(trials):
         seed = trial_seed(master_seed, index)
-        yield seed, _trial(plan, seed)
+        reseed(rng, seed)
+        yield seed, _trial(plan, rng)
 
 
-def _partition(order: list[int], k: int) -> list[int]:
-    """Group of each copy (1, 2, or 3 for the kept one) from _trial's order."""
-    partition = [2] * len(order)
+def _partition(order: list[int], k: int) -> list[str]:
+    """Group label of each copy ("1", "2", or "3" for the kept one) from
+    _trial's order."""
+    partition = ["2"] * len(order)
     for i in order[:k]:
-        partition[i] = 1
-    partition[order[-1]] = 3
+        partition[i] = "1"
+    partition[order[-1]] = "3"
     return partition
 
 
@@ -478,7 +493,7 @@ def _transcript(
     return Transcript(
         k=k,
         seed=seed,
-        partition=tuple(_partition(order, k)),
+        partition=tuple(map(int, _partition(order, k))),
         classes=tuple(_CLASS[bool(sigma1), bool(sigma2)] for sigma1, sigma2, _ in records),
         accepted=accepted,
         third_fidelity=third,
@@ -494,7 +509,8 @@ def run_protocol(
     record_outcomes: bool = False,
 ) -> Transcript:
     """Run one full protocol round and return its transcript."""
-    return _transcript(g, k, seed, _trial(_Plan(g, k, model), seed), record_outcomes)
+    # A generator of its own: outcome sampling draws from it after the trial.
+    return _transcript(g, k, seed, _trial(_Plan(g, k, model), random.Random(seed)), record_outcomes)
 
 
 def run_trials(
@@ -524,7 +540,7 @@ def transcript_lines(
     for index, (seed, (_, records, order, accepted, third)) in enumerate(
         _trials(g, k, model, trials, master_seed)
     ):
-        classes = [_CLASS_JSON[bool(sigma1), bool(sigma2)] for sigma1, sigma2, _ in records]
+        classes = [_CLASS_JSON[not not sigma1, not not sigma2] for sigma1, sigma2, _ in records]
         yield _json_line(index, seed, _partition(order, k), classes, accepted, third), accepted, third
 
 
@@ -550,16 +566,17 @@ def estimate(
 def _json_line(
     trial: int,
     seed: int,
-    partition: Iterable[int],
+    partition: Iterable[str],
     classes: Iterable[str],
     accepted: bool,
     third_fidelity: int,
 ) -> str:
     """One line of the persisted transcript schema: json.dumps of the dict
     {"trial", "seed", "partition", "classes", "accepted", "third_fidelity"},
-    with its default separators. ``classes`` holds _CLASS_JSON fragments."""
+    with its default separators. ``partition`` holds the group labels of
+    _partition and ``classes`` the _CLASS_JSON fragments."""
     return (
-        f'{{"trial": {trial}, "seed": {seed}, "partition": [{", ".join(map(str, partition))}], '
+        f'{{"trial": {trial}, "seed": {seed}, "partition": [{", ".join(partition)}], '
         f'"classes": [{", ".join(classes)}], "accepted": {"true" if accepted else "false"}, '
         f'"third_fidelity": {third_fidelity}}}'
     )
@@ -568,4 +585,4 @@ def _json_line(
 def transcript_to_json(t: Transcript, trial: int) -> str:
     """One JSON line in the persisted transcript schema."""
     classes = [_CLASS_JSON[c.s, c.t] for c in t.classes]
-    return _json_line(trial, t.seed, t.partition, classes, t.accepted, t.third_fidelity)
+    return _json_line(trial, t.seed, map(str, t.partition), classes, t.accepted, t.third_fidelity)

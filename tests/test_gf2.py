@@ -63,6 +63,19 @@ def test_bitvector_rejects_out_of_range_bits():
         BitVector(2, 4)
     with pytest.raises(ValueError):
         BitVector(-1, 0)
+    for n in (0, 1, 5, 64):
+        assert BitVector(n, (1 << n) - 1).bits == (1 << n) - 1
+        with pytest.raises(ValueError, match="out of range"):
+            BitVector(n, 1 << n)
+
+
+@pytest.mark.parametrize("n_cols", [0, 1, 5, 64])
+def test_bitmatrix_rows_stop_just_below_one_shifted_by_n_cols(n_cols):
+    top = (1 << n_cols) - 1
+    assert BitMatrix(2, n_cols, (0, top)).rows == (0, top)
+    for row in (1 << n_cols, -1):
+        with pytest.raises(ValueError, match="row bits out of range"):
+            BitMatrix(2, n_cols, (0, row))
 
 
 def test_bitmatrix_construction_round_trip():

@@ -1,7 +1,13 @@
+import hashlib
+import importlib.util
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +34,16 @@ from stabtest.protocol import (
     transcript_to_json,
     trial_seed,
 )
-from stabtest.protocol import _pick, _Plan, _running_totals, _sample, _shuffle, _shuffle_steps, _trial
+from stabtest.protocol import (
+    _pick,
+    _Plan,
+    _running_totals,
+    _sample,
+    _shuffle,
+    _shuffle_steps,
+    _trial,
+    _trials,
+)
 from stabtest.reduction import relation_failures
 
 G5 = path_graph(5)
@@ -43,6 +58,28 @@ def test_trial_seed_is_stable_and_spread():
     seen = {trial_seed(7, i) for i in range(1000)}
     assert len(seen) == 1000
     assert trial_seed(7, 0) != trial_seed(8, 0)
+    assert trial_seed(0, 0) == 12426054289685354689
+    assert trial_seed(2015, 7) == 16484481422627069366
+
+
+@pytest.mark.parametrize("master_seed", [0, 7, -5, 2**32 - 1, 10**30])
+def test_trial_seed_matches_hashlib(master_seed):
+    # hashlib as the independent reference for the built-in SHA-256 the
+    # package hashes with.
+    for index in range(200):
+        digest = hashlib.sha256(f"{master_seed}:{index}".encode()).digest()
+        assert trial_seed(master_seed, index) == int.from_bytes(digest[:8], "big")
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None, reason="no built-in _sha256 module")
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    # hashlib loads OpenSSL, a few ms of every command's start-up.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, stabtest.cli; print('hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_honest_run_always_accepts():
@@ -560,6 +597,20 @@ def test_sample_draws_the_stream_of_random_sample(n):
             assert rng.getstate() == ref.getstate(), (n, m, seed)
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sample_draws_the_stream_of_random_sample_at_every_small_size(seed):
+    # Every (n, m) up to 300 and 40, so the set size's growth with m is
+    # pinned: each m > 5 moves the pool/set boundary, and a wrong formula
+    # first shows at n in the 80s.
+    for n in range(301):
+        for m in range(min(n, 40) + 1):
+            ref = random.Random(seed)
+            expected = ref.sample(range(n), m)
+            rng = random.Random(seed)
+            assert _sample(rng.getrandbits, n, m) == expected, (n, m)
+            assert rng.getstate() == ref.getstate(), (n, m)
+
+
 @pytest.mark.parametrize("n", _STREAM_SIZES)
 def test_one_sample_draws_the_stream_of_randrange(n):
     for seed in range(4):
@@ -587,7 +638,7 @@ def test_trial_draws_match_the_random_methods(k):
         expected[ref.randrange(n)] = _class_record(1, 1)
         order = list(range(n))
         ref.shuffle(order)
-        rng, records, got_order, _, _ = _trial(single, seed)
+        rng, records, got_order, _, _ = _trial(single, random.Random(seed))
         assert (records, got_order, rng.getstate()) == (expected, order, ref.getstate())
 
         ref = random.Random(seed)
@@ -601,5 +652,32 @@ def test_trial_draws_match_the_random_methods(k):
                 expected[pos] = _class_record(s, t)
         order = list(range(n))
         ref.shuffle(order)
-        rng, records, got_order, _, _ = _trial(mixture, seed)
+        rng, records, got_order, _, _ = _trial(mixture, random.Random(seed))
         assert (records, got_order, rng.getstate()) == (expected, order, ref.getstate())
+
+
+_RESEED_MODELS = {
+    "honest": Honest(),
+    "single-bad": SingleBadCopy(BlockClass(1, 1)),
+    "iid": IidPauli(0.3, 0.1),
+    "mixture": _LINE_MODELS["mixture"],
+    "explicit": None,  # sized per graph by _explicit
+}
+
+
+@pytest.mark.parametrize("graph", ["path:5", "grid:3x3", "rhg:2x2x2"])
+@pytest.mark.parametrize("kind", sorted(_RESEED_MODELS))
+@pytest.mark.parametrize("k", [1, 2, 11])
+def test_trial_loop_reseeds_to_the_state_of_a_fresh_generator(graph, kind, k):
+    # The loop reseeds one shared generator per trial; every round must be
+    # the one a fresh random.Random(trial_seed(m, i)) gives, down to the
+    # generator state, read before the next trial reseeds it.
+    g = parse_graph(graph)
+    model = _explicit(g, k) if kind == "explicit" else _RESEED_MODELS[kind]
+    plan = _Plan(g, k, model)
+    rounds = _trials(g, k, model, 25, 31)
+    for index, (seed, (rng, records, order, accepted, third)) in enumerate(rounds):
+        assert seed == trial_seed(31, index)
+        ref_rng, *expected = _trial(plan, random.Random(seed))
+        assert [records, order, accepted, third] == expected
+        assert rng.getstate() == ref_rng.getstate()
