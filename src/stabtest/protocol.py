@@ -27,6 +27,7 @@ from __future__ import annotations
 import _random
 import math
 import random
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,21 +73,22 @@ _CLASS = {
 # The persisted spelling of each class, as json.dumps writes [s, t].
 _CLASS_JSON = {(s, t): f"[{int(s)}, {int(t)}]" for s in (False, True) for t in (False, True)}
 
-# Bulk IID draws. random() is ((w0 >> 5) * 2**26 + (w1 >> 6)) / 2**53 over two
-# consecutive Mersenne-Twister words, and getrandbits(64 * m) returns the words
-# of m random() calls low word first, so 64-bit lane i of the draw holds the
-# words of the i-th call and leaves the generator in the same state.
-_LANE_HI = (0xFFFFFFE0).to_bytes(8, "big")  # w0 >> 5, still at bit 5
-_LANE_LO = ((1 << 26) - 1).to_bytes(8, "big")  # w1 >> 6, once shifted down by 38
-_LANE_GUARD = (1 << 53).to_bytes(8, "big")
-# Guard byte of a lane after masking: 0x20 if random() >= p, else 0x00.
-_FLIPPED = bytes.maketrans(b"\x00\x20", b"10")
+# Bulk IID draws. random() is x / 2**53 with x = (w0 >> 5) * 2**26 + (w1 >> 6)
+# over two consecutive Mersenne-Twister words, and getrandbits(64 * m) returns
+# the words of m random() calls low word first, so 64-bit lane i of the draw
+# holds the words of the i-th call and leaves the generator in the same state.
+# Big-endian, a lane is w1 then w0, and its byte 4, the top byte of w0, is
+# bits 45-52 of x.
+_LANE_WORDS = struct.Struct(">II")
 
 
-def _lane_offset(p: float) -> bytes:
-    """2**53 - ceil(p * 2**53): the lane's 53-bit value x reaches bit 53 after
-    adding it exactly when x / 2**53 >= p, i.e. when random() < p is false."""
-    return ((1 << 53) - math.ceil(p * (1 << 53))).to_bytes(8, "big")
+def _lane_table(p) -> tuple[int, bytes]:
+    """T = ceil(p * 2**53), so that random() < p exactly when x < T, and a
+    translate table from a lane's top byte b to b"1" (b < T >> 45, so x < T),
+    b"0" (b > T >> 45, so x >= T) or b"?" (a tie, settled by x < T)."""
+    T = math.ceil(p * (1 << 53))
+    t = T >> 45
+    return T, (b"1" * t + b"?" + b"0" * 255)[:256]
 
 
 @dataclass(frozen=True)
@@ -269,31 +271,35 @@ class _Plan:
                 raise ValueError("flip probabilities must be in [0, 1]")
             # Per copy, one bulk draw covers exactly the Mersenne-Twister words
             # of one random() call per qubit, in lane order u_b, u_w (prob
-            # p_x), then v_b, v_w (p_z); bit i of a mask is set iff that
-            # random() call falls below its flip probability.
+            # p_x), then v_b, v_w (p_z), and leaves the generator in the state
+            # those calls would; bit i of a mask is set iff that random() call
+            # falls below its flip probability. A lane's top byte decides its
+            # flip; only a tie (about one lane in 256) reads the lane's
+            # 8 bytes for the exact compare x < T.
             n_b, n_w = g.n_b, g.n_w
             half = n_b + n_w
-            lanes = 2 * half
-            n_bits = 64 * lanes
-            n_bytes = 8 * lanes
-            hi = int.from_bytes(_LANE_HI * lanes, "big")
-            lo = int.from_bytes(_LANE_LO * lanes, "big")
-            guard = int.from_bytes(_LANE_GUARD * lanes, "big")
-            # Big-endian, so the last lane comes first.
-            offset = int.from_bytes(
-                _lane_offset(model.p_z) * half + _lane_offset(model.p_x) * half, "big"
-            )
+            n_bits = 128 * half
+            n_bytes = 16 * half
+            # Big-endian, so the last lane comes first: the p_z half, then p_x.
+            z_tops = slice(4, 8 * half, 8)
+            x_tops = slice(8 * half + 4, None, 8)
+            tz, table_z = _lane_table(model.p_z)
+            tx, table_x = _lane_table(model.p_x)
             b_mask = (1 << n_b) - 1
             w_mask = (1 << n_w) - 1
 
             def draw(rng: random.Random) -> list[_Record]:
                 records = []
                 for _ in range(n):
-                    r = rng.getrandbits(n_bits)
-                    x = ((r & hi) << 21) | ((r >> 38) & lo)
-                    kept = (x + offset) & guard
-                    # One digit per lane, last lane first, so bit i of the parse is lane i.
-                    digits = kept.to_bytes(n_bytes, "big")[1::8].translate(_FLIPPED)
+                    raw = rng.getrandbits(n_bits).to_bytes(n_bytes, "big")
+                    # Digit d is lane 2 * half - 1 - d, so bit i of the parse is lane i.
+                    digits = bytearray(raw[z_tops].translate(table_z) + raw[x_tops].translate(table_x))
+                    d = digits.find(b"?")
+                    while d >= 0:
+                        w1, w0 = _LANE_WORDS.unpack_from(raw, 8 * d)
+                        # In place: a tie costs O(1), not a copy of the digits.
+                        digits[d] = b"01"[((w0 >> 5) << 26 | w1 >> 6) < (tz if d < half else tx)]
+                        d = digits.find(b"?", d + 1)
                     flips = int(digits or b"0", 2)
                     masks = (
                         flips & b_mask,

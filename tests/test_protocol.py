@@ -503,7 +503,7 @@ def _assert_bulk_draw_matches_reference(g, k, p_x, p_z, seed):
     rng = random.Random(seed)
     attacks = draw_attack(IidPauli(p_x, p_z), k, g, rng)
     assert [(a.u_b.bits, a.u_w.bits, a.v_b.bits, a.v_w.bits) for a in attacks] == expected
-    assert rng.random() == ref_rng.random()
+    assert rng.getstate() == ref_rng.getstate()
 
 
 _PROBS = st.one_of(
@@ -527,6 +527,11 @@ def _bipartite_graph(draw):
 @given(p_x=_PROBS, p_z=_PROBS, seed=st.integers(0, 2**64 - 1))
 @example(p_x=0.0, p_z=1.0, seed=0)
 @example(p_x=5e-324, p_z=math.nextafter(1.0, 0.0), seed=1)
+# IidPauli also takes int and Fraction p; ceil(p * 2**53) must stay exact for them.
+@example(p_x=Fraction(1, 3), p_z=Fraction(1, 256), seed=2)
+@example(p_x=Fraction(1, 256), p_z=Fraction(1, 3), seed=3)
+@example(p_x=0, p_z=1, seed=4)
+@example(p_x=1, p_z=0, seed=5)
 @settings(max_examples=60, deadline=None)
 def test_bulk_iid_draw_matches_per_qubit_loop(g, p_x, p_z, seed):
     _assert_bulk_draw_matches_reference(g, 1, p_x, p_z, seed)
@@ -550,6 +555,18 @@ def test_bulk_iid_draw_is_exact_at_the_drawn_value(seed):
     assert first.u_b.bits & 1
     first = draw_attack(IidPauli(v, 0.0), 1, G5, random.Random(seed))[0]
     assert not first.u_b.bits & 1
+    # The same at every lane of the first copy, where a lane's top byte ties
+    # and the exact compare decides: p on the lane's half is the value its
+    # random() call returns or one ulp either side, and the other half gets
+    # 1 - p, so a threshold taken from the wrong half shows.
+    for g in (G5, rhg_lattice(2, 2, 2)):
+        half = g.n_b + g.n_w
+        rng = random.Random(seed)
+        for lane in range(2 * half):
+            v = rng.random()
+            for p in (math.nextafter(v, 0.0), v, math.nextafter(v, 1.0)):
+                p_x, p_z = (p, 1.0 - p) if lane < half else (1.0 - p, p)
+                _assert_bulk_draw_matches_reference(g, 1, p_x, p_z, seed)
 
 
 @given(g=_bipartite_graph(), k=st.integers(1, 2), p_x=_PROBS, p_z=_PROBS,
