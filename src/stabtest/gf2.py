@@ -136,10 +136,11 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         rows = [0] * self.n_cols
         for i, r in enumerate(self.rows):
+            bit = 1 << i
             while r:
-                j = r & -r
-                rows[j.bit_length() - 1] |= 1 << i
-                r ^= j
+                j = r.bit_length() - 1
+                rows[j] |= bit
+                r ^= 1 << j
         return BitMatrix(self.n_cols, self.n_rows, tuple(rows))
 
     def to_lists(self) -> list[list[int]]:
@@ -155,9 +156,9 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     for ra in a.rows:
         bits = 0
         while ra:
-            low = ra & -ra
-            bits ^= b.rows[low.bit_length() - 1]
-            ra ^= low
+            j = ra.bit_length() - 1
+            bits ^= b.rows[j]
+            ra ^= 1 << j
         rows.append(bits)
     return BitMatrix(a.n_rows, b.n_cols, tuple(rows))
 
@@ -172,44 +173,90 @@ def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
     return BitVector(m.n_rows, bits)
 
 
-def _insert(v: int, echelon: dict[int, int]) -> bool:
-    """Reduce v against rows keyed by their lowest set bit; store the
-    remainder and return True if it is nonzero."""
-    while v:
-        low = v & -v
-        pivot = echelon.get(low)
+def _insert(v: int, echelon: dict[int, int], low: int = 0) -> int:
+    """Reduce v against rows keyed by their highest set bit until its top bit
+    has no row, which stores v there, or lies in the low `low` bits.
+
+    Returns the remainder: ``_insert(...) >> low`` is nonzero exactly when v
+    was independent of the echelon above the low bits and was stored.
+    """
+    while (top := v.bit_length()) > low:
+        pivot = echelon.get(top)
         if pivot is None:
-            echelon[low] = v
-            return True
+            echelon[top] = v
+            break
         v ^= pivot
-    return False
+    return v
 
 
 def rank(m: BitMatrix) -> int:
     echelon: dict[int, int] = {}
-    return sum(_insert(row, echelon) for row in m.rows)
+    return sum(1 for row in m.rows if _insert(row, echelon))
+
+
+def _extend(echelon: dict[int, int], dim: int, low: int = 0) -> list[int]:
+    """Insert e_0, e_1, ... (shifted past the low `low` bits) until the
+    echelon spans all dim coordinates; returns the indices that were kept."""
+    kept = []
+    for i in range(dim):
+        if len(echelon) == dim:
+            break
+        if _insert(1 << (i + low), echelon, low) >> low:
+            kept.append(i)
+    return kept
+
+
+def _column_pass(columns: Sequence[int]) -> tuple[dict[int, int], list[int], list[int]]:
+    """Insert a matrix's columns left to right, column f tagged in the low
+    bits as ``(col << n) | (1 << f)`` for n columns.
+
+    Returns the echelon, the pivots (the columns that stay independent, which
+    are the leftmost independent ones) and one kernel vector per other column
+    f, ascending: the tag it is left with, e_f plus earlier pivots only, which
+    is the kernel vector supported on the pivots and f.
+    """
+    n = len(columns)
+    echelon: dict[int, int] = {}
+    pivots, kernel = [], []
+    for f, col in enumerate(columns):
+        v = _insert((col << n) | (1 << f), echelon, n)
+        if v >> n:
+            pivots.append(f)
+        else:
+            kernel.append(v)
+    return echelon, pivots, kernel
+
+
+def _frame(pivots: list[int], kernel: list[int]) -> tuple[list[int], list[int]]:
+    """From `_column_pass`'s pivots and kernel vectors: the rows of
+    D = [e_p ... | kernel vectors] (its columns in that order) and the RREF
+    rows in pivot order, both from one walk over the kernel vectors' bits.
+    The kernel vector of free column f holds pivot p where RREF row p holds f.
+    """
+    n = len(pivots) + len(kernel)
+    d_rows = [0] * n
+    rref = [0] * n
+    for j, p in enumerate(pivots):
+        d_rows[p] = 1 << j
+        rref[p] = 1 << p
+    for j, v in enumerate(kernel, len(pivots)):
+        f = v.bit_length() - 1
+        col, free = 1 << j, 1 << f
+        d_rows[f] = col
+        v ^= free
+        while v:
+            p = v.bit_length() - 1
+            d_rows[p] |= col
+            rref[p] |= free
+            v ^= 1 << p
+    return d_rows, [rref[p] for p in pivots]
 
 
 def _rref(m: BitMatrix) -> tuple[list[int], list[int]]:
     """Nonzero rows of the reduced row echelon form and their pivot columns,
-    both in ascending pivot order."""
-    echelon: dict[int, int] = {}
-    for row in m.rows:
-        _insert(row, echelon)
-    lows = sorted(echelon)
-    # Back-substitute highest pivot first: rows with higher pivots are then
-    # already reduced, so XORing one in to clear its pivot brings in no other.
-    done = 0
-    for low in reversed(lows):
-        row = echelon[low]
-        hits = row & done
-        while hits:
-            bit = hits & -hits
-            row ^= echelon[bit]
-            hits ^= bit
-        echelon[low] = row
-        done |= low
-    return [echelon[low] for low in lows], [low.bit_length() - 1 for low in lows]
+    both in ascending pivot order, from the column pass over m."""
+    _, pivots, kernel = _column_pass(m.transpose().rows)
+    return _frame(pivots, kernel)[1], pivots
 
 
 def mat_inverse(m: BitMatrix) -> BitMatrix:
@@ -217,42 +264,43 @@ def mat_inverse(m: BitMatrix) -> BitMatrix:
     if m.n_rows != m.n_cols:
         raise ValueError("matrix not square")
     n = m.n_rows
-    # The identity block sits in the high bits, so m's columns pivot first.
-    augmented = BitMatrix(n, 2 * n, tuple(r | (1 << (n + i)) for i, r in enumerate(m.rows)))
-    rows, pivots = _rref(augmented)
-    if pivots != list(range(n)):
-        raise SingularMatrix(f"matrix is singular (rank < {n})")
-    return BitMatrix(n, n, tuple(r >> n for r in rows))
-
-
-def _rref_kernel(rows: list[int], pivots: list[int], n_cols: int) -> list[int]:
-    """Kernel vectors of a matrix from its `_rref`, one per free column,
-    ascending index: e_f plus the pivots of the rows that hold bit f."""
-    placed = [0] * n_cols
-    for r, p in zip(rows, pivots):
-        placed[p] = r
-    # Column f of the RREF, with row r moved to bit pivots[r], is the pivot
-    # part of the kernel vector for free column f.
-    columns = BitMatrix(n_cols, n_cols, tuple(placed)).transpose().rows
-    pivot_set = set(pivots)
-    return [(1 << f) | c for f, c in enumerate(columns) if f not in pivot_set]
+    # m sits in the high bits, so a row whose high part reduces to zero shows
+    # that m is singular.
+    echelon: dict[int, int] = {}
+    for i, r in enumerate(m.rows):
+        if not _insert((r << n) | (1 << i), echelon, n) >> n:
+            raise SingularMatrix(f"matrix is singular (rank < {n})")
+    # Every column of m is a pivot. Back-substitute lowest pivot first: the
+    # rows below are then reduced, so XORing one in to clear its pivot brings
+    # in no other pivot bit.
+    rows = []
+    done = 0  # pivot bits of the rows reduced so far
+    for top in range(n + 1, 2 * n + 1):
+        row = echelon[top]
+        while hits := row & done:
+            row ^= echelon[hits.bit_length()]
+        echelon[top] = row
+        pivot = 1 << (top - 1)
+        done |= pivot
+        rows.append(row ^ pivot)
+    return BitMatrix(n, n, tuple(rows))
 
 
 def kernel_basis(m: BitMatrix) -> list[BitVector]:
     """Basis of {x : m.x = 0}, one vector per free column, ascending index."""
-    return [BitVector(m.n_cols, v) for v in _rref_kernel(*_rref(m), m.n_cols)]
+    return [BitVector(m.n_cols, v) for v in _column_pass(m.transpose().rows)[2]]
 
 
 def column_space_basis(m: BitMatrix) -> tuple[list[BitVector], list[BitVector]]:
     """Basis of the column space with preimages: the kept columns are the
-    pivot columns of m's RREF, which are its leftmost independent columns.
+    pivots of the column pass, m's leftmost independent columns.
 
     Returns (c_basis, d_preimages) where c_basis[i] is a kept column of m,
     d_preimages[i] is the standard basis vector of the kept column index,
     so m . d_preimages[i] = c_basis[i].
     """
     columns = m.transpose().rows
-    pivots = _rref(m)[1]
+    pivots = _column_pass(columns)[1]
     return [BitVector(m.n_rows, columns[p]) for p in pivots], [BitVector.unit(m.n_cols, p) for p in pivots]
 
 
@@ -269,10 +317,4 @@ def extend_to_basis(partial: Sequence[BitVector], dim: int) -> list[BitVector]:
             raise ValueError("vector length does not match dim")
         if not _insert(v.bits, echelon):
             raise DependentInput("partial set is linearly dependent")
-    appended = []
-    for i in range(dim):
-        if len(echelon) == dim:
-            break
-        if _insert(1 << i, echelon):
-            appended.append(BitVector.unit(dim, i))
-    return appended
+    return [BitVector.unit(dim, i) for i in _extend(echelon, dim)]

@@ -85,8 +85,10 @@ _LANE_WORDS = struct.Struct(">II")
 def _lane_table(p) -> tuple[int, bytes]:
     """T = ceil(p * 2**53), so that random() < p exactly when x < T, and a
     translate table from a lane's top byte b to b"1" (b < T >> 45, so x < T),
-    b"0" (b > T >> 45, so x >= T) or b"?" (a tie, settled by x < T)."""
-    T = math.ceil(p * (1 << 53))
+    b"0" (b > T >> 45, so x >= T) or b"?" (a tie, settled by x < T).
+    Fraction(p) keeps the product exact for every p IidPauli accepts,
+    Decimal included, whose own product would round to its context."""
+    T = math.ceil(Fraction(p) * (1 << 53))
     t = T >> 45
     return T, (b"1" * t + b"?" + b"0" * 255)[:256]
 

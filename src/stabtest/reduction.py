@@ -4,13 +4,15 @@ Builds invertible matrices C (over the B side) and D (over the W side) such
 that C^-1 A D = [[I, 0], [0, 0]] with an identity block of size rank(A). In
 that frame the state splits into maximally entangled pairs plus isolated
 plus states, and the stabilizer test becomes coordinate-wise comparison.
+C, D and D^-1 come from one elimination pass over the columns of A; only C
+is inverted by a second one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector, _rref, _rref_kernel, extend_to_basis, mat_inverse, mat_mul, mat_vec
+from .gf2 import BitMatrix, BitVector, _column_pass, _extend, _frame, mat_inverse, mat_mul, mat_vec
 # perfbench/spans.py patches these by getattr; without them `--trace 1` dies with AttributeError.
 from .gf2 import column_space_basis, kernel_basis  # noqa: F401
 from .graphs import BipartiteGraphState
@@ -56,29 +58,35 @@ def compute_reduction(g: BipartiteGraphState) -> Reduction:
     Columns of C are the kept columns of A (its leftmost independent ones)
     followed by the standard-vector completion; columns of D are the unit
     vectors of the kept columns followed by a kernel basis. All of it comes
-    from one RREF of A, whose pivots are the kept columns. D^-1 is read off
-    that RREF too: in the (pivot, free) frame D = [e_p | e_f + sum R e_p],
-    so D^-1 is the RREF rows followed by e_f for each free column f. Only C
-    is inverted by elimination.
+    from one pass over the columns of A: the columns that stay independent
+    are the kept ones, the tag each other column is left with is its kernel
+    vector, and inserting e_0, e_1, ... into the same echelon completes C.
+    D and D^-1 are read off the kernel vectors: in the (pivot, free) frame
+    D = [e_p | e_f + sum R e_p], so D^-1 is the RREF rows of A followed by
+    e_f for each free column f. Only C is inverted by elimination.
+
+    The check is C C^-1 = I and (A D)_i = C_i & (2^n' - 1) for every row i,
+    that is A D = C [[I, 0], [0, 0]]: it implies C^-1 A D = [[I, 0], [0, 0]]
+    and also checks C^-1 against C.
     """
-    a = g.adjacency
-    rows, pivots = _rref(a)
-    n_prime = len(pivots)
     columns = g.adjacency_t.rows
-    c_basis = [BitVector(g.n_b, columns[p]) for p in pivots]
+    echelon, pivots, kernel = _column_pass(columns)
+    n_prime = len(pivots)
     # Rows of C^T and D^T are the columns of C and D.
-    c_t = BitMatrix(g.n_b, g.n_b, tuple(v.bits for v in c_basis + extend_to_basis(c_basis, g.n_b)))
-    d_t = BitMatrix(g.n_w, g.n_w, tuple([1 << p for p in pivots] + _rref_kernel(rows, pivots, g.n_w)))
+    completion = [1 << i for i in _extend(echelon, g.n_b, g.n_w)]
+    c_t = BitMatrix(g.n_b, g.n_b, tuple([columns[p] for p in pivots] + completion))
+    d_t = BitMatrix(g.n_w, g.n_w, tuple([1 << p for p in pivots] + kernel))
+    d_rows, rref = _frame(pivots, kernel)
     c_mat = c_t.transpose()
-    d_mat = d_t.transpose()
+    d_mat = BitMatrix(g.n_w, g.n_w, tuple(d_rows))
     c_inv = mat_inverse(c_mat)
-    pivot_set = set(pivots)
-    d_inv = BitMatrix(g.n_w, g.n_w, tuple(rows + [1 << f for f in range(g.n_w) if f not in pivot_set]))
-    a_prime = mat_mul(c_inv, mat_mul(a, d_mat))
-    for i in range(g.n_b):
-        expected = (1 << i) if i < n_prime else 0
-        if a_prime.rows[i] != expected:
-            raise RuntimeError("internal error: block form not achieved")
+    d_inv = BitMatrix(g.n_w, g.n_w, tuple(rref + [1 << (v.bit_length() - 1) for v in kernel]))
+    block = (1 << n_prime) - 1
+    a_d = mat_mul(g.adjacency, d_mat)
+    if mat_mul(c_mat, c_inv) != BitMatrix.identity(g.n_b) or any(
+        ad != c & block for ad, c in zip(a_d.rows, c_mat.rows)
+    ):
+        raise RuntimeError("internal error: block form not achieved")
     return Reduction(
         c_mat=c_mat,
         d_mat=d_mat,

@@ -23,6 +23,7 @@ from stabtest.protocol import (
     transcript_lines,
     transcript_to_json,
 )
+from stabtest.reduction import compute_reduction
 
 MIXTURE = {"beta": "0.5", "q0": [[0, 0, 3], [2, 1, 1]], "q1": [[1, 0, 1]]}
 
@@ -170,6 +171,17 @@ REDUCE_DOCS = {
     "nw0.json": {"n_b": 3, "n_w": 0, "edges": []},
 }
 
+# sha256 of repr(compute_reduction(g)): C, D, n', C^-1, D^-1, C^T and D^T of
+# lattices too large for a printout golden. Captured before the GF(2)
+# elimination moved from lowest-bit to highest-bit pivots; test_reduction's
+# reference construction calls gf2 itself, so these pin gf2 independently.
+REDUCTION_GOLDEN = {
+    "rhg:5x5x5": "645ae47dcc0f16f13ba65cd0bdb9c1335db29342b5ecb260e849a9318638637f",
+    "rhg:6x6x6": "42c9bfed4f070f831e63b6638d8278b8b5416ba33cdd0402e020191aa78d655a",
+    "grid:30x30": "b1a2958d7b887cf64ab31b512116a7f50e82ee80c202e58c7387905dad99f6e0",
+    "path:512": "681f3d18ff715f338419eb44669b9d95acb14bf5317177381b0ca7039aef7a30",
+}
+
 
 # sha256 of the transcript_to_json lines of run_trials, and the estimate
 # counts, for _explicit_model on grid:3x3 with k = 3, 300 trials, seed 21.
@@ -290,3 +302,8 @@ def test_reduce_output_matches_golden_hash(tmp_path, monkeypatch, capsys, graph)
         (tmp_path / graph).write_text(json.dumps(REDUCE_DOCS[graph]))
     assert main(["reduce", "--graph", graph]) == 0
     assert _sha(capsys.readouterr().out.encode()) == REDUCE_GOLDEN[graph]
+
+
+@pytest.mark.parametrize("graph", sorted(REDUCTION_GOLDEN))
+def test_reduction_matches_golden_hash(graph):
+    assert _sha(repr(compute_reduction(parse_graph(graph))).encode()) == REDUCTION_GOLDEN[graph]

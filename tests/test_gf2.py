@@ -281,7 +281,9 @@ def _reference_greedy(vectors, width, kept=()):
 
 
 def _reference_cases():
-    """Empty shapes, then random dense, low-rank and invertible matrices up to 20x20."""
+    """Empty shapes, then random dense, low-rank and invertible matrices up to
+    20x20, then the same kinds with 31 to 70 columns: rows past one 30-bit
+    int digit, where the order of the elimination steps matters."""
     rng = random.Random(606)
     cases = [BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 4), BitMatrix.zeros(5, 0), BitMatrix.zeros(3, 3)]
     for _ in range(150):
@@ -290,6 +292,14 @@ def _reference_cases():
         inner = rng.randrange(0, 6)
         cases.append(mat_mul(_random_matrix(rng, n_rows, inner), _random_matrix(rng, inner, n_cols)))
         n = rng.randrange(1, 21)
+        cases.append(_random_invertible(rng, n))
+        cases.append(mat_mul(_random_matrix(rng, n, n - 1), _random_matrix(rng, n - 1, n)))
+    for _ in range(30):
+        n_rows, n_cols = rng.randrange(0, 71), rng.randrange(31, 71)
+        cases.append(_random_matrix(rng, n_rows, n_cols))
+        inner = rng.randrange(0, 16)
+        cases.append(mat_mul(_random_matrix(rng, n_rows, inner), _random_matrix(rng, inner, n_cols)))
+        n = rng.randrange(31, 71)
         cases.append(_random_invertible(rng, n))
         cases.append(mat_mul(_random_matrix(rng, n, n - 1), _random_matrix(rng, n - 1, n)))
     return cases
@@ -334,19 +344,42 @@ def test_column_space_basis_matches_greedy_reference():
         assert d_pre == [BitVector.unit(m.n_cols, j) for j in kept], m
 
 
+def _check_extend_to_basis(vectors, dim):
+    """Compare extend_to_basis with the greedy reference; True if the
+    vectors were dependent (and refused)."""
+    partial = [BitVector(dim, v) for v in vectors]
+    if _reference_rank(vectors, dim) < len(vectors):
+        with pytest.raises(DependentInput):
+            extend_to_basis(partial, dim)
+        return True
+    units = [1 << i for i in range(dim)]
+    expected = [BitVector.unit(dim, i) for i in _reference_greedy(units, dim, vectors)]
+    assert extend_to_basis(partial, dim) == expected, (dim, vectors)
+    return False
+
+
 def test_extend_to_basis_matches_greedy_reference():
     rng = random.Random(607)
     dependent = 0
     for _ in range(300):
         dim = rng.randrange(0, 21)
         vectors = [rng.getrandbits(dim) for _ in range(rng.randrange(0, dim + 2))]
-        partial = [BitVector(dim, v) for v in vectors]
-        if _reference_rank(vectors, dim) < len(vectors):
-            dependent += 1
-            with pytest.raises(DependentInput):
-                extend_to_basis(partial, dim)
-            continue
-        units = [1 << i for i in range(dim)]
-        expected = [BitVector.unit(dim, i) for i in _reference_greedy(units, dim, vectors)]
-        assert extend_to_basis(partial, dim) == expected
+        dependent += _check_extend_to_basis(vectors, dim)
     assert dependent > 20
+
+
+def test_extend_to_basis_matches_greedy_reference_past_one_digit():
+    # Independent starts are rows of an invertible matrix (random rows of
+    # 31+ bits are almost never dependent); low-rank products supply the
+    # dependent ones.
+    rng = random.Random(608)
+    dependent = 0
+    for _ in range(40):
+        dim = rng.randrange(31, 71)
+        count = rng.randrange(0, dim + 1)
+        vectors = list(_random_invertible(rng, dim).rows[:count])
+        assert not _check_extend_to_basis(vectors, dim)
+        inner = rng.randrange(0, 16)
+        low_rank = mat_mul(_random_matrix(rng, rng.randrange(0, 24), inner), _random_matrix(rng, inner, dim))
+        dependent += _check_extend_to_basis(list(low_rank.rows), dim)
+    assert dependent > 10

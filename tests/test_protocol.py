@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from stabtest.protocol import (
     trial_seed,
 )
 from stabtest.protocol import (
+    _lane_table,
     _pick,
     _Plan,
     _running_totals,
@@ -542,6 +544,15 @@ def test_bulk_iid_draw_matches_per_qubit_loop(g, p_x, p_z, seed):
 @settings(max_examples=100, deadline=None)
 def test_bulk_iid_draw_matches_per_qubit_loop_on_random_graphs(g, k, p_x, p_z, seed):
     _assert_bulk_draw_matches_reference(g, k, p_x, p_z, seed)
+
+
+def test_lane_threshold_is_exact_for_decimal_p():
+    # p * 2**53 in Decimal rounds to 28 digits, which gives 2**52 here.
+    p = Decimal("0.5000000000000000000000000000001")
+    assert _lane_table(p)[0] == 2**52 + 1
+    assert _lane_table(Fraction(1, 3))[0] == math.ceil(Fraction(2**53, 3))
+    for seed in range(3):
+        _assert_bulk_draw_matches_reference(rhg_lattice(2, 2, 2), 1, p, p, seed)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from stabtest import reduction
 from stabtest.gf2 import (
     BitMatrix,
     BitVector,
@@ -160,6 +161,48 @@ def test_reduction_matches_reference_construction():
         assert mat_mul(r.c_inv, r.c_mat) == BitMatrix.identity(g.n_b)
         assert r.c_t == r.c_mat.transpose()
         assert r.d_t == r.d_mat.transpose()
+
+
+def _flip(m, row, bit):
+    rows = list(m.rows)
+    rows[row] ^= 1 << bit
+    return BitMatrix(m.n_rows, m.n_cols, tuple(rows))
+
+
+# (graph, row, bit) of the flipped entry: first and last rows and columns;
+# rhg:2x2x2 has n' = 28 of 36 rows, so its row 35 lies past the identity block.
+CORRUPTIONS = [
+    (builder, row, bit)
+    for builder in (lambda: path_graph(5), lambda: grid_graph(3, 3), lambda: rhg_lattice(2, 2, 2))
+    for row in (0, -1)
+    for bit in (0, -1)
+]
+
+
+@pytest.mark.parametrize("builder, row, bit", CORRUPTIONS)
+def test_block_form_check_catches_a_wrong_inverse(monkeypatch, builder, row, bit):
+    def corrupted(m):
+        inv = mat_inverse(m)
+        return _flip(inv, row % inv.n_rows, bit % inv.n_cols)
+
+    monkeypatch.setattr(reduction, "mat_inverse", corrupted)
+    with pytest.raises(RuntimeError, match="internal error: block form not achieved"):
+        compute_reduction(builder())
+
+
+@pytest.mark.parametrize("builder, row, bit", CORRUPTIONS)
+def test_block_form_check_catches_a_wrong_a_d_row(monkeypatch, builder, row, bit):
+    g = builder()
+
+    def corrupted(a, b):
+        product = mat_mul(a, b)
+        if a is not g.adjacency:
+            return product
+        return _flip(product, row % product.n_rows, bit % product.n_cols)
+
+    monkeypatch.setattr(reduction, "mat_mul", corrupted)
+    with pytest.raises(RuntimeError, match="internal error: block form not achieved"):
+        compute_reduction(g)
 
 
 def test_conversions_are_linear_bijections():

@@ -29,9 +29,10 @@ def test_traced_hook_exists(module, attr):
 def test_compute_reduction_calls_the_traced_gf2_names(monkeypatch):
     # The traced run times gf2 work through these module names; a refactor
     # that stops calling one of them would read 0 there without failing.
-    # compute_reduction takes the kept columns, the kernel and D^-1 from one
-    # RREF of A, so column_space_basis and kernel_basis read 0 and only C is
-    # inverted; the two stay importable for the traced run.
+    # compute_reduction takes the kept columns, the kernel, D and D^-1 from
+    # one pass over A's columns, so column_space_basis and kernel_basis read
+    # 0; C is inverted once, and the block-form check multiplies A D and
+    # C C^-1. The two basis names stay importable for the traced run.
     calls = {}
     for name in ("mat_inverse", "mat_mul", "column_space_basis", "kernel_basis"):
         def counted(*args, _name=name, _inner=getattr(reduction, name)):
