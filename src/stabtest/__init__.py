@@ -14,7 +14,7 @@ from .analytics import (
     trace_bound,
     xi,
 )
-from .gf2 import BitMatrix, BitVector, DependentInput, SingularMatrix
+from .gf2 import BitMatrix, BitVector, SingularMatrix
 from .graphs import (
     BipartiteGraphState,
     edgeless_graph,
@@ -50,7 +50,6 @@ __all__ = [
     "BlockPauli",
     "ClassCounts",
     "ClassMixture",
-    "DependentInput",
     "DomainError",
     "EstimateResult",
     "Explicit",

@@ -175,14 +175,11 @@ def _fmt_rat(x: Fraction | None) -> str:
     return f"{x} ({float(x):.6g})"
 
 
-def _fmt_dec(x: Fraction | None) -> str:
-    return "" if x is None else f"{float(x):.12g}"
-
-
 def _fmt_pair(x: tuple[int, int] | None) -> str:
     # int / int is correctly rounded, as is float(Fraction), so this prints
-    # exactly what _fmt_dec prints for the same rational. The denominator is
-    # positive, so a zero numerator is +0.0, which .12g prints as "0".
+    # exactly what f"{float(q):.12g}" prints for the Fraction q = num/den.
+    # The denominator is positive, so a zero numerator is +0.0, which .12g
+    # prints as "0".
     if x is None:
         return ""
     num, den = x
@@ -246,7 +243,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         writer = csv.writer(summary, lineterminator="\n")
         writer.writerow(SUMMARY_HEADER)
-        writer.writerow([args.k, args.adversary, args.trials, *map(_fmt_dec, (pass_rate, cond, alpha, bound))])
+        decimals = [_fmt_pair(None if x is None else x.as_integer_ratio()) for x in (pass_rate, cond, alpha, bound)]
+        writer.writerow([args.k, args.adversary, args.trials, *decimals])
 
         if bound is None:
             floor, respected = "not applicable (alpha <= 1/(2k+1))", "n/a"

@@ -7,29 +7,23 @@ so products and eliminations reduce to XOR/AND plus popcounts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "BitVector",
     "BitMatrix",
     "SingularMatrix",
-    "DependentInput",
     "mat_mul",
     "mat_vec",
     "mat_inverse",
     "rank",
     "kernel_basis",
     "column_space_basis",
-    "extend_to_basis",
 ]
 
 
 class SingularMatrix(ValueError):
     """Raised when an inverse is requested for a rank-deficient matrix."""
-
-
-class DependentInput(ValueError):
-    """Raised when vectors that must be linearly independent are not."""
 
 
 @dataclass(frozen=True)
@@ -44,17 +38,6 @@ class BitVector:
             raise ValueError("negative vector length")
         if not 0 <= self.bits < (1 << self.n):
             raise ValueError(f"bits out of range for length {self.n}")
-
-    @classmethod
-    def from_bits(cls, coords: Iterable[int]) -> "BitVector":
-        bits = 0
-        n = 0
-        for c in coords:
-            if c not in (0, 1):
-                raise ValueError("coordinates must be 0 or 1")
-            bits |= c << n
-            n += 1
-        return cls(n, bits)
 
     @classmethod
     def zero(cls, n: int) -> "BitVector":
@@ -87,7 +70,15 @@ class BitVector:
         return self.bits == 0
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
+        """Set coordinates, ascending. The walk clears the top bit each step,
+        as mat_mul does, so it visits only the set bits and the int shrinks."""
+        out = []
+        bits = self.bits
+        while bits:
+            j = bits.bit_length() - 1
+            out.append(j)
+            bits ^= 1 << j
+        return tuple(reversed(out))
 
     def to_tuple(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
@@ -110,12 +101,6 @@ class BitMatrix:
         for r in self.rows:
             if not 0 <= r < limit:
                 raise ValueError("row bits out of range")
-
-    @classmethod
-    def from_columns(cls, cols: Sequence[BitVector], n_rows: int) -> "BitMatrix":
-        if any(c.n != n_rows for c in cols):
-            raise ValueError("column length mismatch")
-        return cls(len(cols), n_rows, tuple(c.bits for c in cols)).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -194,7 +179,7 @@ def rank(m: BitMatrix) -> int:
     return sum(1 for row in m.rows if _insert(row, echelon))
 
 
-def _extend(echelon: dict[int, int], dim: int, low: int = 0) -> list[int]:
+def _extend(echelon: dict[int, int], dim: int, low: int) -> list[int]:
     """Insert e_0, e_1, ... (shifted past the low `low` bits) until the
     echelon spans all dim coordinates; returns the indices that were kept."""
     kept = []
@@ -252,13 +237,6 @@ def _frame(pivots: list[int], kernel: list[int]) -> tuple[list[int], list[int]]:
     return d_rows, [rref[p] for p in pivots]
 
 
-def _rref(m: BitMatrix) -> tuple[list[int], list[int]]:
-    """Nonzero rows of the reduced row echelon form and their pivot columns,
-    both in ascending pivot order, from the column pass over m."""
-    _, pivots, kernel = _column_pass(m.transpose().rows)
-    return _frame(pivots, kernel)[1], pivots
-
-
 def mat_inverse(m: BitMatrix) -> BitMatrix:
     """Inverse by row-reducing [m | I] to [I | m^-1]; raises SingularMatrix if rank < n."""
     if m.n_rows != m.n_cols:
@@ -303,18 +281,3 @@ def column_space_basis(m: BitMatrix) -> tuple[list[BitVector], list[BitVector]]:
     pivots = _column_pass(columns)[1]
     return [BitVector(m.n_rows, columns[p]) for p in pivots], [BitVector.unit(m.n_cols, p) for p in pivots]
 
-
-def extend_to_basis(partial: Sequence[BitVector], dim: int) -> list[BitVector]:
-    """Complete independent vectors to a basis of GF(2)^dim.
-
-    Appends standard basis vectors e_0, e_1, ... in index order, keeping each
-    one that is independent of the running set. Returns only the appended
-    vectors.
-    """
-    echelon: dict[int, int] = {}
-    for v in partial:
-        if v.n != dim:
-            raise ValueError("vector length does not match dim")
-        if not _insert(v.bits, echelon):
-            raise DependentInput("partial set is linearly dependent")
-    return [BitVector.unit(dim, i) for i in _extend(echelon, dim)]

@@ -1,4 +1,4 @@
-"""Bipartite graph states: builders, validation, JSON import/export.
+"""Bipartite graph states: builders and JSON import/export.
 
 A graph state lives on a bipartite graph whose vertices are split into a
 black set B and a white set W. The adjacency matrix A has one row per B
@@ -23,7 +23,6 @@ __all__ = [
     "grid_graph",
     "rhg_lattice",
     "edgeless_graph",
-    "validate",
     "edges",
     "to_json",
     "from_json",
@@ -172,13 +171,6 @@ def edgeless_graph(n: int) -> BipartiteGraphState:
     n_b = (n + 1) // 2
     n_w = n // 2
     return BipartiteGraphState(n_b, n_w, BitMatrix.zeros(n_b, n_w))
-
-
-def validate(g: BipartiteGraphState) -> list[str]:
-    """Notes about isolated vertices, which are allowed, so the return value
-    is informational. BipartiteGraphState already checks the dimensions."""
-    notes = [f"isolated B vertex {j}" for j, row in enumerate(g.adjacency.rows) if not row]
-    return notes + [f"isolated W vertex {i}" for i, col in enumerate(g.adjacency_t.rows) if not col]
 
 
 def edges(g: BipartiteGraphState) -> list[tuple[int, int]]:

@@ -1,4 +1,4 @@
-"""Pauli attacks on graph states: syndromes, classes, outcome sampling.
+"""Pauli attacks on graph states: syndromes and outcome sampling.
 
 An attack is described by X/Z error masks on both vertex sets. Phases never
 matter here; only commutation patterns against the graph stabilizers and the
@@ -16,11 +16,8 @@ from .graphs import BipartiteGraphState
 __all__ = [
     "BlockPauli",
     "BlockClass",
-    "identity_attack",
     "syndromes",
     "syndrome_masks",
-    "block_class",
-    "fidelity_indicator",
     "sample_outcomes",
 ]
 
@@ -46,14 +43,6 @@ class BlockPauli:
             self.v_w ^ other.v_w,
         )
 
-    def is_identity(self) -> bool:
-        return (
-            self.u_b.is_zero()
-            and self.u_w.is_zero()
-            and self.v_b.is_zero()
-            and self.v_w.is_zero()
-        )
-
 
 @dataclass(frozen=True)
 class BlockClass:
@@ -65,15 +54,6 @@ class BlockClass:
     def __post_init__(self) -> None:
         if self.s not in (0, 1) or self.t not in (0, 1):
             raise ValueError("class bits must be 0 or 1")
-
-
-def identity_attack(g: BipartiteGraphState) -> BlockPauli:
-    return BlockPauli(
-        BitVector.zero(g.n_b),
-        BitVector.zero(g.n_w),
-        BitVector.zero(g.n_b),
-        BitVector.zero(g.n_w),
-    )
 
 
 def _check_dims(g: BipartiteGraphState, p: BlockPauli) -> None:
@@ -116,17 +96,6 @@ def syndrome_masks(g: BipartiteGraphState, u_b: int, u_w: int, v_b: int, v_w: in
         sigma2 ^= rows[low.bit_length() - 1]
         u_b ^= low
     return sigma1, sigma2
-
-
-def block_class(g: BipartiteGraphState, p: BlockPauli) -> BlockClass:
-    sigma1, sigma2 = syndromes(g, p)
-    return BlockClass(int(not sigma1.is_zero()), int(not sigma2.is_zero()))
-
-
-def fidelity_indicator(g: BipartiteGraphState, p: BlockPauli) -> int:
-    """1 iff the attacked copy still equals the graph state (both syndromes zero)."""
-    sigma1, sigma2 = syndromes(g, p)
-    return int(sigma1.is_zero() and sigma2.is_zero())
 
 
 def sample_outcomes(

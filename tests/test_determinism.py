@@ -12,7 +12,7 @@ import pytest
 
 from stabtest.cli import main, parse_graph
 from stabtest.gf2 import BitVector
-from stabtest.pauli import BlockPauli, identity_attack
+from stabtest.pauli import BlockPauli
 from stabtest.protocol import (
     ClassMixture,
     Explicit,
@@ -209,7 +209,7 @@ def _explicit_model(g, k):
     """Up to four atoms per copy, zero-probability atoms first, in the middle
     and last, and one copy whose totals stop 1e-10 short of 1."""
     zero_b, zero_w = BitVector.zero(g.n_b), BitVector.zero(g.n_w)
-    clean = identity_attack(g)
+    clean = BlockPauli(zero_b, zero_w, zero_b, zero_w)
     x_b = BlockPauli(BitVector.unit(g.n_b, 0), zero_w, zero_b, zero_w)
     z_w = BlockPauli(zero_b, zero_w, zero_b, BitVector.unit(g.n_w, 1))
     z_both = BlockPauli(zero_b, zero_w, BitVector.unit(g.n_b, 2), BitVector.unit(g.n_w, 0))

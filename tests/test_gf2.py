@@ -5,16 +5,17 @@ import pytest
 from stabtest.gf2 import (
     BitMatrix,
     BitVector,
-    DependentInput,
     SingularMatrix,
     column_space_basis,
-    extend_to_basis,
     kernel_basis,
     mat_inverse,
     mat_mul,
     mat_vec,
     rank,
-    _rref,
+    _column_pass,
+    _extend,
+    _frame,
+    _insert,
 )
 
 
@@ -47,7 +48,7 @@ def _naive_mul(a, b):
 
 
 def test_bitvector_basics():
-    v = BitVector.from_bits([1, 0, 1, 1])
+    v = BitVector(4, 0b1101)
     assert len(v) == 4
     assert v.to_tuple() == (1, 0, 1, 1)
     assert v.weight() == 3
@@ -56,6 +57,17 @@ def test_bitvector_basics():
     assert (v ^ v).is_zero()
     assert BitVector.unit(4, 2).bits == 4
     assert BitVector.zero(3) == BitVector(3, 0)
+
+
+def test_support_matches_per_coordinate_reference():
+    rng = random.Random(612)
+    for n in (0, 1, 2, 31, 63, 64, 65, 200):
+        cases = [0, (1 << n) - 1]
+        for density in (0.05, 0.5, 0.95):
+            cases += [sum(1 << i for i in range(n) if rng.random() < density) for _ in range(10)]
+        for bits in cases:
+            v = BitVector(n, bits)
+            assert v.support() == tuple(i for i in range(n) if (bits >> i) & 1), (n, bits)
 
 
 def test_bitvector_rejects_out_of_range_bits():
@@ -83,11 +95,6 @@ def test_bitmatrix_construction_round_trip():
     assert m.to_lists() == [[1, 0], [1, 1], [0, 1]]
     assert m.transpose().to_lists() == [[1, 1, 0], [0, 1, 1]]
     assert m.transpose().transpose() == m
-    cols = [m.transpose().row(j) for j in range(2)]
-    assert BitMatrix.from_columns(cols, 3) == m
-    assert BitMatrix.from_columns([], 2) == BitMatrix.zeros(2, 0)
-    with pytest.raises(ValueError, match="column length"):
-        BitMatrix.from_columns([BitVector(2, 0b01), BitVector(3, 0b001)], 3)
     assert m.row(1) == BitVector(2, 0b11)
 
 
@@ -114,7 +121,7 @@ def test_mat_vec_agrees_with_mat_mul():
     rng = random.Random(11)
     a = _random_matrix(rng, 4, 6)
     v = BitVector(6, rng.getrandbits(6))
-    col = BitMatrix.from_columns([v], 6)
+    col = BitMatrix(1, 6, (v.bits,)).transpose()
     assert mat_vec(a, v) == mat_mul(a, col).transpose().row(0)
 
 
@@ -199,25 +206,27 @@ def test_column_space_basis_keeps_leftmost_columns():
     assert [p.support()[0] for p in d_pre] == [0, 2]
 
 
+def _extended(partial, dim, low=0):
+    """Indices _extend keeps after the partial vectors went into an empty
+    echelon, each shifted past the low `low` bits over a tag there."""
+    echelon = {}
+    for j, v in enumerate(partial):
+        tag = j % (1 << low)
+        assert _insert((v << low) | tag, echelon, low) >> low, "partial vectors must be independent"
+    return _extend(echelon, dim, low)
+
+
 def test_extend_to_basis_completes_and_validates():
-    partial = [BitVector.from_bits([1, 1, 0]), BitVector.from_bits([0, 1, 1])]
-    appended = extend_to_basis(partial, 3)
-    assert len(appended) == 1
-    assert all(v.weight() == 1 for v in appended)
-    full = partial + appended
-    stacked = BitMatrix(3, 3, tuple(v.bits for v in full))
+    partial = [0b011, 0b110]
+    appended = _extended(partial, 3)
+    assert appended == [0]
+    stacked = BitMatrix(3, 3, tuple(partial + [1 << i for i in appended]))
     assert rank(stacked) == 3
 
 
 def test_extend_to_basis_from_empty():
-    appended = extend_to_basis([], 2)
-    assert [v.bits for v in appended] == [1, 2]
-
-
-def test_extend_to_basis_rejects_dependent_input():
-    vs = [BitVector.from_bits([1, 1]), BitVector.from_bits([1, 1])]
-    with pytest.raises(DependentInput):
-        extend_to_basis(vs, 2)
+    assert _extended([], 2) == [0, 1]
+    assert _extended([], 0) == []
 
 
 # Reference implementations: plain column-scan Gauss-Jordan elimination and
@@ -311,7 +320,8 @@ REFERENCE_CASES = _reference_cases()
 def test_rref_rank_and_kernel_match_reference():
     for m in REFERENCE_CASES:
         ref_rows, ref_pivots = _reference_rref(m)
-        rows, pivots = _rref(m)
+        _, pivots, kernel = _column_pass(m.transpose().rows)
+        rows = _frame(pivots, kernel)[1]
         assert pivots == ref_pivots, m
         assert rows == ref_rows[: len(ref_pivots)], m
         assert not any(ref_rows[len(ref_pivots):]), m
@@ -345,17 +355,15 @@ def test_column_space_basis_matches_greedy_reference():
 
 
 def _check_extend_to_basis(vectors, dim):
-    """Compare extend_to_basis with the greedy reference; True if the
-    vectors were dependent (and refused)."""
-    partial = [BitVector(dim, v) for v in vectors]
-    if _reference_rank(vectors, dim) < len(vectors):
-        with pytest.raises(DependentInput):
-            extend_to_basis(partial, dim)
-        return True
+    """Compare _extend, after the vectors' independent subset, with the greedy
+    reference; True if the vectors were dependent."""
+    independent = [vectors[i] for i in _reference_greedy(vectors, dim)]
     units = [1 << i for i in range(dim)]
-    expected = [BitVector.unit(dim, i) for i in _reference_greedy(units, dim, vectors)]
-    assert extend_to_basis(partial, dim) == expected, (dim, vectors)
-    return False
+    expected = _reference_greedy(units, dim, independent)
+    # Tags in the low bits ride along, as in compute_reduction's echelon.
+    for low in (0, 3):
+        assert _extended(independent, dim, low) == expected, (dim, vectors, low)
+    return len(independent) < len(vectors)
 
 
 def test_extend_to_basis_matches_greedy_reference():

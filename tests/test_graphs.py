@@ -14,7 +14,6 @@ from stabtest.graphs import (
     path_graph,
     rhg_lattice,
     to_json,
-    validate,
 )
 
 
@@ -165,13 +164,6 @@ def test_graph_size_cap():
             build(*args)
     with pytest.raises(ValueError, match="'n_b' \\+ 'n_w'"):
         from_json(json.dumps({"n_b": MAX_QUBITS, "n_w": 1, "edges": []}))
-
-
-def test_validate_flags_isolated_vertices():
-    assert validate(path_graph(6)) == []
-    notes = validate(edgeless_graph(3))
-    assert "isolated B vertex 0" in notes
-    assert "isolated W vertex 0" in notes
 
 
 def test_edges_listing():

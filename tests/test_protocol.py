@@ -18,7 +18,7 @@ from stabtest.analytics import DomainError
 from stabtest.cli import parse_graph
 from stabtest.gf2 import BitMatrix, BitVector
 from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
-from stabtest.pauli import BlockClass, BlockPauli, identity_attack, syndromes
+from stabtest.pauli import BlockClass, BlockPauli, syndromes
 from stabtest.protocol import (
     MAX_COPIES,
     ClassMixture,
@@ -53,6 +53,12 @@ G5 = path_graph(5)
 
 def _mixture(beta, q0, q1):
     return ClassMixture.from_weights(beta, q0, q1)
+
+
+def _clean(g):
+    """The identity attack: no X or Z error on any vertex."""
+    zero_b, zero_w = BitVector.zero(g.n_b), BitVector.zero(g.n_w)
+    return BlockPauli(zero_b, zero_w, zero_b, zero_w)
 
 
 def test_trial_seed_is_stable_and_spread():
@@ -218,7 +224,7 @@ def test_mixture_sampling_distribution():
     for _ in range(2000):
         attacks = draw_attack(model, 1, G5, rng)
         assert len(attacks) == 3
-        flagged = [p for p in attacks if not p.is_identity()]
+        flagged = [p for p in attacks if p != _clean(G5)]
         assert len(flagged) == 1
         s1, s2 = syndromes(G5, flagged[0])
         if s2.is_zero():
@@ -338,7 +344,7 @@ def test_iid_zero_rate_is_honest():
 
 def test_explicit_model_deterministic_attacks():
     g = G5
-    clean = identity_attack(g)
+    clean = _clean(g)
     bad = BlockPauli(
         BitVector.zero(g.n_b), BitVector.zero(g.n_w),
         BitVector.unit(g.n_b, 0), BitVector.zero(g.n_w),
@@ -352,13 +358,13 @@ def test_explicit_model_deterministic_attacks():
 
 
 def test_explicit_needs_correct_copy_count():
-    clean = identity_attack(G5)
+    clean = _clean(G5)
     with pytest.raises(ValueError):
         estimate(G5, 2, Explicit(((( 1.0, clean),),) * 4), 10, 0)
 
 
 def test_explicit_attack_sized_for_another_graph_is_rejected():
-    foreign = identity_attack(grid_graph(3, 3))
+    foreign = _clean(grid_graph(3, 3))
     model = Explicit((((1.0, foreign),),) * 5)
     with pytest.raises(ValueError, match="do not fit graph"):
         estimate(G5, 2, model, 10, 0)
@@ -374,7 +380,7 @@ def test_unknown_adversary_model_is_rejected():
 
 
 def test_explicit_rejects_unnormalized():
-    clean = identity_attack(G5)
+    clean = _clean(G5)
     copies = tuple((((0.5, clean),),) * 5)
     with pytest.raises(ValueError):
         estimate(G5, 2, Explicit(copies), 10, 0)
@@ -383,7 +389,7 @@ def test_explicit_rejects_unnormalized():
 def test_explicit_rejects_nan_probability():
     # NaN fails every comparison, so "prob < 0" and the normalization check
     # both let it through, and the model would run as always clean.
-    clean = identity_attack(G5)
+    clean = _clean(G5)
     bad = BlockPauli(BitVector.zero(G5.n_b), BitVector.zero(G5.n_w),
                      BitVector.unit(G5.n_b, 0), BitVector.zero(G5.n_w))
     model = Explicit((((math.nan, bad), (1.0, clean)),) + (((1.0, clean),),) * 4)
@@ -433,7 +439,7 @@ def _schema_line(tr, trial):
 
 def _explicit(g, k):
     """Per copy: clean, an X flip on a B vertex, or Z flips on both sides."""
-    clean = identity_attack(g)
+    clean = _clean(g)
     z_both = BlockPauli(BitVector.zero(g.n_b), BitVector.zero(g.n_w),
                         BitVector.unit(g.n_b, 0), BitVector.unit(g.n_w, 0))
     copies = []

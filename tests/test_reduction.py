@@ -8,7 +8,6 @@ from stabtest.gf2 import (
     BitMatrix,
     BitVector,
     column_space_basis,
-    extend_to_basis,
     kernel_basis,
     mat_inverse,
     mat_mul,
@@ -16,7 +15,7 @@ from stabtest.gf2 import (
     rank,
 )
 from stabtest.graphs import BipartiteGraphState, edgeless_graph, path_graph, grid_graph, rhg_lattice
-from stabtest.pauli import identity_attack, sample_outcomes
+from stabtest.pauli import BlockPauli, sample_outcomes
 from stabtest.reduction import (
     Reduction,
     check_relations,
@@ -119,14 +118,30 @@ def test_block_form_on_random_graphs():
         assert r.d_t == r.d_mat.transpose()
 
 
+def _greedy_completion(kept, dim):
+    """Standard vectors e_0, e_1, ... in index order, each kept when it raises
+    the rank of the vectors kept so far."""
+    completion = []
+    for i in range(dim):
+        candidate = [v.bits for v in kept + completion] + [1 << i]
+        if _span_rank(candidate, dim) == len(candidate):
+            completion.append(BitVector.unit(dim, i))
+    return completion
+
+
+def _from_columns(columns, n_rows):
+    return BitMatrix(len(columns), n_rows, tuple(v.bits for v in columns)).transpose()
+
+
 def _reference_reduction(g):
     """The construction compute_reduction used before it was built from one
-    RREF of A: three eliminations of A (kept columns, completion, kernel),
-    C and D from their columns, and both inverses by elimination."""
+    pass over A's columns: the kept columns and the kernel basis of A, a
+    greedy completion of C by standard vectors, C and D from their columns,
+    and both inverses by elimination."""
     a = g.adjacency
     c_basis, d_pre = column_space_basis(a)
-    c_mat = BitMatrix.from_columns(list(c_basis) + extend_to_basis(c_basis, g.n_b), g.n_b)
-    d_mat = BitMatrix.from_columns(list(d_pre) + kernel_basis(a), g.n_w)
+    c_mat = _from_columns(c_basis + _greedy_completion(c_basis, g.n_b), g.n_b)
+    d_mat = _from_columns(d_pre + kernel_basis(a), g.n_w)
     return Reduction(
         c_mat=c_mat,
         d_mat=d_mat,
@@ -290,7 +305,7 @@ def test_group_taking_functions_refuse_other_groups(group):
         lambda: convert(r, group, x, z),
         lambda: converted_checks_hold(r, group, x, z),
         lambda: converted_relations(r, group),
-        lambda: sample_outcomes(g, identity_attack(g), group, random.Random(0)),
+        lambda: sample_outcomes(g, BlockPauli(x, z, x, z), group, random.Random(0)),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="group must be 1 or 2"):
