@@ -120,7 +120,10 @@ def probability(text: str) -> Fraction:
 
 
 def _load_mixture(path: str) -> ClassMixture:
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError("mixture document nests too deeply to parse") from exc
     if not isinstance(data, dict) or not {"beta", "q0", "q1"} <= data.keys():
         raise ValueError("mixture JSON must be an object with beta, q0 and q1")
 

@@ -1,7 +1,8 @@
 """Exact linear algebra over GF(2) with bit-packed rows.
 
-Vectors and matrix rows are stored as Python ints (bit i = coordinate i),
-so products and eliminations reduce to XOR/AND plus popcounts.
+Vectors and matrix rows are stored as Python ints (bit i = coordinate i), so
+products and eliminations reduce to XOR/AND plus popcounts. Set bits are walked
+top bit first by `_ones` (their indices) and `_xor_rows` (products).
 """
 
 from __future__ import annotations
@@ -24,6 +25,25 @@ __all__ = [
 
 class SingularMatrix(ValueError):
     """Raised when an inverse is requested for a rank-deficient matrix."""
+
+
+def _ones(x: int) -> list[int]:
+    """Set-bit indices of x, ascending."""
+    out = []
+    while x:
+        out.append(j := x.bit_length() - 1)
+        x ^= 1 << j
+    return out[::-1]
+
+
+def _xor_rows(rows: Sequence[int], x: int) -> int:
+    """XOR of rows[j] over the set bits j of x: x·M for M's packed rows."""
+    acc = 0
+    while x:
+        j = x.bit_length() - 1
+        acc ^= rows[j]
+        x ^= 1 << j
+    return acc
 
 
 @dataclass(frozen=True)
@@ -70,15 +90,8 @@ class BitVector:
         return self.bits == 0
 
     def support(self) -> tuple[int, ...]:
-        """Set coordinates, ascending. The walk clears the top bit each step,
-        as mat_mul does, so it visits only the set bits and the int shrinks."""
-        out = []
-        bits = self.bits
-        while bits:
-            j = bits.bit_length() - 1
-            out.append(j)
-            bits ^= 1 << j
-        return tuple(reversed(out))
+        """Set coordinates, ascending."""
+        return tuple(_ones(self.bits))
 
     def to_tuple(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
@@ -122,6 +135,7 @@ class BitMatrix:
         rows = [0] * self.n_cols
         for i, r in enumerate(self.rows):
             bit = 1 << i
+            # Scatter stays inline: through _ones, transpose of rhg:6x6x6 takes 1.34x as long.
             while r:
                 j = r.bit_length() - 1
                 rows[j] |= bit
@@ -133,19 +147,10 @@ class BitMatrix:
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Matrix product over GF(2): row i is the XOR of the rows of b picked by
-    the set bits of row i of a."""
+    """Matrix product over GF(2): row i is _xor_rows(b.rows, a.rows[i])."""
     if a.n_cols != b.n_rows:
         raise ValueError(f"dimension mismatch: {a.n_cols} vs {b.n_rows}")
-    rows = []
-    for ra in a.rows:
-        bits = 0
-        while ra:
-            j = ra.bit_length() - 1
-            bits ^= b.rows[j]
-            ra ^= 1 << j
-        rows.append(bits)
-    return BitMatrix(a.n_rows, b.n_cols, tuple(rows))
+    return BitMatrix(a.n_rows, b.n_cols, tuple(_xor_rows(b.rows, ra) for ra in a.rows))
 
 
 def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
@@ -229,6 +234,7 @@ def _frame(pivots: list[int], kernel: list[int]) -> tuple[list[int], list[int]]:
         col, free = 1 << j, 1 << f
         d_rows[f] = col
         v ^= free
+        # Scatter stays inline: through _ones, this takes 1.12x and compute_reduction 1.09x on rhg:6x6x6.
         while v:
             p = v.bit_length() - 1
             d_rows[p] |= col

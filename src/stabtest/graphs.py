@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _ones
 
 __all__ = [
     "MAX_QUBITS",
@@ -175,14 +175,7 @@ def edgeless_graph(n: int) -> BipartiteGraphState:
 
 def edges(g: BipartiteGraphState) -> list[tuple[int, int]]:
     """Sorted (B index, W index) pairs."""
-    out = []
-    for j in range(g.n_b):
-        row = g.adjacency.rows[j]
-        while row:
-            low = row & -row
-            out.append((j, low.bit_length() - 1))
-            row ^= low
-    return out
+    return [(j, i) for j, row in enumerate(g.adjacency.rows) for i in _ones(row)]
 
 
 def to_json(g: BipartiteGraphState) -> str:
@@ -193,7 +186,10 @@ def to_json(g: BipartiteGraphState) -> str:
 def from_json(text: str) -> BipartiteGraphState:
     """Inverse of to_json. Counts and indices must be JSON integers: floats,
     strings and booleans are refused rather than truncated."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("graph document nests too deeply to parse") from exc
     try:
         n_b, n_w, edge_list = doc["n_b"], doc["n_w"], doc["edges"]
     except (KeyError, TypeError) as exc:

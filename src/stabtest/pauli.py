@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf2 import BitVector, mat_vec
+from .gf2 import BitVector, _xor_rows, mat_vec
 from .graphs import BipartiteGraphState
 
 __all__ = [
@@ -79,23 +79,10 @@ def syndromes(g: BipartiteGraphState, p: BlockPauli) -> tuple[BitVector, BitVect
 def syndrome_masks(g: BipartiteGraphState, u_b: int, u_w: int, v_b: int, v_w: int) -> tuple[int, int]:
     """syndromes() on raw bit masks, without dimension checks.
 
-    A·u_w is the XOR of the columns of A over the set bits of u_w, and Aᵀ·u_b
-    the XOR of the rows of A over the set bits of u_b, so the cost scales with
-    the attack's weight rather than with the graph's size.
+    A·u_w XORs the columns of A over the set bits of u_w, and Aᵀ·u_b the rows,
+    both by gf2._xor_rows: one top-bit step per set bit, on a shrinking mask.
     """
-    sigma1 = v_b
-    columns = g.adjacency_t.rows
-    while u_w:
-        low = u_w & -u_w
-        sigma1 ^= columns[low.bit_length() - 1]
-        u_w ^= low
-    sigma2 = v_w
-    rows = g.adjacency.rows
-    while u_b:
-        low = u_b & -u_b
-        sigma2 ^= rows[low.bit_length() - 1]
-        u_b ^= low
-    return sigma1, sigma2
+    return v_b ^ _xor_rows(g.adjacency_t.rows, u_w), v_w ^ _xor_rows(g.adjacency.rows, u_b)
 
 
 def sample_outcomes(

@@ -180,6 +180,21 @@ def test_simulate_malformed_mixture_row_fails_cleanly(tmp_path, capsys):
     _single_error_line(capsys, "q0")
 
 
+@pytest.mark.parametrize("command", ["simulate-graph", "reduce-graph", "simulate-mixture"])
+def test_deeply_nested_json_fails_cleanly(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    argv = {
+        "simulate-graph": ["simulate", "--graph", str(path), "--k", "1", "--adversary", "honest"],
+        "reduce-graph": ["reduce", "--graph", str(path)],
+        "simulate-mixture": ["simulate", "--graph", "path:5", "--k", "1", "--adversary", f"mixture:{path}"],
+    }[command]
+    if argv[0] == "simulate":
+        argv += ["--trials", "5", "--outdir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    _single_error_line(capsys, "nests too deeply")
+
+
 def _run_main(argv):
     """(exit status, stdout, stderr) of main(argv), argparse exits included."""
     out, err = io.StringIO(), io.StringIO()

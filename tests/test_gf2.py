@@ -16,6 +16,7 @@ from stabtest.gf2 import (
     _extend,
     _frame,
     _insert,
+    _xor_rows,
 )
 
 
@@ -68,6 +69,21 @@ def test_support_matches_per_coordinate_reference():
         for bits in cases:
             v = BitVector(n, bits)
             assert v.support() == tuple(i for i in range(n) if (bits >> i) & 1), (n, bits)
+
+
+def test_xor_rows_matches_per_bit_reference():
+    rng = random.Random(613)
+    for n in (0, 1, 63, 64, 65, 200, 4096):
+        rows = [rng.getrandbits(70) for _ in range(n)]
+        cases = [0, (1 << n) - 1]
+        for density in (0.01, 0.5, 0.99):
+            cases += [sum(1 << i for i in range(n) if rng.random() < density) for _ in range(4)]
+        for x in cases:
+            expected = 0
+            for i in range(n):
+                if (x >> i) & 1:
+                    expected ^= rows[i]
+            assert _xor_rows(rows, x) == expected, (n, x)
 
 
 def test_bitvector_rejects_out_of_range_bits():

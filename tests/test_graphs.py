@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -170,6 +171,14 @@ def test_edges_listing():
     assert edges(path_graph(5)) == [(0, 0), (1, 0), (1, 1), (2, 1)]
 
 
+def test_edges_match_per_entry_reference():
+    rng = random.Random(65)
+    n_b, n_w = 40, 130
+    rows = [rng.getrandbits(n_w) & rng.getrandbits(n_w) for _ in range(n_b - 2)] + [0, (1 << n_w) - 1]
+    g = BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, tuple(rows)))
+    assert edges(g) == [(j, i) for j in range(n_b) for i in range(n_w) if g.adjacency.entry(j, i)]
+
+
 def test_json_round_trip():
     for g in (path_graph(7), grid_graph(3, 3), rhg_lattice(1, 1, 1)):
         doc = to_json(g)
@@ -188,6 +197,13 @@ def test_from_json_rejects_bad_documents():
     for edges in ("null", "3", "[1, 2]", "[[0]]", "[[0, 0, 0]]", '[[[0], 0]]', '[["a", 0]]'):
         with pytest.raises(ValueError, match="edges"):
             from_json('{"n_b": 1, "n_w": 1, "edges": %s}' % edges)
+
+
+def test_from_json_refuses_deeply_nested_documents():
+    with pytest.raises(ValueError, match="nests too deeply"):
+        from_json("[" * 200000)
+    with pytest.raises(ValueError, match="nests too deeply"):
+        from_json('{"n_b": 1, "n_w": 1, "edges": %s}' % ("[" * 200000 + "]" * 200000))
 
 
 def test_graph_state_validation():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabtest.gf2 import BitMatrix, BitVector, mat_vec
-from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
+from stabtest.graphs import BipartiteGraphState, edgeless_graph, grid_graph, path_graph, rhg_lattice
 from stabtest.pauli import (
     BlockClass,
     BlockPauli,
@@ -96,6 +96,22 @@ def test_column_xor_syndromes_equal_dense_mat_vec(g):
             assert syndrome_masks(g, u_b, u_w, v_b, v_w) == expected
             p = _attack(g, u_b, u_w, v_b, v_w)
             assert syndromes(g, p) == (BitVector(g.n_b, expected[0]), BitVector(g.n_w, expected[1]))
+
+
+@pytest.mark.parametrize("g", [path_graph(4097), edgeless_graph(4097)], ids=["path:4097", "edgeless:4097"])
+def test_syndrome_masks_match_mat_vec_on_wide_masks(g):
+    # Masks thousands of bits wide, most bits set: the set-bit walk runs over
+    # ints of many digits, which small graphs never reach.
+    rng = random.Random(4097)
+    for density in (0.5, 0.9, 1.0):
+        u_b, u_w, v_b, v_w = (
+            sum(1 << i for i in range(n) if rng.random() < density) for n in (g.n_b, g.n_w, g.n_b, g.n_w)
+        )
+        expected = (
+            v_b ^ mat_vec(g.adjacency, BitVector(g.n_w, u_w)).bits,
+            v_w ^ mat_vec(g.adjacency_t, BitVector(g.n_b, u_b)).bits,
+        )
+        assert syndrome_masks(g, u_b, u_w, v_b, v_w) == expected
 
 
 def test_syndromes_reject_mismatched_attack():

@@ -1,5 +1,5 @@
 """The package imports nothing outside the standard library (requires Python >= 3.10,
-the first with sys.stdlib_module_names), and every name it imports is used."""
+the first with sys.stdlib_module_names), and every name it or a test imports is used."""
 
 import ast
 import sys
@@ -7,11 +7,14 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "stabtest").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "stabtest").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_sources_are_found():
     assert any(path.name == "protocol.py" for path in SOURCES)
+    assert any(path.name == "test_stdlib_only.py" for path in TESTS)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
@@ -28,7 +31,9 @@ def test_package_imports_only_the_standard_library(path):
     assert not outside, f"{path.name} imports {outside} from outside the standard library"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+@pytest.mark.parametrize(
+    "path", SOURCES + TESTS, ids=[path.name for path in SOURCES] + [f"tests/{path.name}" for path in TESTS]
+)
 def test_every_imported_name_is_used(path):
     # A name may also be re-exported through __all__, or kept on a line
     # marked `# noqa: F401` (the names the traced benchmark run patches).
