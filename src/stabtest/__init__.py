@@ -32,7 +32,6 @@ from .protocol import (
     IidPauli,
     SingleBadCopy,
     Transcript,
-    draw_attack,
     estimate,
     run_protocol,
     run_trials,
@@ -61,7 +60,6 @@ __all__ = [
     "Transcript",
     "compute_reduction",
     "conditional_fidelity",
-    "draw_attack",
     "edgeless_graph",
     "estimate",
     "grid_graph",

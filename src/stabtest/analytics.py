@@ -269,9 +269,6 @@ def bounds_rows(k_max: int) -> Iterator[tuple]:
     cross-multiplication. Each k builds one table of falling factorials, so no
     ClassCounts, Profile or Fraction is built per row; `profile` and `xi` give
     the same values as Fractions and are the reference for this sweep.
-
-    API note: the rationals used to be yielded as Fractions; the pairs replace
-    them, and `cli.cmd_verify_bounds` is the only caller in the package.
     """
     for k in range(1, k_max + 1):
         n = 2 * k + 1

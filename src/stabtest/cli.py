@@ -294,6 +294,16 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
+    """Write the analytics.bounds_rows sweep as CSV; exit 1 if a row fails bound_ok.
+
+    Exit 0 at --k-max K certifies Theorem 1 for every ClassMixture with
+    k <= K. bound_ok requires joint >= pass - 1/(2k+1) on every profile, and
+    the profiles the sweep leaves out have pass = joint = 0. A mixture's pass
+    and joint are the weighted means of its profiles' values and the
+    condition is affine, so it holds for the mixture; with pass >= alpha it
+    gives a conditional fidelity joint/pass >= 1 - 1/((2k+1) alpha). Nothing
+    is claimed for states outside class mixtures.
+    """
     if args.k_max < 1:
         raise ValueError("k-max must be at least 1")
     if args.k_max > MAX_BOUNDS_K:

@@ -83,9 +83,6 @@ class BitVector:
             raise ValueError("length mismatch")
         return BitVector(self.n, self.bits ^ other.bits)
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def is_zero(self) -> bool:
         return self.bits == 0
 
@@ -122,11 +119,6 @@ class BitMatrix:
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int) -> "BitMatrix":
         return cls(n_rows, n_cols, (0,) * n_rows)
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
-            raise IndexError((i, j))
-        return (self.rows[i] >> j) & 1
 
     def row(self, i: int) -> BitVector:
         return BitVector(self.n_cols, self.rows[i])

@@ -34,11 +34,15 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
+# hashlib loads OpenSSL; CPython's built-in module gives the same digest. It
+# is _sha2 from 3.12 on and _sha256 before, and hashlib stands in for both.
 try:
-    # hashlib loads OpenSSL; the lean built-in module gives the same digest.
-    from _sha256 import sha256 as _sha256
+    from _sha2 import sha256 as _sha256
 except ImportError:
-    from hashlib import sha256 as _sha256
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .analytics import _checked_atoms, checked_mixture
 from .gf2 import BitVector
@@ -56,7 +60,6 @@ __all__ = [
     "Transcript",
     "EstimateResult",
     "trial_seed",
-    "draw_attack",
     "run_protocol",
     "run_trials",
     "transcript_lines",
@@ -409,20 +412,6 @@ def _sample(getrandbits: Callable[[int], int], n: int, m: int) -> list[int]:
     return chosen
 
 
-def _block_pauli(g: BipartiteGraphState, masks: tuple[int, int, int, int]) -> BlockPauli:
-    u_b, u_w, v_b, v_w = masks
-    return BlockPauli(
-        BitVector(g.n_b, u_b), BitVector(g.n_w, u_w), BitVector(g.n_b, v_b), BitVector(g.n_w, v_w)
-    )
-
-
-def draw_attack(
-    model: AdversaryModel, k: int, g: BipartiteGraphState, rng: random.Random
-) -> list[BlockPauli]:
-    """Draw one round of 2k+1 per-copy attacks from the adversary model."""
-    return [_block_pauli(g, masks) for _, _, masks in _Plan(g, k, model).draw(rng)]
-
-
 # What _trial returns: (rng, records, order, accepted, third_fidelity).
 _Round = tuple[random.Random, list[_Record], list[int], bool, int]
 
@@ -495,7 +484,10 @@ def _transcript(
         outcomes = []
         for group, members in ((1, order[:k]), (2, order[k : 2 * k])):
             for i in sorted(members):
-                attack = _block_pauli(g, records[i][2])
+                u_b, u_w, v_b, v_w = records[i][2]
+                attack = BlockPauli(
+                    BitVector(g.n_b, u_b), BitVector(g.n_w, u_w), BitVector(g.n_b, v_b), BitVector(g.n_w, v_w)
+                )
                 outcomes.append((i, *sample_outcomes(g, attack, group, rng)))
         raw = tuple(sorted(outcomes, key=lambda item: item[0]))
     return Transcript(

@@ -358,6 +358,24 @@ def test_bounds_rows_are_symmetric_in_a_and_b():
     assert mirrored == sum((k + 1) ** 2 for k in range(1, 41))
 
 
+def test_bounds_rows_lie_on_or_above_the_supporting_line():
+    # k * joint >= (k + 1) * pass - 1, the line through the honest profile
+    # (pass, joint) = (1, 1) and a single one-sided bad copy,
+    # ((k + 1) / (2k + 1), k / (2k + 1)). Every row lies on or above it and
+    # only those three profiles lie on it. Cross-multiplied by the positive
+    # denominators of pass and joint.
+    rows = on_line = 0
+    for k, a, b, c, (pass_num, pass_den), (joint_num, joint_den), *_ in bounds_rows(60):
+        lhs = k * joint_num * pass_den
+        rhs = ((k + 1) * pass_num - pass_den) * joint_den
+        assert lhs >= rhs, (k, a, b, c)
+        assert (lhs == rhs) == ((a, b, c) in {(0, 0, 0), (1, 0, 0), (0, 1, 0)}), (k, a, b, c)
+        rows += 1
+        on_line += lhs == rhs
+    assert rows == 158840
+    assert on_line == 3 * 60
+
+
 def test_bounds_rows_count_per_k():
     counts = Counter(row[0] for row in bounds_rows(40))
     assert counts == {k: (k + 2) ** 2 - 1 + (k + 1) ** 2 for k in range(1, 41)}

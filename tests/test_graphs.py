@@ -30,7 +30,7 @@ def test_path_graph_sizes():
         assert g.n_b + g.n_w == n
         assert g.n_b == (n + 1) // 2
         # endpoints have degree 1, interior vertices degree 2
-        degrees = sorted(g.adjacency.row(j).weight() for j in range(g.n_b))
+        degrees = sorted(g.adjacency.row(j).bits.bit_count() for j in range(g.n_b))
         interior = [d for d in degrees if d == 2]
         assert degrees.count(1) + len(interior) == g.n_b
 
@@ -71,7 +71,7 @@ def test_grid_edge_count():
     for w, h in [(2, 3), (3, 4), (4, 4), (5, 2)]:
         g = grid_graph(w, h)
         expected = w * (h - 1) + h * (w - 1)
-        assert sum(g.adjacency.row(j).weight() for j in range(g.n_b)) == expected
+        assert sum(g.adjacency.row(j).bits.bit_count() for j in range(g.n_b)) == expected
 
 
 def _rhg_oracle(lx, ly, lz):
@@ -130,9 +130,9 @@ def test_rhg_matches_geometric_oracle(dims):
 def test_rhg_1x1x1_shape():
     g = rhg_lattice(1, 1, 1)
     assert (g.n_b, g.n_w) == (6, 12)
-    assert all(g.adjacency.row(j).weight() == 4 for j in range(6))
-    assert all(g.adjacency.transpose().row(i).weight() == 2 for i in range(12))
-    assert sum(g.adjacency.row(j).weight() for j in range(6)) == 24
+    assert all(g.adjacency.row(j).bits.bit_count() == 4 for j in range(6))
+    assert all(g.adjacency.transpose().row(i).bits.bit_count() == 2 for i in range(12))
+    assert sum(g.adjacency.row(j).bits.bit_count() for j in range(6)) == 24
 
 
 def test_rhg_counts_match_formula():
@@ -176,7 +176,7 @@ def test_edges_match_per_entry_reference():
     n_b, n_w = 40, 130
     rows = [rng.getrandbits(n_w) & rng.getrandbits(n_w) for _ in range(n_b - 2)] + [0, (1 << n_w) - 1]
     g = BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, tuple(rows)))
-    assert edges(g) == [(j, i) for j in range(n_b) for i in range(n_w) if g.adjacency.entry(j, i)]
+    assert edges(g) == [(j, i) for j in range(n_b) for i in range(n_w) if (g.adjacency.rows[j] >> i) & 1]
 
 
 def test_json_round_trip():

@@ -18,7 +18,7 @@ from stabtest.analytics import DomainError
 from stabtest.cli import parse_graph
 from stabtest.gf2 import BitMatrix, BitVector
 from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
-from stabtest.pauli import BlockClass, BlockPauli, syndromes
+from stabtest.pauli import BlockClass, BlockPauli
 from stabtest.protocol import (
     MAX_COPIES,
     ClassMixture,
@@ -27,7 +27,6 @@ from stabtest.protocol import (
     Honest,
     IidPauli,
     SingleBadCopy,
-    draw_attack,
     estimate,
     run_protocol,
     run_trials,
@@ -79,7 +78,10 @@ def test_trial_seed_matches_hashlib(master_seed):
         assert trial_seed(master_seed, index) == int.from_bytes(digest[:8], "big")
 
 
-@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None, reason="no built-in _sha256 module")
+@pytest.mark.skipif(
+    all(importlib.util.find_spec(name) is None for name in ("_sha2", "_sha256")),
+    reason="no built-in SHA-256 module",
+)
 def test_importing_the_cli_leaves_hashlib_unloaded():
     # hashlib loads OpenSSL, a few ms of every command's start-up.
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -159,14 +161,14 @@ def test_recorded_outcomes_decide_the_verdict():
             for k in (1, 2, 3):
                 for seed in range(40):
                     tr = run_protocol(g, k, model, seed, record_outcomes=True)
-                    attacks = draw_attack(model, k, g, random.Random(seed))
+                    records = _Plan(g, k, model).draw(random.Random(seed))
                     tested = [i for i, grp in enumerate(tr.partition) if grp != 3]
                     assert [i for i, _, _ in tr.raw_outcomes] == tested
                     all_zero = True
                     for i, x, z in tr.raw_outcomes:
                         group = tr.partition[i]
                         failures = relation_failures(g, group, x, z)
-                        assert failures == syndromes(g, attacks[i])[group - 1]
+                        assert failures.bits == records[i][group - 1]
                         all_zero = all_zero and failures.is_zero()
                     assert tr.accepted == all_zero
                     runs += 1
@@ -219,15 +221,15 @@ def test_estimate_with_nothing_accepted():
 
 def test_mixture_sampling_distribution():
     model = _mixture(Fraction(1, 2), {(1, 0): 1}, {(0, 0): 1})
+    plan = _Plan(G5, 1, model)
     rng = random.Random(4)
     with_bad = 0
     for _ in range(2000):
-        attacks = draw_attack(model, 1, G5, rng)
-        assert len(attacks) == 3
-        flagged = [p for p in attacks if p != _clean(G5)]
+        records = plan.draw(rng)
+        assert len(records) == 3
+        flagged = [record for record in records if record[2] != (0, 0, 0, 0)]
         assert len(flagged) == 1
-        s1, s2 = syndromes(G5, flagged[0])
-        if s2.is_zero():
+        if not flagged[0][1]:
             with_bad += 1  # the (1,0) case from q0
     assert 850 < with_bad < 1150
 
@@ -370,8 +372,6 @@ def test_explicit_attack_sized_for_another_graph_is_rejected():
         estimate(G5, 2, model, 10, 0)
     with pytest.raises(ValueError, match="do not fit graph"):
         run_protocol(G5, 2, model, 0)
-    with pytest.raises(ValueError, match="do not fit graph"):
-        draw_attack(model, 2, G5, random.Random(0))
 
 
 def test_unknown_adversary_model_is_rejected():
@@ -397,8 +397,6 @@ def test_explicit_rejects_nan_probability():
         estimate(G5, 2, model, 10, 0)
     with pytest.raises(ValueError, match="nonnegative"):
         run_protocol(G5, 2, model, 0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        draw_attack(model, 2, G5, random.Random(0))
 
 
 def test_k_must_be_positive():
@@ -509,8 +507,8 @@ def _assert_bulk_draw_matches_reference(g, k, p_x, p_z, seed):
     ref_rng = random.Random(seed)
     expected = _reference_iid_draw(g, k, p_x, p_z, ref_rng)
     rng = random.Random(seed)
-    attacks = draw_attack(IidPauli(p_x, p_z), k, g, rng)
-    assert [(a.u_b.bits, a.u_w.bits, a.v_b.bits, a.v_w.bits) for a in attacks] == expected
+    records = _Plan(g, k, IidPauli(p_x, p_z)).draw(rng)
+    assert [masks for _, _, masks in records] == expected
     assert rng.getstate() == ref_rng.getstate()
 
 
@@ -568,10 +566,10 @@ def test_bulk_iid_draw_is_exact_at_the_drawn_value(seed):
     v = random.Random(seed).random()
     for p in (math.nextafter(v, 0.0), v, math.nextafter(v, 1.0)):
         _assert_bulk_draw_matches_reference(G5, 1, p, p, seed)
-    first = draw_attack(IidPauli(math.nextafter(v, 1.0), 0.0), 1, G5, random.Random(seed))[0]
-    assert first.u_b.bits & 1
-    first = draw_attack(IidPauli(v, 0.0), 1, G5, random.Random(seed))[0]
-    assert not first.u_b.bits & 1
+    _, _, (u_b, _, _, _) = _Plan(G5, 1, IidPauli(math.nextafter(v, 1.0), 0.0)).draw(random.Random(seed))[0]
+    assert u_b & 1
+    _, _, (u_b, _, _, _) = _Plan(G5, 1, IidPauli(v, 0.0)).draw(random.Random(seed))[0]
+    assert not u_b & 1
     # The same at every lane of the first copy, where a lane's top byte ties
     # and the exact compare decides: p on the lane's half is the value its
     # random() call returns or one ulp either side, and the other half gets

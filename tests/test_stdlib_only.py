@@ -17,18 +17,76 @@ def test_sources_are_found():
     assert any(path.name == "test_stdlib_only.py" for path in TESTS)
 
 
+# CPython's built-in SHA-256 module: _sha2 from 3.12 on, _sha256 before. Each
+# interpreter's sys.stdlib_module_names lists only its own spelling.
+BUILTIN_SHA256 = {"_sha2", "_sha256"}
+
+
+def _imported(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module]
+    return []
+
+
+def _in_stdlib(name):
+    return name.split(".")[0] in sys.stdlib_module_names
+
+
+def _has_stdlib_fallback(node):
+    """A try whose ImportError handler imports a standard module other than
+    the built-in SHA-256 names."""
+    return isinstance(node, ast.Try) and any(
+        isinstance(handler.type, ast.Name) and handler.type.id == "ImportError"
+        and any(
+            _in_stdlib(name) and name not in BUILTIN_SHA256
+            for inner in ast.walk(handler) for name in _imported(inner)
+        )
+        for handler in node.handlers
+    )
+
+
+def _outside_stdlib(source, filename="<source>"):
+    """Names the source imports from outside the running interpreter's
+    standard library. A built-in SHA-256 name passes when it is imported in
+    the body of a try with a standard fallback."""
+    tree = ast.parse(source, filename)
+    guarded = {
+        inner for node in ast.walk(tree) if _has_stdlib_fallback(node)
+        for stmt in node.body for inner in ast.walk(stmt)
+    }
+    return [
+        name for node in ast.walk(tree) for name in _imported(node)
+        if not _in_stdlib(name) and not (name in BUILTIN_SHA256 and node in guarded)
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_package_imports_only_the_standard_library(path):
-    outside = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        outside += [name for name in names if name.split(".")[0] not in sys.stdlib_module_names]
+    outside = _outside_stdlib(path.read_text(), str(path))
     assert not outside, f"{path.name} imports {outside} from outside the standard library"
+
+
+_FALLBACK = """
+try:
+    from {first} import sha256
+except ImportError:
+    from hashlib import sha256
+"""
+
+
+def test_only_a_guarded_builtin_sha256_passes_the_scan():
+    for name in BUILTIN_SHA256:
+        assert _outside_stdlib(_FALLBACK.format(first=name)) == []
+        if name not in sys.stdlib_module_names:
+            assert _outside_stdlib(f"from {name} import sha256") == [name]
+            # A handler that catches something else, or falls back to nothing
+            # standard, does not guard the import.
+            assert _outside_stdlib(_FALLBACK.format(first=name).replace("ImportError", "KeyError")) == [name]
+            assert _outside_stdlib(_FALLBACK.format(first=name).replace("hashlib", "numpy")) == [name, "numpy"]
+    assert _outside_stdlib(_FALLBACK.format(first="numpy")) == ["numpy"]
+    assert _outside_stdlib(_FALLBACK.format(first="numpy.linalg")) == ["numpy.linalg"]
 
 
 @pytest.mark.parametrize(
