@@ -202,12 +202,13 @@ def _relation_line(rel) -> str:
 
 
 @contextmanager
-def _atomic_write(path: Path, newline: str | None = None):
+def _atomic_write(path: Path):
     """Write to a temp file beside path and move it over path only if the
-    block completes, so a failed run leaves the previous output untouched."""
+    block completes, so a failed run leaves the previous output untouched.
+    newline="" keeps the bytes the same on every platform."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -231,7 +232,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Both files are replaced at the end and the report is formatted before
     # that, so a run that fails keeps the old pair. The inner block exits
     # first: transcripts.jsonl is moved first and summary.csv last.
-    with _atomic_write(summary_path, newline="") as summary, _atomic_write(transcript_path) as fh:
+    with _atomic_write(summary_path) as summary, _atomic_write(transcript_path) as fh:
         for line, ok, third in transcript_lines(g, args.k, model, args.trials, args.seed):
             fh.write(line + "\n")
             if ok:
@@ -317,7 +318,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     # a > b, so its text is kept in `tails` (one k at a time) and reused.
     tails: dict[tuple[int, int, int], str] = {}
     tails_k = 0
-    with _atomic_write(Path(args.out), newline="") if args.out else nullcontext(sys.stdout) as out:
+    with _atomic_write(Path(args.out)) if args.out else nullcontext(sys.stdout) as out:
         write = out.write
         write(",".join(BOUNDS_HEADER) + "\n")
         for k, a, b, c, p, joint, conditional, xi_val, ok in analytics.bounds_rows(args.k_max):

@@ -82,41 +82,37 @@ def _check_size(field: str, n: int) -> None:
 
 
 def path_graph(n: int) -> BipartiteGraphState:
-    """Linear chain on n vertices, odd positions (1-indexed) black."""
+    """Linear chain on n vertices, odd positions (1-indexed) black: the n x 1
+    grid, so vertex pos of either color is number pos // 2."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
     _check_size("path length", n)
-    n_b = (n + 1) // 2
-    n_w = n // 2
-    rows = [0] * n_b
-    for pos in range(n - 1):
-        # Edge between positions pos and pos+1; the even 0-indexed one is black.
-        if pos % 2 == 0:
-            rows[pos // 2] |= 1 << (pos // 2)
-        else:
-            rows[(pos + 1) // 2] |= 1 << (pos // 2)
-    return BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, tuple(rows)))
+    return grid_graph(n, 1)
 
 
 def grid_graph(w: int, h: int) -> BipartiteGraphState:
-    """w x h square lattice with checkerboard bipartition ((row+col) even -> B)."""
+    """w x h square lattice with checkerboard bipartition ((row+col) even -> B).
+    Row-major, cell (r, c) is number (r*w + c) // 2 within its color."""
     if w < 1 or h < 1:
         raise ValueError("grid dimensions must be positive")
     _check_size("grid w*h", w * h)
-    b_index: dict[tuple[int, int], int] = {}
-    w_index: dict[tuple[int, int], int] = {}
+    rows = []
+    append = rows.append
     for r in range(h):
-        for c in range(w):
-            if (r + c) % 2 == 0:
-                b_index[(r, c)] = len(b_index)
-            else:
-                w_index[(r, c)] = len(w_index)
-    rows = [0] * len(b_index)
-    for (r, c), j in b_index.items():
-        for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= rr < h and 0 <= cc < w:
-                rows[j] |= 1 << w_index[(rr, cc)]
-    n_b, n_w = len(b_index), len(w_index)
+        up, down = r > 0, r + 1 < h
+        for c in range(r % 2, w, 2):
+            i = r * w + c
+            row = 0
+            if c > 0:
+                row |= 1 << ((i - 1) >> 1)
+            if c + 1 < w:
+                row |= 1 << ((i + 1) >> 1)
+            if up:
+                row |= 1 << ((i - w) >> 1)
+            if down:
+                row |= 1 << ((i + w) >> 1)
+            append(row)
+    n_b, n_w = (w * h + 1) // 2, w * h // 2
     return BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, tuple(rows)))
 
 

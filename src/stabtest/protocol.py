@@ -248,15 +248,18 @@ class _Plan:
                 records[_sample(rng.getrandbits, n, 1)[0]] = bad
                 return records
         elif isinstance(model, ClassMixture):
+            q0, q1 = checked_mixture(model.beta, model.q0, model.q1, k)
             # (counts, running totals) of Q0, then of Q1, from the checked atoms.
             tables = [
-                ([counts for counts, _ in atoms], _running_totals(w for _, w in atoms))
-                for atoms in checked_mixture(model.beta, model.q0, model.q1, k)
+                ([counts for counts, _ in atoms], _running_totals(w for _, w in atoms)) for atoms in (q0, q1)
             ]
             beta = float(Fraction(model.beta))
-            rep10 = self._class_record(1, 0)
-            rep01 = self._class_record(0, 1)
-            rep11 = self._class_record(1, 1)
+            # random() < beta can hold only if beta > 0 and fail only if beta < 1.
+            # Only the classes a reachable branch places must fit the graph.
+            reachable = (q0 if beta > 0 else ()) + (q1 if beta < 1 else ())
+            rep10 = self._class_record(1, 0) if any(a for (a, _), _ in reachable) else None
+            rep01 = self._class_record(0, 1) if any(b for (_, b), _ in reachable) else None
+            rep11 = self._class_record(1, 1) if beta < 1 else None
 
             def draw(rng: random.Random) -> list[_Record]:
                 c = 0 if rng.random() < beta else 1

@@ -202,6 +202,8 @@ def test_t_functionals_validation():
         t_functionals(F(1, 2), {(6, 0): 1}, {(0, 0): 1}, 2)
     with pytest.raises(DomainError):
         t_functionals(F(1, 2), {(0, 0): 1}, {(5, 0): 1}, 2)
+    with pytest.raises(DomainError, match="k must be at least 1"):
+        t_functionals(F(1, 2), {(0, 0): 1}, {(0, 0): 1}, 0)
     # Counts must be exact ints: 0.5 used to end in a TypeError from math.perm
     # and True to run as 1.
     for count in (0.5, True):

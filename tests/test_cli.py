@@ -670,3 +670,85 @@ def test_unknown_graph_is_usage_error(capsys):
     rc = main(["reduce", "--graph", "moebius:7"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_every_output_is_opened_without_newline_translation(tmp_path, monkeypatch):
+    # newline="" writes "\n" as is; the default would write "\r\n" on Windows.
+    opened = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        opened.append((os.path.basename(file), kwargs.get("newline")))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    assert main(["simulate", "--graph", "path:3", "--k", "1", "--adversary", "honest",
+                 "--trials", "2", "--outdir", str(tmp_path)]) == 0
+    assert main(["verify-bounds", "--k-max", "1", "--out", str(tmp_path / "bounds.csv")]) == 0
+    names = sorted(name.split(".")[1] for name, _ in opened)
+    assert names == ["bounds", "summary", "transcripts"], opened
+    assert all(newline == "" for _, newline in opened), opened
+
+
+def test_verify_bounds_counts_a_violation(tmp_path, monkeypatch, capsys):
+    row = (1, 0, 0, 0, (1, 1), (1, 2), (1, 2), None, False)
+    monkeypatch.setattr(cli.analytics, "bounds_rows", lambda k_max: iter([row]))
+    out_path = tmp_path / "bounds.csv"
+    assert main(["verify-bounds", "--k-max", "1", "--out", str(out_path)]) == 1
+    assert capsys.readouterr() == (f"wrote {out_path}: 1 rows, 1 violations\n", "")
+    assert out_path.read_text().splitlines()[1] == "1,0,0,0,1,0.5,0.5,,false"
+
+
+NO_B = {"n_b": 0, "n_w": 2, "edges": []}
+
+
+@pytest.mark.parametrize(
+    "graph, adversary, field",
+    [
+        ("path:5", "honest:x", "honest takes no arguments"),
+        ("path:5", ["beta", "q0", "q1"], "mixture JSON must be an object with beta, q0 and q1"),
+        ("path:5", {**MIX_OK, "q0": [[0, 0, 0]]}, "q0 weights must have positive total"),
+        ("path:5", {**MIX_OK, "q1": [[0, 0, 1], [1, 0, -1]]}, "q1 weights must have positive total"),
+        ("grid:0x3", "honest", "grid dimensions must be positive"),
+        ("edgeless:0", "honest", "need at least one vertex"),
+        (NO_B, "single-bad:1,0", "class with s=1 is not realizable: graph has no B vertices"),
+    ],
+    ids=["honest-argument", "mixture-not-object", "q0-zero-total", "q1-zero-total", "grid-0x3", "edgeless-0",
+         "no-b-vertex"],
+)
+def test_refused_specs_fail_cleanly(tmp_path, capsys, graph, adversary, field):
+    if isinstance(graph, dict):
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        graph = str(tmp_path / "g.json")
+    if not isinstance(adversary, str):
+        (tmp_path / "mix.json").write_text(json.dumps(adversary))
+        adversary = f"mixture:{tmp_path / 'mix.json'}"
+    assert main(["simulate", "--graph", graph, "--k", "1", "--adversary", adversary,
+                 "--trials", "5", "--outdir", str(tmp_path / "out")]) == 2
+    _single_error_line(capsys, field)
+
+
+# A mixture needs only the classes its reachable branch can place: with
+# beta = 1 no (1,1) copy is sent, so a graph with one side suffices when the
+# Q0 atoms only flag that side. Any other beta, or a Q0 atom that flags the
+# missing side, is refused before any trial.
+@pytest.mark.parametrize(
+    "graph, q0, missing",
+    [
+        (NO_B, [[0, 0, 1], [0, 1, 1]], "s=1 is not realizable: graph has no B vertices"),
+        ("path:1", [[0, 0, 1], [1, 0, 1]], "t=1 is not realizable: graph has no W vertices"),
+    ],
+    ids=["no-b-vertex", "path:1"],
+)
+def test_mixture_runs_on_one_sided_graphs(tmp_path, capsys, graph, q0, missing):
+    if isinstance(graph, dict):
+        (tmp_path / "g.json").write_text(json.dumps(graph))
+        graph = str(tmp_path / "g.json")
+    flipped = [[b, a, w] for a, b, w in q0]
+    for beta, atoms, status in (("1", q0, 0), ("1/2", q0, 2), ("0", q0, 2), ("1", flipped, 2)):
+        (tmp_path / "mix.json").write_text(json.dumps({"beta": beta, "q0": atoms, "q1": [[0, 0, 1]]}))
+        assert main(["simulate", "--graph", graph, "--k", "1", "--adversary", f"mixture:{tmp_path / 'mix.json'}",
+                     "--trials", "20", "--outdir", str(tmp_path / "out")]) == status
+        if status:
+            _single_error_line(capsys, f"error: class with {missing}")
+        else:
+            assert "wrote " in capsys.readouterr().out

@@ -96,6 +96,26 @@ def test_bitvector_rejects_out_of_range_bits():
             BitVector(n, 1 << n)
 
 
+def test_bitvector_refuses_indices_past_its_length():
+    for i in (-1, 4):
+        with pytest.raises(ValueError, match="unit index out of range"):
+            BitVector.unit(4, i)
+        with pytest.raises(IndexError):
+            BitVector(4, 0b1111)[i]
+    with pytest.raises(ValueError, match="length mismatch"):
+        BitVector(3, 1) ^ BitVector(4, 1)
+
+
+def test_bitmatrix_refuses_bad_shapes():
+    with pytest.raises(ValueError, match="negative matrix dimension"):
+        BitMatrix(-1, 2, ())
+    with pytest.raises(ValueError, match="negative matrix dimension"):
+        BitMatrix(1, -2, (0,))
+    for rows in ((0,), (0, 0, 0)):
+        with pytest.raises(ValueError, match="row count does not match n_rows"):
+            BitMatrix(2, 2, rows)
+
+
 @pytest.mark.parametrize("n_cols", [0, 1, 5, 64])
 def test_bitmatrix_rows_stop_just_below_one_shifted_by_n_cols(n_cols):
     top = (1 << n_cols) - 1

@@ -42,9 +42,47 @@ def test_path_graph_degenerate_and_error():
         path_graph(0)
 
 
+def _path_oracle(n):
+    """(n_b, n_w, rows) from the edges (pos, pos + 1); the even 0-indexed end
+    of each edge is black, and each color is numbered in position order."""
+    rows = [0] * ((n + 1) // 2)
+    for pos in range(n - 1):
+        b, w = (pos, pos + 1) if pos % 2 == 0 else (pos + 1, pos)
+        rows[b // 2] |= 1 << (w // 2)
+    return (n + 1) // 2, n // 2, rows
+
+
+def _grid_oracle(w, h):
+    """(n_b, n_w, rows) cell by cell from (r, c) coordinates: each color is
+    numbered by counting its cells in row-major order, and a B cell is joined
+    to every 4-neighbour that is a W cell."""
+    cells = [(r, c) for r in range(h) for c in range(w)]
+    black = [cell for cell in cells if sum(cell) % 2 == 0]
+    white = {cell: i for i, cell in enumerate(cell for cell in cells if sum(cell) % 2 == 1)}
+    rows = []
+    for r, c in black:
+        bits = 0
+        for cell in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if cell in white:
+                bits |= 1 << white[cell]
+        rows.append(bits)
+    return len(black), len(white), rows
+
+
+def test_path_matches_edge_oracle():
+    for n in [*range(1, 201), 4097, MAX_QUBITS]:
+        g = path_graph(n)
+        assert (g.n_b, g.n_w, list(g.adjacency.rows)) == _path_oracle(n), n
+
+
+def test_grid_matches_cell_oracle():
+    for w, h in itertools.product(range(1, 31), repeat=2):
+        g = grid_graph(w, h)
+        assert (g.n_b, g.n_w, list(g.adjacency.rows)) == _grid_oracle(w, h), (w, h)
+
+
 def test_grid_1xn_matches_path():
     assert grid_graph(1, 5).adjacency == path_graph(5).adjacency
-    assert grid_graph(3, 1).adjacency == path_graph(3).adjacency
 
 
 def test_grid_2x2():
@@ -209,6 +247,9 @@ def test_from_json_refuses_deeply_nested_documents():
 def test_graph_state_validation():
     with pytest.raises(ValueError):
         BipartiteGraphState(2, 1, BitMatrix(1, 1, (1,)))
+    for n_b, n_w in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="negative vertex count"):
+            BipartiteGraphState(n_b, n_w, BitMatrix.zeros(0, 0))
 
 
 def test_adjacency_transpose_cached():
