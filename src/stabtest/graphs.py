@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
+from math import prod
 
 from .gf2 import BitMatrix, _ones
 
@@ -116,46 +117,36 @@ def grid_graph(w: int, h: int) -> BipartiteGraphState:
     return BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, tuple(rows)))
 
 
-def _cell_keys(dims: tuple[int, int, int], face: bool) -> list[tuple[int, int, int, int]]:
-    """Ascending (axis, x, y, z) keys of the edges or faces of the complex.
-
-    An edge runs along its axis, so it takes dims[axis] positions there and
-    dims + 1 on the other two axes; a face is the other way round.
-    """
-    return [
-        (a, *corner)
-        for a in range(3)
-        for corner in product(*(range(dims[d] + ((d == a) == face)) for d in range(3)))
-    ]
-
-
 def rhg_lattice(lx: int, ly: int, lz: int) -> BipartiteGraphState:
     """Cluster state on the faces and edges of an lx x ly x lz cubic complex.
 
     Open boundaries. One qubit per face (black) and per edge (white); a face
     qubit is joined to the four edge qubits on its boundary. Faces and edges
     are numbered by sorted (axis, x, y, z) keys, where axis is the face normal
-    or the edge direction.
+    or the edge direction: edges of axis a span (sx, sy, sz) = dims + 1 off
+    axis a, so edge (a, x, y, z) is number base[a] + x·sy·sz + y·sz + z, where
+    base[a] counts the edges of lower axes.
     """
     if lx < 1 or ly < 1 or lz < 1:
         raise ValueError("lattice dimensions must be positive")
-    faces = (lx + 1) * ly * lz + lx * (ly + 1) * lz + lx * ly * (lz + 1)
-    edges = lx * (ly + 1) * (lz + 1) + (lx + 1) * ly * (lz + 1) + (lx + 1) * (ly + 1) * lz
-    _check_size("rhg faces + edges", faces + edges)
     dims = (lx, ly, lz)
-    edge_keys = _cell_keys(dims, face=False)
-    edge_index = {key: i for i, key in enumerate(edge_keys)}
-    face_keys = _cell_keys(dims, face=True)
+    edge_sizes = [[n + (d != a) for d, n in enumerate(dims)] for a in range(3)]
+    face_sizes = [[n + (d == a) for d, n in enumerate(dims)] for a in range(3)]
+    base = list(accumulate(map(prod, edge_sizes), initial=0))
+    n_b, n_w = sum(map(prod, face_sizes)), base[3]
+    _check_size("rhg faces + edges", n_b + n_w)
+    strides = [(sy * sz, sz, 1) for _, sy, sz in edge_sizes]
 
-    rows = [0] * len(face_keys)
-    for j, (a, *origin) in enumerate(face_keys):
+    rows = []
+    append = rows.append
+    for a, sizes in enumerate(face_sizes):
         t1, t2 = (d for d in range(3) if d != a)
-        for direction, shift_axis in ((t1, t2), (t2, t1)):
-            for shift in (0, 1):
-                corner = list(origin)
-                corner[shift_axis] += shift
-                rows[j] |= 1 << edge_index[(direction, *corner)]
-    n_b, n_w = len(face_keys), len(edge_keys)
+        (sx1, sy1, _), (sx2, sy2, _) = strides[t1], strides[t2]
+        b1, b2, step1, step2 = base[t1], base[t2], strides[t1][t2], strides[t2][t1]
+        for x, y, z in product(*map(range, sizes)):
+            i1 = b1 + x * sx1 + y * sy1 + z
+            i2 = b2 + x * sx2 + y * sy2 + z
+            append(1 << i1 | 1 << (i1 + step1) | 1 << i2 | 1 << (i2 + step2))
     return BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, tuple(rows)))
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "CheckRelation",
     "compute_reduction",
     "convert",
-    "check_relations",
     "relation_failures",
     "relations_hold",
     "converted_checks_hold",
@@ -115,13 +114,6 @@ def convert(r: Reduction, group: int, x: BitVector, z: BitVector) -> tuple[BitVe
     """Classical data conversion for one test group: (x', z') from raw (x, z)."""
     x_mat, z_mat = _conversion(r, group)
     return mat_vec(x_mat, x), mat_vec(z_mat, z)
-
-
-def check_relations(g: BipartiteGraphState, group: int) -> list[CheckRelation]:
-    """Full stabilizer relation set for one test group: relation j says X_j
-    equals the XOR of Z over row j of g.check_matrix(group)."""
-    m = g.check_matrix(group)
-    return [CheckRelation(BitVector.unit(m.n_rows, j), m.row(j), group) for j in range(m.n_rows)]
 
 
 def relation_failures(g: BipartiteGraphState, group: int, x: BitVector, z: BitVector) -> BitVector:

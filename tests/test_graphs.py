@@ -159,7 +159,11 @@ def _rhg_oracle(lx, ly, lz):
     return BitMatrix(len(face_keys), len(edge_keys), tuple(rows))
 
 
-@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2), (3, 2, 1)])
+# Each axis is the longest at least once, so every per-axis block and stride is checked.
+@pytest.mark.parametrize(
+    "dims",
+    [(1, 1, 1), (2, 1, 1), (1, 2, 2), (2, 2, 2), (3, 2, 1), (1, 1, 3), (1, 3, 1), (3, 1, 1), (2, 3, 4), (4, 2, 3)],
+)
 def test_rhg_matches_geometric_oracle(dims):
     g = rhg_lattice(*dims)
     assert g.adjacency == _rhg_oracle(*dims)
@@ -174,7 +178,8 @@ def test_rhg_1x1x1_shape():
 
 
 def test_rhg_counts_match_formula():
-    for dims in [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 1, 2)]:
+    # (1, 4, 1637) is the largest 1 x 4 x lz lattice under MAX_QUBITS; the oracle is too slow there.
+    for dims in [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 1, 2), (1, 4, 1637)]:
         g = rhg_lattice(*dims)
         faces = sum(
             (dims[a] + 1) * dims[(a + 1) % 3] * dims[(a + 2) % 3] for a in range(3)
@@ -182,11 +187,13 @@ def test_rhg_counts_match_formula():
         per_edge = lambda a: dims[a] * (dims[(a + 1) % 3] + 1) * (dims[(a + 2) % 3] + 1)
         assert g.n_b == faces
         assert g.n_w == sum(per_edge(a) for a in range(3))
+        assert all(row.bit_count() == 4 for row in g.adjacency.rows)
 
 
 def test_rhg_rejects_empty():
-    with pytest.raises(ValueError):
-        rhg_lattice(0, 1, 1)
+    for dims in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-2, 3, 3)]:
+        with pytest.raises(ValueError, match="lattice dimensions must be positive"):
+            rhg_lattice(*dims)
 
 
 def test_graph_size_cap():

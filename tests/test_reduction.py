@@ -17,7 +17,6 @@ from stabtest.graphs import BipartiteGraphState, edgeless_graph, path_graph, gri
 from stabtest.pauli import BlockPauli, sample_outcomes
 from stabtest.reduction import (
     Reduction,
-    check_relations,
     compute_reduction,
     convert,
     converted_checks_hold,
@@ -273,24 +272,6 @@ def test_converted_equals_direct_sampled():
             assert converted_checks_hold(r, 2, x2, z2) == relations_hold(g, 2, x2, z2)
 
 
-def test_check_relations_structure():
-    g = path_graph(5)
-    rel1 = check_relations(g, 1)
-    assert len(rel1) == g.n_b
-    for j, rel in enumerate(rel1):
-        assert rel.group == 1
-        assert rel.x_mask == BitVector.unit(g.n_b, j)
-        assert rel.z_mask == g.adjacency.row(j)
-    rel2 = check_relations(g, 2)
-    assert len(rel2) == g.n_w
-    for i, rel in enumerate(rel2):
-        assert rel.group == 2
-        assert rel.x_mask == BitVector.unit(g.n_w, i)
-        assert rel.z_mask == g.adjacency.transpose().row(i)
-    with pytest.raises(ValueError):
-        check_relations(g, 3)
-
-
 @pytest.mark.parametrize("group", [0, 3])
 def test_group_taking_functions_refuse_other_groups(group):
     g = path_graph(5)
@@ -298,7 +279,6 @@ def test_group_taking_functions_refuse_other_groups(group):
     x, z = BitVector.zero(g.n_b), BitVector.zero(g.n_w)
     calls = [
         lambda: g.check_matrix(group),
-        lambda: check_relations(g, group),
         lambda: relation_failures(g, group, x, z),
         lambda: relations_hold(g, group, x, z),
         lambda: convert(r, group, x, z),
