@@ -185,8 +185,8 @@ def t_functionals(
     return t1, t2, t3
 
 
-def _theorem1_floor(alpha, k: int):
-    """1 - 1/(alpha(2k+1)), or None where alpha(2k+1) <= 1 and Theorem 1 says nothing.
+def theorem1_bound(alpha, k: int):
+    """Fidelity floor 1 - 1/(alpha(2k+1)); DomainError unless alpha > 1/(2k+1).
 
     Exact inputs give an exact Fraction; float input gives a float.
     """
@@ -195,18 +195,10 @@ def _theorem1_floor(alpha, k: int):
     n = 2 * k + 1
     exact = Fraction(alpha)
     if exact * n <= 1:
-        return None
+        raise DomainError("alpha must exceed 1/(2k+1)")
     if isinstance(alpha, float):
         return 1.0 - 1.0 / (alpha * n)
     return 1 - Fraction(1, exact * n)
-
-
-def theorem1_bound(alpha, k: int):
-    """Fidelity floor 1 - 1/(alpha(2k+1)); DomainError unless alpha > 1/(2k+1)."""
-    bound = _theorem1_floor(alpha, k)
-    if bound is None:
-        raise DomainError("alpha must exceed 1/(2k+1)")
-    return bound
 
 
 def theorem1_verdict(passing: Fraction, conditional: Fraction | None, alpha: Rational, k: int) -> LemmaVerdict:
@@ -217,8 +209,10 @@ def theorem1_verdict(passing: Fraction, conditional: Fraction | None, alpha: Rat
     and passing >= alpha; then holds says conditional >= bound, and otherwise
     holds is vacuously True. lemma_check passes exact values, simulate rates.
     """
+    if k < 1:
+        raise DomainError("k must be at least 1")
     alpha = Fraction(alpha)
-    bound = _theorem1_floor(alpha, k)
+    bound = theorem1_bound(alpha, k) if alpha * (2 * k + 1) > 1 else None
     premise = bound is not None and passing >= alpha
     # The premise forces passing >= alpha > 0, so conditional is defined.
     return LemmaVerdict(passing, conditional, bound, premise, not premise or conditional >= bound)
@@ -265,10 +259,12 @@ def bounds_rows(k_max: int) -> Iterator[tuple]:
 
     Every rational is an exact (numerator, denominator) pair of ints with a
     positive denominator, not reduced; xi is None for c = 1. bound_ok is
-    joint >= pass - 1/(2k+1) and xi >= 0, decided by integer
-    cross-multiplication. Each k builds one table of falling factorials, so no
-    ClassCounts, Profile or Fraction is built per row; `profile` and `xi` give
-    the same values as Fractions and are the reference for this sweep.
+    joint >= pass - 1/(2k+1), decided by integer cross-multiplication. For
+    c = 0 that is xi >= 0: the row's xi numerator is the condition multiplied
+    through by (2k+1)(k+1)^2 P(2k+1, a+b) > 0. Each k builds one table of
+    falling factorials, so no ClassCounts, Profile or Fraction is built per
+    row; `profile` and `xi` give the same values as Fractions and are the
+    reference for this sweep.
     """
     for k in range(1, k_max + 1):
         n = 2 * k + 1
@@ -293,10 +289,10 @@ def bounds_rows(k_max: int) -> Iterator[tuple]:
                 joint_num = pk_a * pk[b]
                 xi_den = n * perms
                 xi_num = (cond_num - cond_den) * xi_den + pass_den
-                # joint >= pass - 1/n, multiplied through by n * kk * s > 0.
-                ok = n * (kk * joint_num - pass_num) + pass_den >= 0 and xi_num >= 0
+                # joint >= pass - 1/n, multiplied through by n * kk * s > 0, is
+                # xi_num >= 0: kk P(k,a) P(k,b) = (k+1-a)(k+1-b) P(k+1,a) P(k+1,b).
                 yield (k, a, b, 0, (pass_num, pass_den), (joint_num, s), (cond_num, cond_den),
-                       (xi_num, xi_den), ok)
+                       (xi_num, xi_den), xi_num >= 0)
         # c = 1: pass = P(k,a) P(k,b) / (n P(2k,a+b)); joint and conditional are 0.
         for a in range(k + 1):
             pk_a = pk[a]

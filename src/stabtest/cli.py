@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
@@ -93,10 +94,13 @@ MAX_DIGITS = 4000
 def _fraction(value, field: str) -> Fraction:
     text = str(value)
     _, e, exp = text.lower().partition("e")
+    # Fraction reads each run of digits (underscores dropped) as one int, which
+    # Python refuses past 4300 digits, and expands a decimal exponent into a
+    # power of ten, which takes seconds for 1e-10000000. Both are refused for
+    # their digits before Fraction runs.
+    too_long = max(map(len, re.split(r"\D+", text.replace("_", "")))) > 4300
     try:
-        # Fraction expands a decimal exponent into a power of ten, which takes
-        # seconds for 1e-10000000, so a longer exponent is refused before that.
-        too_long = bool(e) and abs(int(exp)) > MAX_DIGITS
+        too_long = too_long or bool(e) and abs(int(exp)) > MAX_DIGITS
         x = None if too_long else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{field} must be a fraction p/q or a decimal, got {value!r}") from exc
@@ -298,7 +302,8 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     """Write the analytics.bounds_rows sweep as CSV; exit 1 if a row fails bound_ok.
 
     Exit 0 at --k-max K certifies Theorem 1 for every ClassMixture with
-    k <= K. bound_ok requires joint >= pass - 1/(2k+1) on every profile, and
+    k <= K. bound_ok requires joint >= pass - 1/(2k+1) on every profile (for
+    c = 0 it is xi >= 0, the same condition times a positive integer), and
     the profiles the sweep leaves out have pass = joint = 0. A mixture's pass
     and joint are the weighted means of its profiles' values and the
     condition is affine, so it holds for the mixture; with pass >= alpha it

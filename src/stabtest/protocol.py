@@ -67,14 +67,10 @@ __all__ = [
     "transcript_to_json",
 ]
 
-_CLASS = {
-    (0, 0): BlockClass(0, 0),
-    (0, 1): BlockClass(0, 1),
-    (1, 0): BlockClass(1, 0),
-    (1, 1): BlockClass(1, 1),
-}
-# The persisted spelling of each class, as json.dumps writes [s, t].
-_CLASS_JSON = {(s, t): f"[{int(s)}, {int(t)}]" for s in (False, True) for t in (False, True)}
+# Each class and its persisted spelling, as json.dumps writes [s, t]. Bool
+# keys find the same entries, since True == 1 and False == 0 hash alike.
+_CLASS = {(s, t): BlockClass(s, t) for s in (0, 1) for t in (0, 1)}
+_CLASS_JSON = {(s, t): f"[{s}, {t}]" for s in (0, 1) for t in (0, 1)}
 
 # Bulk IID draws. random() is x / 2**53 with x = (w0 >> 5) * 2**26 + (w1 >> 6)
 # over two consecutive Mersenne-Twister words, and getrandbits(64 * m) returns
@@ -356,8 +352,8 @@ class _Plan:
 
 
 def _running_totals(weights: Iterable) -> list[float]:
-    """Float running totals of the weights: 0.0 plus float(w), left to right."""
-    return list(accumulate(map(float, weights), initial=0.0))[1:]
+    """Float running totals of the weights, left to right."""
+    return list(accumulate(map(float, weights)))
 
 
 def _pick(totals: list[float], x: float) -> int:

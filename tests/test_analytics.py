@@ -378,6 +378,20 @@ def test_bounds_rows_lie_on_or_above_the_supporting_line():
     assert on_line == 3 * 60
 
 
+def test_bounds_rows_xi_numerator_is_the_cross_multiplied_floor():
+    # bound_ok at c = 0 decides only xi >= 0. That is exact because the row's xi
+    # numerator equals joint - pass + 1/n multiplied through by n (k+1)^2 P(n, a+b),
+    # where kk = (k+1)^2 is pass's denominator over joint's.
+    rows = 0
+    for k, a, b, c, (pass_num, pass_den), (joint_num, joint_den), _, xi_val, ok in bounds_rows(60):
+        if c == 0:
+            n, kk = 2 * k + 1, pass_den // joint_den
+            assert n * (kk * joint_num - pass_num) + pass_den == xi_val[0], (k, a, b)
+            assert ok == (xi_val[0] >= 0)
+            rows += 1
+    assert rows == sum((k + 2) ** 2 - 1 for k in range(1, 61))
+
+
 def test_bounds_rows_count_per_k():
     counts = Counter(row[0] for row in bounds_rows(40))
     assert counts == {k: (k + 2) ** 2 - 1 + (k + 1) ** 2 for k in range(1, 41)}

@@ -78,18 +78,33 @@ def test_trial_seed_matches_hashlib(master_seed):
         assert trial_seed(master_seed, index) == int.from_bytes(digest[:8], "big")
 
 
+def _python_output(code):
+    """Stripped stdout of a fresh interpreter that runs code with src on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 @pytest.mark.skipif(
     all(importlib.util.find_spec(name) is None for name in ("_sha2", "_sha256")),
     reason="no built-in SHA-256 module",
 )
 def test_importing_the_cli_leaves_hashlib_unloaded():
     # hashlib loads OpenSSL, a few ms of every command's start-up.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, stabtest.cli; print('hashlib' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _python_output("import sys, stabtest.cli; print('hashlib' in sys.modules)") == "False"
+
+
+def test_hashlib_stands_in_without_a_builtin_sha256():
+    # A None entry in sys.modules makes `from _sha2 import ...` raise ImportError.
+    code = (
+        "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from stabtest import protocol\n"
+        "print(protocol._sha256 is hashlib.sha256, protocol.trial_seed(0, 0), protocol.trial_seed(2015, 7))"
+    )
+    assert _python_output(code).split() == ["True", "12426054289685354689", "16484481422627069366"]
 
 
 def test_honest_run_always_accepts():

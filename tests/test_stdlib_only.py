@@ -1,5 +1,6 @@
 """The package imports nothing outside the standard library (requires Python >= 3.10,
-the first with sys.stdlib_module_names), and every name it or a test imports is used."""
+the first with sys.stdlib_module_names), every name it or a test imports is used,
+and every private helper it defines is used by package code."""
 
 import ast
 import sys
@@ -111,3 +112,39 @@ def test_every_imported_name_is_used(path):
             exported = set(ast.literal_eval(node.value))
     unused = sorted((line, name) for name, line in imported.items() if name not in used | exported)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+
+def _private_definitions(tree):
+    """(name, statement) for each private name that a module-level def, class
+    or assignment binds."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            names = [node.id for node in ast.walk(stmt) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+        else:
+            continue
+        yield from ((name, stmt) for name in names if name.startswith("_") and not name.endswith("__"))
+
+
+def test_every_private_helper_is_used_by_the_package():
+    # A private name that only tests reach is dead code to the package. Its
+    # own module must load it outside its definition, or another module must
+    # reach it as module._name or through `from .module import _name`.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    reached = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reached.update(alias.name for alias in node.names)
+    unused = []
+    for filename, tree in trees.items():
+        loads = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+        for name, stmt in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(stmt)}
+            if name not in reached and not any(node.id == name and id(node) not in inside for node in loads):
+                unused.append(f"{filename}: {name}")
+    assert not unused, f"private names no package code uses: {unused}"
