@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import re
 import sys
@@ -21,7 +20,10 @@ from . import analytics
 from .analytics import ClassCounts
 from .gf2 import BitMatrix
 from .graphs import (
+    MAX_QUBITS,
     BipartiteGraphState,
+    _read_json,
+    _shown,
     edgeless_graph,
     from_json,
     grid_graph,
@@ -63,25 +65,37 @@ BOUNDS_HEADER = ["k", "a", "b", "c", "pass", "joint", "conditional", "xi", "boun
 MAX_BOUNDS_K = 510
 
 
+def _count(text: str) -> int:
+    """int(text) for a graph spec. A well-formed count that int() refuses,
+    which it does only past Python's 4300 digits, is refused for its size."""
+    try:
+        return int(text)
+    except ValueError:
+        if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
+            raise
+        digits = len(re.sub(r"\D", "", text))
+        raise ValueError(f"a count of {digits} digits is out of range (at most {MAX_QUBITS} qubits)") from None
+
+
 def parse_graph(spec: str) -> BipartiteGraphState:
     """Builtin graph specs (path:N, grid:WxH, rhg:XxYxZ, edgeless:N) or a JSON file path."""
     kind, _, arg = spec.partition(":")
     try:
         if kind == "path":
-            return path_graph(int(arg))
+            return path_graph(_count(arg))
         if kind == "grid":
-            w, h = (int(part) for part in arg.split("x"))
+            w, h = (_count(part) for part in arg.split("x"))
             return grid_graph(w, h)
         if kind == "rhg":
-            lx, ly, lz = (int(part) for part in arg.split("x"))
+            lx, ly, lz = (_count(part) for part in arg.split("x"))
             return rhg_lattice(lx, ly, lz)
         if kind == "edgeless":
-            return edgeless_graph(int(arg))
+            return edgeless_graph(_count(arg))
     except ValueError as exc:
-        raise ValueError(f"bad graph spec {spec!r}: {exc}") from exc
+        raise ValueError(f"bad graph spec {_shown(spec)}: {exc}") from exc
     path = Path(spec)
     if not path.is_file():
-        raise ValueError(f"unknown graph spec {spec!r} (not a builtin, not a file)")
+        raise ValueError(f"unknown graph spec {_shown(spec)} (not a builtin, not a file)")
     return from_json(path.read_text())
 
 
@@ -124,10 +138,7 @@ def probability(text: str) -> Fraction:
 
 
 def _load_mixture(path: str) -> ClassMixture:
-    try:
-        data = json.loads(Path(path).read_text())
-    except RecursionError as exc:
-        raise ValueError("mixture document nests too deeply to parse") from exc
+    data = _read_json(Path(path).read_text(), "mixture")
     if not isinstance(data, dict) or not {"beta", "q0", "q1"} <= data.keys():
         raise ValueError("mixture JSON must be an object with beta, q0 and q1")
 
@@ -137,7 +148,7 @@ def _load_mixture(path: str) -> ClassMixture:
         atoms = []
         for row in rows:
             if not isinstance(row, list) or len(row) != 3:
-                raise ValueError(f"mixture field {name!r} has row {row!r}, expected [a, b, weight]")
+                raise ValueError(f"mixture field {name!r} has row {_shown(row)}, expected [a, b, weight]")
             a, b, w = row
             atoms.append(((a, b), _fraction(w, f"mixture field {name!r} weight")))
         total = sum(w for _, w in atoms)
@@ -212,7 +223,12 @@ def _atomic_write(path: Path):
     newline="" keeps the bytes the same on every platform."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        try:
+            fh = open(tmp, "w", newline="")
+        except OSError as exc:
+            # Name the file asked for, not the temp file beside it.
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -313,7 +329,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     if args.k_max < 1:
         raise ValueError("k-max must be at least 1")
     if args.k_max > MAX_BOUNDS_K:
-        raise ValueError(f"k-max={args.k_max} is too large: xi overflows a float past k={MAX_BOUNDS_K}")
+        raise ValueError(f"k-max={_shown(args.k_max)} is too large: xi overflows a float past k={MAX_BOUNDS_K}")
     rows = 0
     violations = 0
     fmt = _fmt_pair

@@ -76,10 +76,20 @@ class BipartiteGraphState:
 MAX_QUBITS = 2**16
 
 
+def _shown(x: object) -> str:
+    """x for an error message: an int of 10**30 or more by its bit length, as
+    Python prints no int past 4300 digits; anything else as its repr, cut
+    after 40 characters and followed by its length when past 100."""
+    if isinstance(x, int) and abs(x) >= 10**30:
+        return f"<{x.bit_length()}-bit number>"
+    text = repr(x)
+    return text if len(text) <= 100 else f"{text[:40]}... ({len(text)} characters)"
+
+
 def _check_size(field: str, n: int) -> None:
     """Reject a graph of more than MAX_QUBITS qubits before allocating anything."""
     if n > MAX_QUBITS:
-        raise ValueError(f"{field} is too large: {n} (at most {MAX_QUBITS} qubits)")
+        raise ValueError(f"{field} is too large: {_shown(n)} (at most {MAX_QUBITS} qubits)")
 
 
 def path_graph(n: int) -> BipartiteGraphState:
@@ -170,31 +180,52 @@ def to_json(g: BipartiteGraphState) -> str:
     return json.dumps({"n_b": g.n_b, "n_w": g.n_w, "edges": edges(g)})
 
 
+class _LongInt(str):
+    """The text of a JSON integer past Python's 4300-digit limit on reading
+    one. It is not an int, so no count or size takes it, and a fraction
+    refuses it for its digits; its repr gives only its length."""
+
+    def __repr__(self) -> str:
+        return f"<{len(self.lstrip('-'))}-digit integer, too long to read>"
+
+
+def _json_int(text: str) -> int | _LongInt:
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInt(text)
+
+
+def _read_json(text: str, what: str):
+    """json.loads of a graph or mixture document; ``what`` names it in errors."""
+    try:
+        return json.loads(text, parse_int=_json_int)
+    except RecursionError as exc:
+        raise ValueError(f"{what} document nests too deeply to parse") from exc
+
+
 def from_json(text: str) -> BipartiteGraphState:
     """Inverse of to_json. Counts and indices must be JSON integers: floats,
     strings and booleans are refused rather than truncated."""
-    try:
-        doc = json.loads(text)
-    except RecursionError as exc:
-        raise ValueError("graph document nests too deeply to parse") from exc
+    doc = _read_json(text, "graph")
     try:
         n_b, n_w, edge_list = doc["n_b"], doc["n_w"], doc["edges"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph document: {exc}") from exc
     for field, n in (("n_b", n_b), ("n_w", n_w)):
         if type(n) is not int or n < 0:
-            raise ValueError(f"graph field {field!r} must be a non-negative integer, got {n!r}")
+            raise ValueError(f"graph field {field!r} must be a non-negative integer, got {_shown(n)}")
     _check_size("graph fields 'n_b' + 'n_w'", n_b + n_w)
     if not isinstance(edge_list, list):
         raise ValueError("graph field 'edges' must be a list of [b, w] index pairs")
     rows = [0] * n_b
     for item in edge_list:
         if not isinstance(item, list) or len(item) != 2:
-            raise ValueError(f"graph field 'edges' has entry {item!r}, expected a [b, w] index pair")
+            raise ValueError(f"graph field 'edges' has entry {_shown(item)}, expected a [b, w] index pair")
         j, i = item
         if type(j) is not int or type(i) is not int:
-            raise ValueError(f"graph field 'edges' has entry {item!r} with non-integer indices")
+            raise ValueError(f"graph field 'edges' has entry {_shown(item)} with non-integer indices")
         if not (0 <= j < n_b and 0 <= i < n_w):
-            raise ValueError(f"edge ({j}, {i}) out of range")
+            raise ValueError(f"edge ({_shown(j)}, {_shown(i)}) out of range")
         rows[j] |= 1 << i
     return BipartiteGraphState(n_b, n_w, BitMatrix(n_b, n_w, tuple(rows)))

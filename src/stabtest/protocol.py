@@ -46,7 +46,7 @@ except ImportError:
 
 from .analytics import _checked_atoms, checked_mixture
 from .gf2 import BitVector
-from .graphs import BipartiteGraphState
+from .graphs import BipartiteGraphState, _shown
 from .pauli import BlockClass, BlockPauli, sample_outcomes, syndrome_masks, syndromes
 
 __all__ = [
@@ -225,7 +225,7 @@ class _Plan:
             raise ValueError("k must be at least 1")
         n = 2 * k + 1
         if n > MAX_COPIES:
-            raise ValueError(f"k={k} is too large: {n} copies (at most {MAX_COPIES})")
+            raise ValueError(f"k={_shown(k)} is too large: {_shown(n)} copies (at most {MAX_COPIES})")
         self.g = g
         self.k = k
         self.copies = list(range(n))
@@ -245,10 +245,6 @@ class _Plan:
                 return records
         elif isinstance(model, ClassMixture):
             q0, q1 = checked_mixture(model.beta, model.q0, model.q1, k)
-            # (counts, running totals) of Q0, then of Q1, from the checked atoms.
-            tables = [
-                ([counts for counts, _ in atoms], _running_totals(w for _, w in atoms)) for atoms in (q0, q1)
-            ]
             beta = float(Fraction(model.beta))
             # random() < beta can hold only if beta > 0 and fail only if beta < 1.
             # Only the classes a reachable branch places must fit the graph.
@@ -256,19 +252,20 @@ class _Plan:
             rep10 = self._class_record(1, 0) if any(a for (a, _), _ in reachable) else None
             rep01 = self._class_record(0, 1) if any(b for (_, b), _ in reachable) else None
             rep11 = self._class_record(1, 1) if beta < 1 else None
+            # Per branch, Q0 (c = 0) then Q1 (c = 1): each atom's bad records in
+            # placement order, and the running totals of the weights.
+            tables = [
+                ([(rep10,) * a + (rep01,) * b + (rep11,) * c for (a, b), _ in q], _running_totals(w for _, w in q))
+                for c, q in enumerate((q0, q1))
+            ]
 
             def draw(rng: random.Random) -> list[_Record]:
-                c = 0 if rng.random() < beta else 1
-                counts, totals = tables[c]
-                a, b = counts[_pick(totals, rng.random())]
+                bads, totals = tables[0 if rng.random() < beta else 1]
+                bad = bads[_pick(totals, rng.random())]
                 records = [clean] * n
-                chosen = _sample(rng.getrandbits, n, a + b + c)
-                for pos in chosen[:a]:
-                    records[pos] = rep10
-                for pos in chosen[a : a + b]:
-                    records[pos] = rep01
-                for pos in chosen[a + b :]:
-                    records[pos] = rep11
+                # The words and the values of random.Random.sample(range(n), len(bad)).
+                for pos, record in zip(_sample(rng.getrandbits, n, len(bad)), bad):
+                    records[pos] = record
                 return records
         elif isinstance(model, IidPauli):
             if not (0 <= model.p_x <= 1 and 0 <= model.p_z <= 1):
@@ -411,17 +408,16 @@ def _sample(getrandbits: Callable[[int], int], n: int, m: int) -> list[int]:
     return chosen
 
 
-# What _trial returns: (rng, records, order, accepted, third_fidelity).
-_Round = tuple[random.Random, list[_Record], list[int], bool, int]
+# What _trial returns: (records, order, accepted, third_fidelity).
+_Round = tuple[list[_Record], list[int], bool, int]
 
 
 def _trial(plan: _Plan, rng: random.Random) -> _Round:
     """One round from a freshly seeded generator: draw the copies, partition
-    them, test them.
+    them, test them. rng is left where the shuffle left it.
 
     order[:k] is group 1, order[k:2k] group 2 and order[-1] the kept copy;
-    third_fidelity is 1 iff the kept copy is clean. The round returns rng
-    itself, left where the shuffle left it.
+    third_fidelity is 1 iff the kept copy is clean.
     """
     records = plan.draw(rng)
     order = plan.copies[:]
@@ -438,7 +434,7 @@ def _trial(plan: _Plan, rng: random.Random) -> _Round:
                 accepted = False
                 break
     kept = records[order[-1]]
-    return rng, records, order, accepted, int(not (kept[0] or kept[1]))
+    return records, order, accepted, int(not (kept[0] or kept[1]))
 
 
 def _trials(
@@ -449,9 +445,8 @@ def _trials(
     The one trial loop behind run_trials, transcript_lines and estimate. It
     keeps one generator and reseeds it for every trial with the C seeding
     that random.Random(seed) runs for an int seed, which leaves the same
-    state. Every round holds that shared generator, so no consumer may use a
-    round's rng once the next trial has been drawn. trial_seed is looked up on
-    the module at every trial, as a traced run replaces it there.
+    state. trial_seed is looked up on the module at every trial, as a traced
+    run replaces it there.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -475,11 +470,14 @@ def _partition(order: list[int], k: int) -> list[str]:
 
 
 def _transcript(
-    g: BipartiteGraphState, k: int, seed: int, round_: _Round, record_outcomes: bool = False
+    g: BipartiteGraphState, k: int, seed: int, round_: _Round, rng: random.Random | None = None
 ) -> Transcript:
-    rng, records, order, accepted, third = round_
+    """The transcript of one round. Given rng, the generator the round was
+    drawn from, it also samples the raw outcomes of both test groups from
+    rng, where the round left it."""
+    records, order, accepted, third = round_
     raw = None
-    if record_outcomes:
+    if rng is not None:
         outcomes = []
         for group, members in ((1, order[:k]), (2, order[k : 2 * k])):
             for i in sorted(members):
@@ -508,8 +506,8 @@ def run_protocol(
     record_outcomes: bool = False,
 ) -> Transcript:
     """Run one full protocol round and return its transcript."""
-    # A generator of its own: outcome sampling draws from it after the trial.
-    return _transcript(g, k, seed, _trial(_Plan(g, k, model), random.Random(seed)), record_outcomes)
+    rng = random.Random(seed)
+    return _transcript(g, k, seed, _trial(_Plan(g, k, model), rng), rng if record_outcomes else None)
 
 
 def run_trials(
@@ -536,7 +534,7 @@ def transcript_lines(
     Each line is transcript_to_json of the matching run_trials transcript,
     formatted straight from the trial kernel without building the transcript.
     """
-    for index, (seed, (_, records, order, accepted, third)) in enumerate(
+    for index, (seed, (records, order, accepted, third)) in enumerate(
         _trials(g, k, model, trials, master_seed)
     ):
         classes = [_CLASS_JSON[not not sigma1, not not sigma2] for sigma1, sigma2, _ in records]
@@ -555,7 +553,7 @@ def estimate(
     same arguments."""
     accepted = 0
     clean = 0
-    for _, (_, _, _, ok, third) in _trials(g, k, model, trials, master_seed):
+    for _, (_, _, ok, third) in _trials(g, k, model, trials, master_seed):
         if ok:
             accepted += 1
             clean += third

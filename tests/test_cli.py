@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -274,15 +275,26 @@ def test_simulate_infinite_counts_fail_cleanly(tmp_path, path_name, doc):
          "path length"),
         (["simulate", "--graph", "path:1", "--k", str(MAX_COPIES // 2), "--adversary", "honest",
           "--trials", "1"], "k="),
+        # Numbers of thousands of digits are refused for their size, not echoed:
+        # 2k+1 and w*h pass Python's 4300-digit limit on printing an int, and
+        # path: its limit on reading one.
+        (["simulate", "--graph", "path:3", "--k", "9" * 4300, "--adversary", "honest"], "k="),
+        (["simulate", "--graph", "path:3", "--k", "9" * 4000, "--adversary", "honest"], "k="),
+        (["reduce", "--graph", f"grid:{'9' * 3000}x{'9' * 3000}"], "grid w*h"),
+        (["reduce", "--graph", f"rhg:{'9' * 3000}x{'9' * 3000}x1"], "rhg faces + edges"),
+        (["reduce", "--graph", f"path:{'9' * 5000}"], "5000 digits is out of range"),
+        (["reduce", "--graph", f"path:{'9' * 4000}"], "path length"),
     ],
     ids=["path", "path-2^63", "edgeless", "k", "k-2^63", "path-cap", "edgeless-cap", "grid-cap",
-         "grid-100000x100000", "rhg-cap", "simulate-path-cap", "k-cap"],
+         "grid-100000x100000", "rhg-cap", "simulate-path-cap", "k-cap", "k-4300-digits", "k-4000-digits",
+         "grid-3000-digit-sides", "rhg-3000-digit-sides", "path-5000-digits", "path-4000-digits"],
 )
 def test_oversized_counts_fail_cleanly(tmp_path, argv, field):
     status, _, err = _run_main(argv + (["--outdir", str(tmp_path)] if argv[0] == "simulate" else []))
     assert status == 2
     lines = _error_lines(err)
-    assert len(lines) == 1 and field in lines[0], err
+    assert len(lines) == 1 and field in lines[0], err[:300]
+    assert len(lines[0]) < 200, err[:300]
 
 
 def test_bounds_cap_is_the_last_k_whose_rows_print():
@@ -325,6 +337,34 @@ def test_json_graph_past_the_cap_fails_cleanly(tmp_path, n_b, n_w):
     assert status == 2
     lines = _error_lines(err)
     assert len(lines) == 1 and "'n_b' + 'n_w'" in lines[0], err
+
+
+# JSON integers past Python's 4300-digit limit on reading one, written bare
+# (json.dumps cannot format them): a fraction refuses them for its digit cap,
+# and a count or a size names its field, each in one short line.
+@pytest.mark.parametrize("digits", [4301, 5000])
+@pytest.mark.parametrize(
+    "field, doc, expected",
+    [
+        ("beta", '{{"beta": {}, "q0": [[0, 0, 1]], "q1": [[0, 0, 1]]}}',
+         f"mixture field 'beta' needs more than {MAX_DIGITS} digits"),
+        ("q0-weight", '{{"beta": "1/2", "q0": [[0, 0, {}]], "q1": [[0, 0, 1]]}}',
+         f"mixture field 'q0' weight needs more than {MAX_DIGITS} digits"),
+        ("q0-count", '{{"beta": "1/2", "q0": [[{}, 0, 1]], "q1": [[0, 0, 1]]}}', "mixture field 'q0'"),
+        ("n_b", '{{"n_b": {}, "n_w": 1, "edges": []}}', "graph field 'n_b'"),
+    ],
+    ids=["beta", "q0-weight", "q0-count", "n_b"],
+)
+def test_bare_json_integers_past_the_int_limit_name_their_field(tmp_path, field, doc, expected, digits):
+    path = tmp_path / "doc.json"
+    path.write_text(doc.format("1" * digits))
+    graph, adversary = (str(path), "honest") if field == "n_b" else ("path:5", f"mixture:{path}")
+    status, out, err = _run_main(["simulate", "--graph", graph, "--k", "1", "--adversary", adversary,
+                                  "--trials", "5", "--outdir", str(tmp_path / "out")])
+    assert status == 2 and out == ""
+    lines = _error_lines(err)
+    assert len(lines) == 1 and expected in lines[0] and len(lines[0]) < 200, err[:300]
+    assert not (tmp_path / "out").exists()
 
 
 # Counts and indices must be JSON integers, and graph sizes non-negative: other
@@ -413,6 +453,17 @@ def test_failed_report_keeps_previous_outputs(tmp_path, monkeypatch):
     assert {name: (outdir / name).read_bytes() for name in names} == before
 
 
+def test_unwritable_output_names_the_requested_path(tmp_path):
+    # The temporary file written beside --out is not named: the user never
+    # gave it, and its name changes from run to run.
+    out_path = tmp_path / "missing" / "b.csv"
+    status, out, err = _run_main(["verify-bounds", "--k-max", "1", "--out", str(out_path)])
+    assert (status, out) == (2, "")
+    lines = _error_lines(err)
+    assert len(lines) == 1 and str(out_path) in lines[0] and ".tmp" not in lines[0], err
+    assert os.listdir(tmp_path) == []
+
+
 def test_failed_transcript_move_keeps_previous_summary(tmp_path):
     # transcripts.jsonl is moved first, so when that move fails summary.csv
     # is not replaced either.
@@ -481,10 +532,14 @@ def test_values_at_the_digit_cap_are_read_exactly(tmp_path):
 # under it are built only as edgeless graphs, through parse_graph alone, since
 # reduce and IID trials cost time that grows with the graph. Likewise a k at or
 # past the copy cap runs one honest trial at most, and a k-max past its cap is
-# refused before any row is computed.
+# refused before any row is computed. Every error line is short: counts of
+# 4000 and 4400 digits, on either side of Python's 4300-digit limit on reading
+# an int, are held as strings, formatted into specs and written bare into graph
+# documents.
 _BOUNDARY = (MAX_QUBITS - 1, MAX_QUBITS, MAX_QUBITS + 1, 2**62, sys.maxsize)
-_PAST_CAP = st.sampled_from(_BOUNDARY[2:])
-_LARGE_SIDES = st.sampled_from(_BOUNDARY)
+_HUGE = ("9" * 4000, "9" * 4400)
+_PAST_CAP = st.sampled_from(_BOUNDARY[2:] + _HUGE)
+_LARGE_SIDES = st.sampled_from(_BOUNDARY + _HUGE)
 _VALUES = st.one_of(
     st.integers(-1, 4),
     st.sampled_from([0.5, 1.5, float("inf"), float("nan"), None, True, [], {},
@@ -543,7 +598,7 @@ def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command, profile,
     with tempfile.TemporaryDirectory() as tmp:
         if not isinstance(graph, str):
             with open(os.path.join(tmp, "g.json"), "w") as fh:
-                json.dump(graph, fh)
+                fh.write(re.sub(r'"(9{4000,})"', r"\1", json.dumps(graph)))
             graph = os.path.join(tmp, "g.json")
         if not isinstance(adversary, str):
             with open(os.path.join(tmp, "mix.json"), "w") as fh:
@@ -561,9 +616,10 @@ def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command, profile,
             if alpha is not None:
                 argv += ["--alpha", alpha]
         status, _, err = _run_main(argv)
-    assert status in (0, 2), (argv, status, err)
+    assert status in (0, 2), (argv, status, err[:300])
     if status == 2:
-        assert len(_error_lines(err)) == 1, (argv, err)
+        lines = _error_lines(err)
+        assert len(lines) == 1 and len(lines[0]) < 200, (argv, err[:300])
     if edgeless <= MAX_QUBITS:
         assert parse_graph(f"edgeless:{edgeless}").n == edgeless
     else:

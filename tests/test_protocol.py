@@ -685,7 +685,8 @@ def test_trial_draws_match_the_random_methods(k):
         expected[ref.randrange(n)] = _class_record(1, 1)
         order = list(range(n))
         ref.shuffle(order)
-        rng, records, got_order, _, _ = _trial(single, random.Random(seed))
+        rng = random.Random(seed)
+        records, got_order, _, _ = _trial(single, rng)
         assert (records, got_order, rng.getstate()) == (expected, order, ref.getstate())
 
         ref = random.Random(seed)
@@ -699,7 +700,8 @@ def test_trial_draws_match_the_random_methods(k):
                 expected[pos] = _class_record(s, t)
         order = list(range(n))
         ref.shuffle(order)
-        rng, records, got_order, _, _ = _trial(mixture, random.Random(seed))
+        rng = random.Random(seed)
+        records, got_order, _, _ = _trial(mixture, rng)
         assert (records, got_order, rng.getstate()) == (expected, order, ref.getstate())
 
 
@@ -718,13 +720,14 @@ _RESEED_MODELS = {
 def test_trial_loop_reseeds_to_the_state_of_a_fresh_generator(graph, kind, k):
     # The loop reseeds one shared generator per trial; every round must be
     # the one a fresh random.Random(trial_seed(m, i)) gives, down to the
-    # generator state, read before the next trial reseeds it.
+    # generator state, read from the paused loop before the next trial
+    # reseeds it.
     g = parse_graph(graph)
     model = _explicit(g, k) if kind == "explicit" else _RESEED_MODELS[kind]
     plan = _Plan(g, k, model)
     rounds = _trials(g, k, model, 25, 31)
-    for index, (seed, (rng, records, order, accepted, third)) in enumerate(rounds):
+    for index, (seed, (records, order, accepted, third)) in enumerate(rounds):
         assert seed == trial_seed(31, index)
-        ref_rng, *expected = _trial(plan, random.Random(seed))
-        assert [records, order, accepted, third] == expected
-        assert rng.getstate() == ref_rng.getstate()
+        ref_rng = random.Random(seed)
+        assert (records, order, accepted, third) == _trial(plan, ref_rng)
+        assert rounds.gi_frame.f_locals["rng"].getstate() == ref_rng.getstate()
