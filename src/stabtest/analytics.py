@@ -17,6 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Union
 
+from .graphs import _shown
+
 __all__ = [
     "DomainError",
     "ClassCounts",
@@ -136,16 +138,16 @@ def _checked_atoms(name: str, q: Weights) -> Atoms:
     for (a, b), w in q.items() if isinstance(q, Mapping) else q:
         # bool is an int subclass, and int() would truncate 0.5 and parse "2".
         if type(a) is not int or type(b) is not int:
-            raise DomainError(f"mixture field {name!r} has atom {(a, b)!r} with non-integer counts")
+            raise DomainError(f"mixture field '{name}' has atom ({_shown(a)}, {_shown(b)}) with non-integer counts")
         if a < 0 or b < 0:
-            raise DomainError(f"{name} atom ({a}, {b}) has negative counts")
+            raise DomainError(f"{name} atom ({_shown(a)}, {_shown(b)}) has negative counts")
         w = Fraction(w)
         if w < 0:
-            raise DomainError(f"{name} weight for ({a}, {b}) is negative")
+            raise DomainError(f"{name} weight for ({_shown(a)}, {_shown(b)}) is negative")
         out.append(((a, b), w))
     total = sum((w for _, w in out), Fraction(0))
     if total != 1:
-        raise DomainError(f"{name} weights sum to {total}, expected 1")
+        raise DomainError(f"{name} weights sum to {_shown(total)}, expected 1")
     return tuple(out)
 
 
@@ -162,7 +164,7 @@ def checked_mixture(beta: Rational, q0: Weights, q1: Weights, k: int) -> tuple[A
         atoms = _checked_atoms(name, q)
         for (a, b), _ in atoms:
             if a + b > budget:
-                raise DomainError(f"{name} atom ({a}, {b}) exceeds the copy budget")
+                raise DomainError(f"{name} atom ({_shown(a)}, {_shown(b)}) exceeds the copy budget")
         checked.append(atoms)
     return checked[0], checked[1]
 

@@ -67,14 +67,32 @@ MAX_BOUNDS_K = 510
 
 def _count(text: str) -> int:
     """int(text) for a graph spec. A well-formed count that int() refuses,
-    which it does only past Python's 4300 digits, is refused for its size."""
+    which it does only past Python's 4300 digits, is refused for its size;
+    other text in int()'s own words, with the text shown by _shown."""
     try:
         return int(text)
     except ValueError:
         if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
-            raise
+            raise ValueError(f"invalid literal for int() with base 10: {_shown(text)}") from None
         digits = len(re.sub(r"\D", "", text))
         raise ValueError(f"a count of {digits} digits is out of range (at most {MAX_QUBITS} qubits)") from None
+
+
+def _integer(text: str) -> int:
+    """argparse type of the integer options: int(text), refused in the words
+    argparse uses for int, with the text shown by _shown."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
+def _document(path: Path, what: str) -> str:
+    """The text of a graph or mixture file; ``what`` names it if the bytes do not decode."""
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} document is not valid text: {exc}") from exc
 
 
 def parse_graph(spec: str) -> BipartiteGraphState:
@@ -96,7 +114,7 @@ def parse_graph(spec: str) -> BipartiteGraphState:
     path = Path(spec)
     if not path.is_file():
         raise ValueError(f"unknown graph spec {_shown(spec)} (not a builtin, not a file)")
-    return from_json(path.read_text())
+    return from_json(_document(path, "graph"))
 
 
 # Most digits of a numerator or denominator read from --alpha or a mixture
@@ -117,7 +135,7 @@ def _fraction(value, field: str) -> Fraction:
         too_long = too_long or bool(e) and abs(int(exp)) > MAX_DIGITS
         x = None if too_long else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{field} must be a fraction p/q or a decimal, got {value!r}") from exc
+        raise ValueError(f"{field} must be a fraction p/q or a decimal, got {_shown(value)}") from exc
     if too_long or max(abs(x.numerator), x.denominator) >= 10**MAX_DIGITS:
         raise ValueError(f"{field} needs more than {MAX_DIGITS} digits in its numerator or denominator")
     return x
@@ -131,26 +149,26 @@ def probability(text: str) -> Fraction:
     try:
         p = _fraction(text, "alpha")
         if not 0 <= p <= 1:
-            raise ValueError(f"alpha must lie in [0, 1], got {text!r}")
+            raise ValueError(f"alpha must lie in [0, 1], got {_shown(text)}")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return p
 
 
 def _load_mixture(path: str) -> ClassMixture:
-    data = _read_json(Path(path).read_text(), "mixture")
+    data = _read_json(_document(Path(path), "mixture"), "mixture")
     if not isinstance(data, dict) or not {"beta", "q0", "q1"} <= data.keys():
         raise ValueError("mixture JSON must be an object with beta, q0 and q1")
 
     def convert(rows, name):
         if not isinstance(rows, list):
-            raise ValueError(f"mixture field {name!r} must be a list of [a, b, weight] rows")
+            raise ValueError(f"mixture field '{name}' must be a list of [a, b, weight] rows")
         atoms = []
         for row in rows:
             if not isinstance(row, list) or len(row) != 3:
-                raise ValueError(f"mixture field {name!r} has row {_shown(row)}, expected [a, b, weight]")
+                raise ValueError(f"mixture field '{name}' has row {_shown(row)}, expected [a, b, weight]")
             a, b, w = row
-            atoms.append(((a, b), _fraction(w, f"mixture field {name!r} weight")))
+            atoms.append(((a, b), _fraction(w, f"mixture field '{name}' weight")))
         total = sum(w for _, w in atoms)
         if total <= 0:
             raise ValueError(f"{name} weights must have positive total")
@@ -172,19 +190,19 @@ def parse_adversary(spec: str) -> AdversaryModel:
         try:
             s, t = (int(part) for part in arg.split(","))
         except ValueError as exc:
-            raise ValueError(f"bad adversary spec {spec!r}: expected single-bad:s,t") from exc
+            raise ValueError(f"bad adversary spec {_shown(spec)}: expected single-bad:s,t") from exc
         return SingleBadCopy(BlockClass(s, t))
     if kind == "iid":
         try:
             p_x, p_z = (float(part) for part in arg.split(","))
         except ValueError as exc:
-            raise ValueError(f"bad adversary spec {spec!r}: expected iid:px,pz") from exc
+            raise ValueError(f"bad adversary spec {_shown(spec)}: expected iid:px,pz") from exc
         return IidPauli(p_x, p_z)
     if kind == "mixture":
         if not arg:
             raise ValueError("mixture needs a JSON file path")
         return _load_mixture(arg)
-    raise ValueError(f"unknown adversary spec {spec!r}")
+    raise ValueError(f"unknown adversary spec {_shown(spec)}")
 
 
 def _fmt_rat(x: Fraction | None) -> str:
@@ -217,20 +235,28 @@ def _relation_line(rel) -> str:
 
 
 @contextmanager
+def _naming(path: Path):
+    """Re-raise an OSError as one about path: the temp file beside it is not
+    what was asked for, and its name changes from run to run."""
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
+@contextmanager
 def _atomic_write(path: Path):
     """Write to a temp file beside path and move it over path only if the
     block completes, so a failed run leaves the previous output untouched.
     newline="" keeps the bytes the same on every platform."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        try:
+        with _naming(path):
             fh = open(tmp, "w", newline="")
-        except OSError as exc:
-            # Name the file asked for, not the temp file beside it.
-            raise OSError(exc.errno, exc.strerror, str(path)) from None
         with fh:
             yield fh
-        os.replace(tmp, path)
+        with _naming(path):
+            os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -383,10 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run Monte Carlo trials of the test")
     sim.add_argument("--graph", required=True, help="path:N | grid:WxH | rhg:XxYxZ | edgeless:N | JSON file")
-    sim.add_argument("--k", type=int, required=True, help="test group size; 2k+1 copies per trial")
+    sim.add_argument("--k", type=_integer, required=True, help="test group size; 2k+1 copies per trial")
     sim.add_argument("--adversary", required=True, help="honest | single-bad:s,t | iid:px,pz | mixture:FILE")
-    sim.add_argument("--trials", type=int, default=1000)
-    sim.add_argument("--seed", type=int, default=0, help="master seed; per-trial seeds derive from it")
+    sim.add_argument("--trials", type=_integer, default=1000)
+    sim.add_argument("--seed", type=_integer, default=0, help="master seed; per-trial seeds derive from it")
     sim.add_argument("--alpha", type=probability, default=None,
                      help="significance threshold (default: empirical pass rate)")
     sim.add_argument("--outdir", default=_default_outdir(),
@@ -398,15 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
     red.set_defaults(func=cmd_reduce)
 
     ver = sub.add_parser("verify-bounds", help="sweep the exact per-profile bounds")
-    ver.add_argument("--k-max", type=int, required=True)
+    ver.add_argument("--k-max", type=_integer, required=True)
     ver.add_argument("--out", default=None, help="CSV path (default: stdout)")
     ver.set_defaults(func=cmd_verify_bounds)
 
     orc = sub.add_parser("oracle", help="compare closed forms against brute-force enumeration")
-    orc.add_argument("a", type=int)
-    orc.add_argument("b", type=int)
-    orc.add_argument("c", type=int)
-    orc.add_argument("k", type=int)
+    orc.add_argument("a", type=_integer)
+    orc.add_argument("b", type=_integer)
+    orc.add_argument("c", type=_integer)
+    orc.add_argument("k", type=_integer)
     orc.set_defaults(func=cmd_oracle)
 
     return parser
@@ -417,6 +443,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # The path may be anything given on the command line.
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

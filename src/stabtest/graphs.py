@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
 from math import prod
@@ -78,10 +79,13 @@ MAX_QUBITS = 2**16
 
 def _shown(x: object) -> str:
     """x for an error message: an int of 10**30 or more by its bit length, as
-    Python prints no int past 4300 digits; anything else as its repr, cut
-    after 40 characters and followed by its length when past 100."""
+    Python prints no int past 4300 digits, and a Fraction as p/q (p alone
+    when q = 1) with p and q shown so; anything else as its repr, cut after
+    40 characters and followed by its length when past 100."""
     if isinstance(x, int) and abs(x) >= 10**30:
         return f"<{x.bit_length()}-bit number>"
+    if isinstance(x, Fraction):
+        return _shown(x.numerator) + (f"/{_shown(x.denominator)}" if x.denominator != 1 else "")
     text = repr(x)
     return text if len(text) <= 100 else f"{text[:40]}... ({len(text)} characters)"
 
@@ -202,6 +206,8 @@ def _read_json(text: str, what: str):
         return json.loads(text, parse_int=_json_int)
     except RecursionError as exc:
         raise ValueError(f"{what} document nests too deeply to parse") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} document is not valid JSON: {exc}") from exc
 
 
 def from_json(text: str) -> BipartiteGraphState:
@@ -214,7 +220,7 @@ def from_json(text: str) -> BipartiteGraphState:
         raise ValueError(f"malformed graph document: {exc}") from exc
     for field, n in (("n_b", n_b), ("n_w", n_w)):
         if type(n) is not int or n < 0:
-            raise ValueError(f"graph field {field!r} must be a non-negative integer, got {_shown(n)}")
+            raise ValueError(f"graph field '{field}' must be a non-negative integer, got {_shown(n)}")
     _check_size("graph fields 'n_b' + 'n_w'", n_b + n_w)
     if not isinstance(edge_list, list):
         raise ValueError("graph field 'edges' must be a list of [b, w] index pairs")

@@ -322,7 +322,7 @@ class _Plan:
                 for prob, attack in atoms:
                     # Not "prob < 0", which is false for NaN.
                     if not prob >= 0:
-                        raise ValueError(f"explicit probabilities must be nonnegative, got {prob!r}")
+                        raise ValueError(f"explicit probabilities must be nonnegative, got {_shown(prob)}")
                     # syndromes() also checks that the attack fits the graph.
                     sigma1, sigma2 = syndromes(g, attack)
                     masks = (attack.u_b.bits, attack.u_w.bits, attack.v_b.bits, attack.v_w.bits)
@@ -335,7 +335,7 @@ class _Plan:
             def draw(rng: random.Random) -> list[_Record]:
                 return [records[_pick(totals, rng.random())] for records, totals in tables]
         else:
-            raise ValueError(f"unknown adversary model: {model!r}")
+            raise ValueError(f"unknown adversary model: {_shown(model)}")
         self.draw = draw
 
     def _class_record(self, s: int, t: int) -> _Record:

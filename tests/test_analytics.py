@@ -211,6 +211,23 @@ def test_t_functionals_validation():
             t_functionals(1, [((count, 0), 1)], [((0, 0), 1)], 1)
 
 
+# Python prints no int past 4300 digits, so a huge count or weight is shown
+# by its bit length, and long text is cut; short values print as they read.
+@pytest.mark.parametrize("q0, message", [
+    ([((10**5000, 0), 1)], "q0 atom (<16610-bit number>, 0) exceeds the copy budget"),
+    ([((-(10**5000), 0), 1)], "q0 atom (<16610-bit number>, 0) has negative counts"),
+    ([(("1" * 4000, 0), 1)], "mixture field 'q0' has atom ('" + "1" * 39 + "... (4002 characters), 0) "
+                              "with non-integer counts"),
+    ([((0, 0), F(10**5000 + 1, 10**5000))], "q0 weights sum to <16610-bit number>/<16610-bit number>, expected 1"),
+    ([((0, 0), F(1, 2))], "q0 weights sum to 1/2, expected 1"),
+    ([((0, 0), 2)], "q0 weights sum to 2, expected 1"),
+], ids=["huge-count", "huge-negative-count", "long-text-count", "huge-weights", "half", "two"])
+def test_refused_mixture_values_are_shown_short(q0, message):
+    with pytest.raises(DomainError) as info:
+        t_functionals(1, q0, [((0, 0), 1)], 1)
+    assert str(info.value) == message
+
+
 def test_lemma_check_equality_case():
     verdict = lemma_check(F(1, 2), {(1, 1): 1}, {(0, 0): 1}, 2, F(3, 10))
     assert verdict.premise

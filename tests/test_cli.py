@@ -8,7 +8,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stabtest.analytics import bounds_rows, xi
@@ -196,6 +196,20 @@ def test_deeply_nested_json_fails_cleanly(tmp_path, capsys, command):
     _single_error_line(capsys, "nests too deeply")
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"{x", "is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (b"\xff{}", "is not valid text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+], ids=["json", "utf-8"])
+@pytest.mark.parametrize("what", ["graph", "mixture"])
+def test_unreadable_documents_are_named(tmp_path, capsys, what, content, reason):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    argv = ["reduce", "--graph", str(path)] if what == "graph" else [
+        "simulate", "--graph", "path:5", "--k", "1", "--adversary", f"mixture:{path}", "--outdir", str(tmp_path)]
+    assert main(argv) == 2
+    assert _error_lines(capsys.readouterr().err) == [f"error: {what} document {reason}"]
+
+
 def _run_main(argv):
     """(exit status, stdout, stderr) of main(argv), argparse exits included."""
     out, err = io.StringIO(), io.StringIO()
@@ -284,13 +298,34 @@ def test_simulate_infinite_counts_fail_cleanly(tmp_path, path_name, doc):
         (["reduce", "--graph", f"rhg:{'9' * 3000}x{'9' * 3000}x1"], "rhg faces + edges"),
         (["reduce", "--graph", f"path:{'9' * 5000}"], "5000 digits is out of range"),
         (["reduce", "--graph", f"path:{'9' * 4000}"], "path length"),
+        # Text of thousands of characters is shown cut, wherever it is echoed:
+        # in the package's own messages, in argparse's, and in an OSError's.
+        (["simulate", "--graph", "path:3", "--k", "1", "--adversary", "x" * 5000], "unknown adversary spec"),
+        (["simulate", "--graph", "path:3", "--k", "1", "--adversary", f"single-bad:{'1' * 5000},0"],
+         "expected single-bad:s,t"),
+        (["simulate", "--graph", "path:3", "--k", "1", "--adversary", "honest", "--alpha", "1" * 4000],
+         "argument --alpha: alpha must lie in [0, 1], got '111"),
+        (["simulate", "--graph", "path:3", "--k", "1", "--adversary", "honest", "--alpha", "x" * 5000],
+         "argument --alpha: alpha must be a fraction p/q or a decimal, got 'xxx"),
+        (["reduce", "--graph", "x" * 5000], "File name too long: 'xxx"),
+        (["reduce", "--graph", f"path:{'x' * 5000}"], "invalid literal for int() with base 10: 'xxx"),
+        (["simulate", "--graph", "path:3", "--k", "1", "--adversary", f"mixture:{'y' * 5000}"],
+         "File name too long: 'yyy"),
+        (["simulate", "--graph", "path:3", "--k", "1", "--adversary", "honest", "--outdir", "x" * 5000],
+         "File name too long: 'xxx"),
+        (["simulate", "--graph", "path:3", "--k", "9" * 5000, "--adversary", "honest"],
+         "argument --k: invalid int value: '999"),
     ],
     ids=["path", "path-2^63", "edgeless", "k", "k-2^63", "path-cap", "edgeless-cap", "grid-cap",
          "grid-100000x100000", "rhg-cap", "simulate-path-cap", "k-cap", "k-4300-digits", "k-4000-digits",
-         "grid-3000-digit-sides", "rhg-3000-digit-sides", "path-5000-digits", "path-4000-digits"],
+         "grid-3000-digit-sides", "rhg-3000-digit-sides", "path-5000-digits", "path-4000-digits",
+         "adversary-5000-chars", "single-bad-5000-digits", "alpha-4000-digits", "alpha-5000-chars",
+         "graph-5000-chars", "path-5000-chars", "mixture-path-5000-chars", "outdir-5000-chars",
+         "k-5000-digits"],
 )
 def test_oversized_counts_fail_cleanly(tmp_path, argv, field):
-    status, _, err = _run_main(argv + (["--outdir", str(tmp_path)] if argv[0] == "simulate" else []))
+    outdir = ["--outdir", str(tmp_path)] if argv[0] == "simulate" and "--outdir" not in argv else []
+    status, _, err = _run_main(argv + outdir)
     assert status == 2
     lines = _error_lines(err)
     assert len(lines) == 1 and field in lines[0], err[:300]
@@ -464,6 +499,18 @@ def test_unwritable_output_names_the_requested_path(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+def test_output_onto_a_directory_names_the_requested_path(tmp_path):
+    # The move over an existing directory fails; the line names --out, not
+    # the temporary file moved, and nothing is left behind.
+    out_path = tmp_path / "b.csv"
+    out_path.mkdir()
+    status, out, err = _run_main(["verify-bounds", "--k-max", "1", "--out", str(out_path)])
+    assert (status, out) == (2, "")
+    lines = _error_lines(err)
+    assert len(lines) == 1 and lines[0].endswith(f": {str(out_path)!r}") and ".tmp" not in lines[0], err
+    assert os.listdir(tmp_path) == ["b.csv"] and os.listdir(out_path) == []
+
+
 def test_failed_transcript_move_keeps_previous_summary(tmp_path):
     # transcripts.jsonl is moved first, so when that move fails summary.csv
     # is not replaced either.
@@ -475,6 +522,7 @@ def test_failed_transcript_move_keeps_previous_summary(tmp_path):
     status, out, err = _simulate_outputs(outdir, "30")
     assert status == 2 and out == ""
     assert len(_error_lines(err)) == 1, err
+    assert ".tmp" not in err and str(outdir / "transcripts.jsonl") in err, err
     assert (outdir / "summary.csv").read_bytes() == summary
     assert sorted(os.listdir(outdir)) == ["summary.csv", "transcripts.jsonl"]
 
@@ -592,6 +640,11 @@ _LARGE_K = (str(MAX_COPIES // 2 - 1), str(MAX_COPIES // 2), str(2**62))
     edgeless=st.sampled_from(_BOUNDARY),
 )
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# Mixture counts of 4000 digits, quoted and bare, are shown cut when refused.
+@example(graph="path:3", adversary={**MIX_OK, "q0": [["1" * 4000, 0, 1]]}, k="1", trials="1", alpha=None,
+         command="simulate", profile=(0, 0, 0, 1), k_max=1, edgeless=MAX_QUBITS)
+@example(graph="path:3", adversary={**MIX_OK, "q0": [[int("1" * 4000), 0, 1]]}, k="1", trials="1", alpha=None,
+         command="simulate", profile=(0, 0, 0, 1), k_max=1, edgeless=MAX_QUBITS)
 def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command, profile, k_max, edgeless):
     if k in _LARGE_K:
         adversary, trials = "honest", "1"

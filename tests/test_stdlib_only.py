@@ -148,3 +148,20 @@ def test_every_private_helper_is_used_by_the_package():
             if name not in reached and not any(node.id == name and id(node) not in inside for node in loads):
                 unused.append(f"{filename}: {name}")
     assert not unused, f"private names no package code uses: {unused}"
+
+
+def _repr_fields_in_raises(source, filename="<source>"):
+    """Line numbers of the f-string fields with a !r conversion inside a raise."""
+    return sorted(
+        node.lineno for stmt in ast.walk(ast.parse(source, filename)) if isinstance(stmt, ast.Raise)
+        for node in ast.walk(stmt) if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+    )
+
+
+def test_raised_messages_show_values_only_through_shown():
+    # !r echoes a value whole, however long; graphs._shown cuts a long one.
+    # A name the package supplies itself is quoted in the literal text.
+    assert _repr_fields_in_raises('raise ValueError(f"got {x!r}")\nf"{y!r}"') == [1]
+    assert _repr_fields_in_raises('raise ValueError(f"got {_shown(x)} in \'{name}\'")') == []
+    sites = [f"{path.name}:{line}" for path in SOURCES for line in _repr_fields_in_raises(path.read_text(), str(path))]
+    assert not sites, f"raised f-strings with !r: {sites}"
