@@ -12,6 +12,7 @@ probability collapses to 0 without special casing.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -21,14 +22,15 @@ from .graphs import _shown
 
 __all__ = [
     "DomainError",
+    "MAX_DIGITS",
     "ClassCounts",
+    "ClassMixture",
     "LemmaVerdict",
     "Profile",
     "pass_prob",
     "joint_prob",
     "conditional_fidelity",
     "profile",
-    "checked_mixture",
     "t_functionals",
     "theorem1_bound",
     "theorem1_verdict",
@@ -128,6 +130,43 @@ def profile(cc: ClassCounts) -> Profile:
     return Profile(p, joint, conditional_fidelity(cc.a, cc.b, cc.k) if p else None)
 
 
+# Most digits of a numerator or denominator read from text: below Python's
+# 4300-digit limit for printing an int, with room for the bound
+# 1 - 1/(alpha(2k+1)), whose denominator is alpha's numerator times 2k+1.
+MAX_DIGITS = 4000
+
+
+def _fraction(value, field: str) -> Fraction:
+    """str(value) read as an exact fraction p/q or decimal with at most
+    MAX_DIGITS digits in its numerator and denominator."""
+    text = str(value)
+    _, e, exp = text.lower().partition("e")
+    # Fraction reads each run of digits (underscores dropped) as one int, which
+    # Python refuses past 4300 digits, and expands a decimal exponent into a
+    # power of ten, which takes seconds for 1e-10000000. Both are refused for
+    # their digits before Fraction runs.
+    too_long = max(map(len, re.split(r"\D+", text.replace("_", "")))) > 4300
+    try:
+        too_long = too_long or bool(e) and abs(int(exp)) > MAX_DIGITS
+        x = None if too_long else Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"{field} must be a fraction p/q or a decimal, got {_shown(value)}") from exc
+    if too_long or max(abs(x.numerator), x.denominator) >= 10**MAX_DIGITS:
+        raise DomainError(f"{field} needs more than {MAX_DIGITS} digits in its numerator or denominator")
+    return x
+
+
+def _exact(value, field: str) -> Fraction:
+    """A library input read exactly: text through _fraction, any other value
+    as Fraction(value), so a float keeps its binary value."""
+    if isinstance(value, str):
+        return _fraction(value, field)
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{field} must be a finite real number, got {_shown(value)}") from None
+
+
 def _checked_atoms(name: str, q: Weights) -> Atoms:
     """The atoms of mixture field name as ((a, b), Fraction) pairs, in the order given.
 
@@ -141,7 +180,7 @@ def _checked_atoms(name: str, q: Weights) -> Atoms:
             raise DomainError(f"mixture field '{name}' has atom ({_shown(a)}, {_shown(b)}) with non-integer counts")
         if a < 0 or b < 0:
             raise DomainError(f"{name} atom ({_shown(a)}, {_shown(b)}) has negative counts")
-        w = Fraction(w)
+        w = _exact(w, f"{name} weight for ({_shown(a)}, {_shown(b)})")
         if w < 0:
             raise DomainError(f"{name} weight for ({_shown(a)}, {_shown(b)}) is negative")
         out.append(((a, b), w))
@@ -151,22 +190,52 @@ def _checked_atoms(name: str, q: Weights) -> Atoms:
     return tuple(out)
 
 
-def checked_mixture(beta: Rational, q0: Weights, q1: Weights, k: int) -> tuple[Atoms, Atoms]:
-    """Validate the mixture adversary (beta, Q0, Q1) at k >= 1.
+@dataclass(frozen=True)
+class ClassMixture:
+    """Permutation-invariant adversary described by (beta, Q0, Q1).
 
-    Returns the ((a, b), weight) atoms of Q0, which spread over all 2k+1
-    copies, and of Q1, which spread over the 2k copies beside the (1,1) one.
+    With probability beta the bad-copy counts (a, b) of classes (1,0) and
+    (0,1) are drawn from Q0 and no (1,1) copy is sent; otherwise (a, b) comes
+    from Q1 and exactly one (1,1) copy is added. Placements are uniform.
+
+    Construction checks every rule that does not need k, once: beta is read
+    exactly and lies in [0, 1], and each field passes _checked_atoms. It
+    stores beta as a Fraction and each field as ((a, b), Fraction) atoms in
+    the order given. The copy budget needs k; check_budget applies it.
+
+    The protocol draws the atom by comparing one random() with float running
+    totals of the weights, so a realized atom probability can differ from its
+    stated weight by float rounding, about 2**-53 per atom.
     """
-    if not 0 <= Fraction(beta) <= 1:
-        raise DomainError("beta must be in [0, 1]")
-    checked = []
-    for name, q, budget in (("q0", q0, 2 * k + 1), ("q1", q1, 2 * k)):
-        atoms = _checked_atoms(name, q)
-        for (a, b), _ in atoms:
-            if a + b > budget:
-                raise DomainError(f"{name} atom ({_shown(a)}, {_shown(b)}) exceeds the copy budget")
-        checked.append(atoms)
-    return checked[0], checked[1]
+
+    beta: Fraction
+    q0: Atoms
+    q1: Atoms
+
+    def __post_init__(self):
+        beta = _exact(self.beta, "beta")
+        if not 0 <= beta <= 1:
+            raise DomainError("beta must be in [0, 1]")
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "q0", _checked_atoms("q0", self.q0))
+        object.__setattr__(self, "q1", _checked_atoms("q1", self.q1))
+
+    @classmethod
+    def from_weights(cls, beta, q0: Weights, q1: Weights) -> "ClassMixture":
+        """The mixture with each field's checked atoms sorted by (a, b); a
+        stable sort, so repeated (a, b) atoms keep their order."""
+        mixture = cls(beta, q0, q1)
+        for name in ("q0", "q1"):
+            object.__setattr__(mixture, name, tuple(sorted(getattr(mixture, name), key=lambda atom: atom[0])))
+        return mixture
+
+    def check_budget(self, k: int) -> None:
+        """Refuse an atom with more bad copies than its branch holds at k:
+        Q0 spreads over all 2k+1 copies, Q1 over the 2k beside the (1,1) one."""
+        for name, q, budget in (("q0", self.q0, 2 * k + 1), ("q1", self.q1, 2 * k)):
+            for (a, b), _ in q:
+                if a + b > budget:
+                    raise DomainError(f"{name} atom ({_shown(a)}, {_shown(b)}) exceeds the copy budget")
 
 
 def t_functionals(
@@ -180,10 +249,11 @@ def t_functionals(
     """
     if k < 1:
         raise DomainError("k must be at least 1")
-    atoms0, atoms1 = checked_mixture(beta, q0, q1, k)
-    t1 = sum((w * pass_prob(ClassCounts(a, b, 0, k)) for (a, b), w in atoms0), Fraction(0))
-    t2 = sum((w * pass_prob(ClassCounts(a, b, 1, k)) for (a, b), w in atoms1), Fraction(0))
-    t3 = sum((w * joint_prob(a, b, k) for (a, b), w in atoms0), Fraction(0))
+    mixture = ClassMixture(beta, q0, q1)
+    mixture.check_budget(k)
+    t1 = sum((w * pass_prob(ClassCounts(a, b, 0, k)) for (a, b), w in mixture.q0), Fraction(0))
+    t2 = sum((w * pass_prob(ClassCounts(a, b, 1, k)) for (a, b), w in mixture.q1), Fraction(0))
+    t3 = sum((w * joint_prob(a, b, k) for (a, b), w in mixture.q0), Fraction(0))
     return t1, t2, t3
 
 
@@ -195,7 +265,7 @@ def theorem1_bound(alpha, k: int):
     if k < 1:
         raise DomainError("k must be at least 1")
     n = 2 * k + 1
-    exact = Fraction(alpha)
+    exact = _exact(alpha, "alpha")
     if exact * n <= 1:
         raise DomainError("alpha must exceed 1/(2k+1)")
     if isinstance(alpha, float):
@@ -213,7 +283,7 @@ def theorem1_verdict(passing: Fraction, conditional: Fraction | None, alpha: Rat
     """
     if k < 1:
         raise DomainError("k must be at least 1")
-    alpha = Fraction(alpha)
+    alpha = _exact(alpha, "alpha")
     bound = theorem1_bound(alpha, k) if alpha * (2 * k + 1) > 1 else None
     premise = bound is not None and passing >= alpha
     # The premise forces passing >= alpha > 0, so conditional is defined.
@@ -225,9 +295,10 @@ def trace_bound(alpha, k: int) -> float:
     if k < 1:
         raise DomainError("k must be at least 1")
     n = 2 * k + 1
-    if Fraction(alpha) * n < 1:
+    exact = _exact(alpha, "alpha")
+    if exact * n < 1:
         raise DomainError("alpha must be at least 1/(2k+1)")
-    return 1.0 / math.sqrt(float(alpha) * n)
+    return 1.0 / math.sqrt(float(exact) * n)
 
 
 def xi(a: int, b: int, k: int) -> Fraction:
@@ -309,9 +380,9 @@ def bounds_rows(k_max: int) -> Iterator[tuple]:
 def lemma_check(beta: Rational, q0: Weights, q1: Weights, k: int, alpha: Rational) -> LemmaVerdict:
     """theorem1_verdict for the mixture adversary (beta, Q0, Q1) at a positive
     threshold alpha, from its exact acceptance probability and conditional fidelity."""
-    if Fraction(alpha) <= 0:
+    if _exact(alpha, "alpha") <= 0:
         raise DomainError("alpha must be positive")
-    beta = Fraction(beta)
+    beta = _exact(beta, "beta")
     t1, t2, t3 = t_functionals(beta, q0, q1, k)
     passing = beta * t1 + (1 - beta) * t2
     return theorem1_verdict(passing, beta * t3 / passing if passing else None, alpha, k)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analytics
-from .analytics import ClassCounts
+from .analytics import MAX_DIGITS, ClassCounts, _fraction
 from .gf2 import BitMatrix
 from .graphs import (
     MAX_QUBITS,
@@ -115,30 +115,6 @@ def parse_graph(spec: str) -> BipartiteGraphState:
     if not path.is_file():
         raise ValueError(f"unknown graph spec {_shown(spec)} (not a builtin, not a file)")
     return from_json(_document(path, "graph"))
-
-
-# Most digits of a numerator or denominator read from --alpha or a mixture
-# file: below Python's 4300-digit limit for printing an int, with room for the
-# bound 1 - 1/(alpha(2k+1)), whose denominator is alpha's numerator times 2k+1.
-MAX_DIGITS = 4000
-
-
-def _fraction(value, field: str) -> Fraction:
-    text = str(value)
-    _, e, exp = text.lower().partition("e")
-    # Fraction reads each run of digits (underscores dropped) as one int, which
-    # Python refuses past 4300 digits, and expands a decimal exponent into a
-    # power of ten, which takes seconds for 1e-10000000. Both are refused for
-    # their digits before Fraction runs.
-    too_long = max(map(len, re.split(r"\D+", text.replace("_", "")))) > 4300
-    try:
-        too_long = too_long or bool(e) and abs(int(exp)) > MAX_DIGITS
-        x = None if too_long else Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{field} must be a fraction p/q or a decimal, got {_shown(value)}") from exc
-    if too_long or max(abs(x.numerator), x.denominator) >= 10**MAX_DIGITS:
-        raise ValueError(f"{field} needs more than {MAX_DIGITS} digits in its numerator or denominator")
-    return x
 
 
 def probability(text: str) -> Fraction:

@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Union
 
 # hashlib loads OpenSSL; CPython's built-in module gives the same digest. It
 # is _sha2 from 3.12 on and _sha256 before, and hashlib stands in for both.
@@ -44,7 +44,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .analytics import _checked_atoms, checked_mixture
+from .analytics import ClassMixture
 from .gf2 import BitVector
 from .graphs import BipartiteGraphState, _shown
 from .pauli import BlockClass, BlockPauli, sample_outcomes, syndrome_masks, syndromes
@@ -110,39 +110,6 @@ class IidPauli:
 
     p_x: float
     p_z: float
-
-
-@dataclass(frozen=True)
-class ClassMixture:
-    """Permutation-invariant adversary described by (beta, Q0, Q1).
-
-    With probability beta the bad-copy counts (a, b) of classes (1,0) and
-    (0,1) are drawn from Q0 and no (1,1) copy is sent; otherwise (a, b) comes
-    from Q1 and exactly one (1,1) copy is added. Placements are uniform.
-
-    The atom is drawn by comparing one random() with float running totals of
-    the weights, so a realized atom probability can differ from its stated
-    weight by float rounding, about 2**-53 per atom.
-    """
-
-    beta: Fraction
-    q0: tuple[tuple[tuple[int, int], Fraction], ...]
-    q1: tuple[tuple[tuple[int, int], Fraction], ...]
-
-    @classmethod
-    def from_weights(
-        cls,
-        beta,
-        q0: Mapping[tuple[int, int], object] | Iterable[tuple[tuple[int, int], object]],
-        q1: Mapping[tuple[int, int], object] | Iterable[tuple[tuple[int, int], object]],
-    ) -> "ClassMixture":
-        """Mixture with checked atoms (analytics._checked_atoms), each field
-        sorted by (a, b); a stable sort, so repeated (a, b) atoms keep their
-        order. The copy budget needs k and is checked when the mixture runs."""
-        def canon(name, q):
-            return tuple(sorted(_checked_atoms(name, q), key=lambda atom: atom[0]))
-
-        return cls(Fraction(beta), canon("q0", q0), canon("q1", q1))
 
 
 @dataclass(frozen=True)
@@ -244,28 +211,34 @@ class _Plan:
                 records[_sample(rng.getrandbits, n, 1)[0]] = bad
                 return records
         elif isinstance(model, ClassMixture):
-            q0, q1 = checked_mixture(model.beta, model.q0, model.q1, k)
-            beta = float(Fraction(model.beta))
+            model.check_budget(k)
+            beta = float(model.beta)
             # random() < beta can hold only if beta > 0 and fail only if beta < 1.
             # Only the classes a reachable branch places must fit the graph.
-            reachable = (q0 if beta > 0 else ()) + (q1 if beta < 1 else ())
+            reachable = (model.q0 if beta > 0 else ()) + (model.q1 if beta < 1 else ())
             rep10 = self._class_record(1, 0) if any(a for (a, _), _ in reachable) else None
             rep01 = self._class_record(0, 1) if any(b for (_, b), _ in reachable) else None
             rep11 = self._class_record(1, 1) if beta < 1 else None
-            # Per branch, Q0 (c = 0) then Q1 (c = 1): each atom's bad records in
-            # placement order, and the running totals of the weights.
+            # Per branch, Q0 (c = 0) then Q1 (c = 1): each atom's counts
+            # (a, b, c), and the running totals of the weights.
             tables = [
-                ([(rep10,) * a + (rep01,) * b + (rep11,) * c for (a, b), _ in q], _running_totals(w for _, w in q))
-                for c, q in enumerate((q0, q1))
+                ([(a, b, c) for (a, b), _ in q], _running_totals(w for _, w in q))
+                for c, q in enumerate((model.q0, model.q1))
             ]
 
             def draw(rng: random.Random) -> list[_Record]:
-                bads, totals = tables[0 if rng.random() < beta else 1]
-                bad = bads[_pick(totals, rng.random())]
+                counts, totals = tables[0 if rng.random() < beta else 1]
+                a, b, c = counts[_pick(totals, rng.random())]
+                # The words and the values of random.Random.sample(range(n), a + b + c),
+                # in placement order: a (1,0) copies, b (0,1) copies, then the (1,1) copy.
+                places = _sample(rng.getrandbits, n, a + b + c)
                 records = [clean] * n
-                # The words and the values of random.Random.sample(range(n), len(bad)).
-                for pos, record in zip(_sample(rng.getrandbits, n, len(bad)), bad):
-                    records[pos] = record
+                for pos in places[:a]:
+                    records[pos] = rep10
+                for pos in places[a : a + b]:
+                    records[pos] = rep01
+                if c:
+                    records[places[-1]] = rep11
                 return records
         elif isinstance(model, IidPauli):
             if not (0 <= model.p_x <= 1 and 0 <= model.p_z <= 1):

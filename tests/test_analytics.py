@@ -228,6 +228,47 @@ def test_refused_mixture_values_are_shown_short(q0, message):
     assert str(info.value) == message
 
 
+# An exact input that is not a number is refused as a DomainError naming its
+# field, never as Python's own error echoing the value whole.
+_LONG_Z = "'" + "z" * 39 + "... (5002 characters)"
+_LONG_X = "'" + "x" * 39 + "... (5002 characters)"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: t_functionals(1, [((0, 0), "z" * 5000)], [((0, 0), 1)], 1),
+     f"q0 weight for (0, 0) must be a fraction p/q or a decimal, got {_LONG_Z}"),
+    (lambda: t_functionals(1, [((0, 0), None)], [((0, 0), 1)], 1),
+     "q0 weight for (0, 0) must be a finite real number, got None"),
+    (lambda: t_functionals("z" * 5000, [((0, 0), 1)], [((0, 0), 1)], 1),
+     f"beta must be a fraction p/q or a decimal, got {_LONG_Z}"),
+    (lambda: t_functionals(None, [((0, 0), 1)], [((0, 0), 1)], 1),
+     "beta must be a finite real number, got None"),
+    (lambda: theorem1_bound("x" * 5000, 1), f"alpha must be a fraction p/q or a decimal, got {_LONG_X}"),
+    (lambda: theorem1_verdict(F(1), F(1), "x" * 5000, 1), f"alpha must be a fraction p/q or a decimal, got {_LONG_X}"),
+    (lambda: lemma_check(1, {(0, 0): 1}, {(0, 0): 1}, 1, "x" * 5000),
+     f"alpha must be a fraction p/q or a decimal, got {_LONG_X}"),
+    (lambda: lemma_check(1, {(0, 0): 1}, {(0, 0): 1}, 1, float("nan")), "alpha must be a finite real number, got nan"),
+], ids=["text-weight", "none-weight", "text-beta", "none-beta", "bound-alpha", "verdict-alpha", "lemma-alpha",
+        "nan-alpha"])
+def test_refused_non_numbers_are_domain_errors(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+    assert len(f"error: {info.value}") < 200
+
+
+def test_exact_inputs_keep_their_value():
+    # Text is read as its decimal, a float as its binary value, as before.
+    assert theorem1_bound("1/2", 1) == F(1, 3)
+    assert theorem1_bound(0.5, 1) == 1.0 - 1.0 / 1.5
+    assert trace_bound(0.4, 1) == 1.0 / math.sqrt(0.4 * 3)
+    assert trace_bound("2/5", 1) == trace_bound(F(2, 5), 1) == 1.0 / math.sqrt(float(F(2, 5)) * 3)
+    assert t_functionals("1/2", {(0, 0): "0.5", (1, 0): 0.5}, {(0, 0): 1}, 1) == t_functionals(
+        F(1, 2), {(0, 0): F(1, 2), (1, 0): F(1, 2)}, {(0, 0): 1}, 1)
+    with pytest.raises(DomainError, match="sum to"):
+        t_functionals(1, {(0, 0): 0.1, (1, 0): "0.9"}, {(0, 0): 1}, 1)
+
+
 def test_lemma_check_equality_case():
     verdict = lemma_check(F(1, 2), {(1, 1): 1}, {(0, 0): 1}, 2, F(3, 10))
     assert verdict.premise

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabtest.analytics import DomainError
+from stabtest.analytics import DomainError, t_functionals
 from stabtest.cli import parse_graph
 from stabtest.gf2 import BitMatrix, BitVector
 from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
@@ -277,9 +278,48 @@ def test_mixture_counts_must_be_ints(field, count):
 
 def test_directly_built_mixture_refuses_non_integer_counts():
     # Built without from_weights, the 0.5 count used to reach math.perm as a TypeError.
-    model = ClassMixture(Fraction(1), (((0.5, 0), Fraction(1)),), (((0, 0), Fraction(1)),))
     with pytest.raises(DomainError, match="'q0'.*non-integer"):
+        model = ClassMixture(Fraction(1), (((0.5, 0), Fraction(1)),), (((0, 0), Fraction(1)),))
         estimate(G5, 1, model, 100, 0)
+
+
+@pytest.mark.parametrize("beta", [2, Fraction(-1, 3), "3/2", 1.0000001])
+@pytest.mark.parametrize("build", [ClassMixture, ClassMixture.from_weights], ids=["direct", "from_weights"])
+def test_mixture_refuses_beta_outside_the_unit_interval_at_construction(build, beta):
+    with pytest.raises(DomainError) as info:
+        build(beta, {(0, 0): 1}, {(0, 0): 1})
+    assert str(info.value) == "beta must be in [0, 1]"
+
+
+@pytest.mark.parametrize("q0, q1, k", [({(4, 0): 1}, {(0, 0): 1}, 1), ({(0, 0): 1}, {(2, 1): 1}, 1),
+                                        ({(0, 0): 1}, {(0, 5): 1}, 2)], ids=["q0", "q1", "q1-k2"])
+def test_copy_budget_is_one_refusal_for_formulas_and_trials(q0, q1, k):
+    # A mixture is checked without k when it is built; the budget at k is
+    # the same check, with the same message, in t_functionals and in a run.
+    model = ClassMixture(Fraction(1, 2), q0, q1)
+    with pytest.raises(DomainError, match="copy budget") as formula:
+        t_functionals(model.beta, model.q0, model.q1, k)
+    with pytest.raises(DomainError, match="copy budget") as trials:
+        estimate(G5, k, model, 10, 0)
+    assert str(formula.value) == str(trials.value)
+
+
+def test_mixture_tables_hold_counts_not_records():
+    # 50 atoms per branch of 60000 bad copies each at the copy cap: a table
+    # of per-atom record tuples would hold about 0.5 MB per atom.
+    k = (MAX_COPIES - 1) // 2
+    q0 = [((a, 60000 - a), Fraction(1, 50)) for a in range(50)]
+    q1 = [((60000 - b, b), Fraction(1, 50)) for b in range(50)]
+    model = ClassMixture(Fraction(1, 2), q0, q1)
+    g = path_graph(3)
+    tracemalloc.start()
+    try:
+        plan = _Plan(g, k, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
+    assert len(plan.draw(random.Random(0))) == 2 * k + 1
 
 
 _DIRECT_Q0 = {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 4), (2, 1): Fraction(1, 4)}

@@ -4,14 +4,16 @@ breaks it. Each traced (module, attribute) must exist."""
 
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from stabtest import cli, protocol, reduction
+from stabtest import analytics, cli, protocol, reduction
 from stabtest.graphs import path_graph, rhg_lattice
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _traced():
@@ -77,3 +79,14 @@ def test_main_dispatches_through_the_traced_commands(monkeypatch, name, argv):
     monkeypatch.setattr(cli, name, lambda args: calls.append(args.command) or 0)
     assert cli.main(argv) == 0
     assert calls == [argv[0]]
+
+
+def test_benchmark_mixture_has_the_exact_values_perfbench_pins():
+    # The mixture workload checks its run against these exact values, computed
+    # by t_functionals from the fields of the parsed mixture; a refactor of
+    # ClassMixture that broke that call would otherwise show only in a
+    # benchmark run.
+    model = cli.parse_adversary(f"mixture:{PERFBENCH / 'mixture.json'}")
+    t1, t2, t3 = analytics.t_functionals(model.beta, model.q0, model.q1, 5)
+    passing = model.beta * t1 + (1 - model.beta) * t2
+    assert (passing, model.beta * t3 / passing) == (Fraction(83, 198), Fraction(307, 332))
