@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Union
 
+from ._record import record
 from .graphs import _shown
 
 __all__ = [
@@ -51,7 +52,7 @@ class DomainError(ValueError):
     """An argument lies outside the domain of the requested formula."""
 
 
-@dataclass(frozen=True)
+@record
 class ClassCounts:
     """Attack profile over 2k+1 copies: a, b, c copies of class (1,0), (0,1), (1,1)."""
 
@@ -69,7 +70,7 @@ class ClassCounts:
             raise DomainError("class counts exceed the number of copies")
 
 
-@dataclass(frozen=True)
+@record
 class LemmaVerdict:
     """Theorem 1 at one threshold alpha (see theorem1_verdict)."""
 
@@ -80,7 +81,7 @@ class LemmaVerdict:
     holds: bool
 
 
-@dataclass(frozen=True)
+@record
 class Profile:
     """Acceptance, acceptance with a clean kept copy, and their ratio for one profile."""
 
@@ -151,15 +152,19 @@ def _fraction(value, field: str) -> Fraction:
         x = None if too_long else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"{field} must be a fraction p/q or a decimal, got {_shown(value)}") from exc
-    if too_long or max(abs(x.numerator), x.denominator) >= 10**MAX_DIGITS:
+    # 10**MAX_DIGITS exceeds 2**(3 * MAX_DIGITS), so only a longer value pays
+    # for computing the power of ten.
+    big = None if too_long else max(abs(x.numerator), x.denominator)
+    if too_long or big.bit_length() > 3 * MAX_DIGITS and big >= 10**MAX_DIGITS:
         raise DomainError(f"{field} needs more than {MAX_DIGITS} digits in its numerator or denominator")
     return x
 
 
 def _exact(value, field: str) -> Fraction:
-    """A library input read exactly: text through _fraction, any other value
-    as Fraction(value), so a float keeps its binary value."""
-    if isinstance(value, str):
+    """A library input read exactly: text and Decimal through _fraction, whose
+    digit cap a Decimal's exponent would otherwise pass, any other value as
+    Fraction(value), so a float keeps its binary value."""
+    if isinstance(value, (str, Decimal)):
         return _fraction(value, field)
     try:
         return Fraction(value)
@@ -190,7 +195,7 @@ def _checked_atoms(name: str, q: Weights) -> Atoms:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class ClassMixture:
     """Permutation-invariant adversary described by (beta, Q0, Q1).
 

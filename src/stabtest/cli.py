@@ -22,6 +22,7 @@ from .gf2 import BitMatrix
 from .graphs import (
     MAX_QUBITS,
     BipartiteGraphState,
+    _cut,
     _read_json,
     _shown,
     edgeless_graph,
@@ -376,8 +377,17 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0 if match else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose own errors, which quote a refused argument whole,
+    are cut by _cut. Its usual messages, an invalid choice with the choices
+    listed included, stay under 200 characters and are left as they are."""
+
+    def error(self, message):
+        super().error(_cut(message, 200))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stabtest",
         description="Simulator and exact analytics for the stabilizer test protocol.",
     )

@@ -7,8 +7,9 @@ top bit first by `_ones` (their indices) and `_xor_rows` (products).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
+
+from ._record import record
 
 __all__ = [
     "BitVector",
@@ -46,7 +47,7 @@ def _xor_rows(rows: Sequence[int], x: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
+@record
 class BitVector:
     """Vector over GF(2): ``n`` coordinates packed into the int ``bits``."""
 
@@ -94,7 +95,7 @@ class BitVector:
         return tuple((self.bits >> i) & 1 for i in range(self.n))
 
 
-@dataclass(frozen=True)
+@record
 class BitMatrix:
     """Dense GF(2) matrix; ``rows[i]`` packs row i, bit j = entry (i, j)."""
 

@@ -10,12 +10,12 @@ position order (row-major for lattices), so constructions are reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
 from math import prod
 
+from ._record import record
 from .gf2 import BitMatrix, _ones
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class BipartiteGraphState:
     """Graph state data: B/W sizes and the n_b x n_w adjacency."""
 
@@ -86,8 +86,12 @@ def _shown(x: object) -> str:
         return f"<{x.bit_length()}-bit number>"
     if isinstance(x, Fraction):
         return _shown(x.numerator) + (f"/{_shown(x.denominator)}" if x.denominator != 1 else "")
-    text = repr(x)
-    return text if len(text) <= 100 else f"{text[:40]}... ({len(text)} characters)"
+    return _cut(repr(x))
+
+
+def _cut(text: str, longest: int = 100) -> str:
+    """text, or past longest characters its first 40 followed by its length."""
+    return text if len(text) <= longest else f"{text[:40]}... ({len(text)} characters)"
 
 
 def _check_size(field: str, n: int) -> None:

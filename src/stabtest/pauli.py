@@ -8,8 +8,8 @@ induced measurement statistics do.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
+from ._record import record
 from .gf2 import BitVector, _xor_rows, mat_vec
 from .graphs import BipartiteGraphState
 
@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class BlockPauli:
     """Per-copy error masks: u_* are X-error masks, v_* are Z-error masks."""
 
@@ -44,7 +44,7 @@ class BlockPauli:
         )
 
 
-@dataclass(frozen=True)
+@record
 class BlockClass:
     """Syndrome visibility pair: s = group-1 visible, t = group-2 visible."""
 

@@ -29,7 +29,6 @@ import math
 import random
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Union
@@ -44,7 +43,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-from .analytics import ClassMixture
+from ._record import record
+from .analytics import ClassMixture, _exact
 from .gf2 import BitVector
 from .graphs import BipartiteGraphState, _shown
 from .pauli import BlockClass, BlockPauli, sample_outcomes, syndrome_masks, syndromes
@@ -85,26 +85,27 @@ def _lane_table(p) -> tuple[int, bytes]:
     """T = ceil(p * 2**53), so that random() < p exactly when x < T, and a
     translate table from a lane's top byte b to b"1" (b < T >> 45, so x < T),
     b"0" (b > T >> 45, so x >= T) or b"?" (a tie, settled by x < T).
-    Fraction(p) keeps the product exact for every p IidPauli accepts,
-    Decimal included, whose own product would round to its context."""
-    T = math.ceil(Fraction(p) * (1 << 53))
+    p is read by analytics._exact, which keeps the product exact for every p
+    IidPauli accepts, Decimal included, whose own product would round to its
+    context, and refuses a Decimal past the digit cap."""
+    T = math.ceil(_exact(p, "flip probability") * (1 << 53))
     t = T >> 45
     return T, (b"1" * t + b"?" + b"0" * 255)[:256]
 
 
-@dataclass(frozen=True)
+@record
 class Honest:
     """Sends 2k+1 clean copies."""
 
 
-@dataclass(frozen=True)
+@record
 class SingleBadCopy:
     """One uniformly placed copy of the given class, the rest clean."""
 
     bad_class: BlockClass
 
 
-@dataclass(frozen=True)
+@record
 class IidPauli:
     """Independent per-qubit X flips (prob p_x) and Z flips (prob p_z) on every copy."""
 
@@ -112,7 +113,7 @@ class IidPauli:
     p_z: float
 
 
-@dataclass(frozen=True)
+@record
 class Explicit:
     """Fully explicit adversary: one attack distribution per copy.
 
@@ -133,7 +134,7 @@ AdversaryModel = Union[Honest, SingleBadCopy, IidPauli, ClassMixture, Explicit]
 _Record = tuple[int, int, tuple[int, int, int, int]]
 
 
-@dataclass(frozen=True)
+@record
 class Transcript:
     """Record of one protocol run."""
 
@@ -146,8 +147,10 @@ class Transcript:
     raw_outcomes: tuple[tuple[int, BitVector, BitVector], ...] | None = None
 
 
-@dataclass(frozen=True)
+@record
 class EstimateResult:
+    """Aggregate of a Monte Carlo run: pass rate, conditional fidelity and the counts behind them."""
+
     pass_rate: Fraction
     conditional_fidelity: Fraction | None
     counts: dict[str, int]

@@ -10,8 +10,7 @@ is inverted by a second one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .gf2 import BitMatrix, BitVector, _column_pass, _extend, _frame, mat_inverse, mat_mul, mat_vec
 # perfbench/spans.py patches these by getattr; without them `--trace 1` dies with AttributeError.
 from .gf2 import column_space_basis, kernel_basis  # noqa: F401
@@ -29,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Reduction:
     """Conversion data for one graph: C, D, rank, and cached derived matrices."""
 
@@ -42,7 +41,7 @@ class Reduction:
     d_t: BitMatrix
 
 
-@dataclass(frozen=True)
+@record
 class CheckRelation:
     """One parity check: XOR of x over x_mask must equal XOR of z over z_mask."""
 

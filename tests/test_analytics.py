@@ -1,11 +1,13 @@
 import math
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from stabtest.analytics import (
+    MAX_DIGITS,
     ClassCounts,
     DomainError,
     bounds_rows,
@@ -255,6 +257,19 @@ def test_refused_non_numbers_are_domain_errors(call, message):
         call()
     assert str(info.value) == message
     assert len(f"error: {info.value}") < 200
+
+
+@pytest.mark.parametrize("call", [
+    lambda value: theorem1_bound(value, 1),
+    lambda value: t_functionals(1, {(0, 0): 1}, {(0, 0): value}, 1),
+], ids=["alpha", "weight"])
+def test_decimal_inputs_get_the_digit_cap_of_text(call):
+    # A Decimal's exponent expands into a power of ten, as text's does:
+    # Decimal("1e4000000") took seconds before the cap applied to it.
+    for value in (Decimal(f"1e{MAX_DIGITS + 1}"), Decimal(f"1e-{MAX_DIGITS + 1}")):
+        with pytest.raises(DomainError, match=f"needs more than {MAX_DIGITS} digits"):
+            call(value)
+    assert theorem1_bound(Decimal("0.5"), 1) == F(1, 3)
 
 
 def test_exact_inputs_keep_their_value():

@@ -680,6 +680,29 @@ def test_cli_boundary_fuzz(graph, adversary, k, trials, alpha, command, profile,
             parse_graph(f"edgeless:{edgeless}")
 
 
+_CHOICES = "(choose from 'simulate', 'reduce', 'verify-bounds', 'oracle')"
+
+
+@pytest.mark.parametrize("argv, line", [
+    # argparse quotes a refused argument whole; a message past 200 characters is cut.
+    (["x" * 5000], "stabtest: error: argument command: invalid choice: 'xxxxx... (5098 characters)"),
+    (["oracle", "1", "1", "1", "1", "y" * 5000],
+     "stabtest: error: unrecognized arguments: yyyyyyyyyyyyyyyy... (5024 characters)"),
+    # Shorter messages are argparse's own, byte for byte.
+    (["frob"], f"stabtest: error: argument command: invalid choice: 'frob' {_CHOICES}"),
+    (["z" * 90], f"stabtest: error: argument command: invalid choice: '{'z' * 90}' {_CHOICES}"),
+    (["oracle", "1"], "stabtest oracle: error: the following arguments are required: b, c, k"),
+    (["oracle", "1", "1", "1", "1", "extra"], "stabtest: error: unrecognized arguments: extra"),
+    (["simulate", "--graph", "path:3"],
+     "stabtest simulate: error: the following arguments are required: --k, --adversary"),
+], ids=["long-choice", "long-extra", "choice", "choice-of-90", "missing", "extra", "missing-options"])
+def test_argparse_errors_are_cut_only_when_long(argv, line):
+    status, out, err = _run_main(argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("usage: stabtest")
+    assert _error_lines(err) == [line]
+
+
 def test_outdir_env_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STABTEST_OUTDIR", str(tmp_path / "envout"))
     rc = main([

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabtest.analytics import DomainError, t_functionals
+from stabtest.analytics import MAX_DIGITS, DomainError, t_functionals
 from stabtest.cli import parse_graph
 from stabtest.gf2 import BitMatrix, BitVector
 from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
@@ -95,6 +95,16 @@ def _python_output(code):
 def test_importing_the_cli_leaves_hashlib_unloaded():
     # hashlib loads OpenSSL, a few ms of every command's start-up.
     assert _python_output("import sys, stabtest.cli; print('hashlib' in sys.modules)") == "False"
+
+
+def test_importing_the_cli_leaves_dataclasses_and_inspect_unloaded():
+    # dataclasses and inspect load a dozen modules that nothing else needs.
+    code = (
+        "import sys; bare = set(sys.modules)\n"
+        "import stabtest.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))"
+    )
+    assert _python_output(code) == "[]"
 
 
 def test_hashlib_stands_in_without_a_builtin_sha256():
@@ -612,6 +622,13 @@ def test_lane_threshold_is_exact_for_decimal_p():
     assert _lane_table(Fraction(1, 3))[0] == math.ceil(Fraction(2**53, 3))
     for seed in range(3):
         _assert_bulk_draw_matches_reference(rhg_lattice(2, 2, 2), 1, p, p, seed)
+
+
+def test_decimal_flip_probability_gets_the_digit_cap():
+    # Read as text is, a Decimal past the cap is refused before any trial.
+    for p_x, p_z in ((Decimal(f"1e-{MAX_DIGITS + 1}"), 0), (0, Decimal(f"1e-{MAX_DIGITS + 1}"))):
+        with pytest.raises(DomainError, match=f"flip probability needs more than {MAX_DIGITS} digits"):
+            estimate(path_graph(3), 1, IidPauli(p_x, p_z), 1, 0)
 
 
 @pytest.mark.parametrize("seed", range(20))
