@@ -31,6 +31,7 @@ import struct
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Union
 
 # hashlib loads OpenSSL; CPython's built-in module gives the same digest. It
@@ -67,10 +68,12 @@ __all__ = [
     "transcript_to_json",
 ]
 
-# Each class and its persisted spelling, as json.dumps writes [s, t]. Bool
-# keys find the same entries, since True == 1 and False == 0 hash alike.
-_CLASS = {(s, t): BlockClass(s, t) for s in (0, 1) for t in (0, 1)}
+# Each class's persisted spelling, as json.dumps writes [s, t], the same
+# fragments as a nested [s][t] index, and the class each fragment spells.
+# Bool keys and indices find the same entries as 0 and 1.
 _CLASS_JSON = {(s, t): f"[{s}, {t}]" for s in (0, 1) for t in (0, 1)}
+_FRAGMENTS = [[_CLASS_JSON[s, t] for t in (0, 1)] for s in (0, 1)]
+_CLASS = {_CLASS_JSON[s, t]: BlockClass(s, t) for s in (0, 1) for t in (0, 1)}
 
 # Bulk IID draws. random() is x / 2**53 with x = (w0 >> 5) * 2**26 + (w1 >> 6)
 # over two consecutive Mersenne-Twister words, and getrandbits(64 * m) returns
@@ -85,10 +88,10 @@ def _lane_table(p) -> tuple[int, bytes]:
     """T = ceil(p * 2**53), so that random() < p exactly when x < T, and a
     translate table from a lane's top byte b to b"1" (b < T >> 45, so x < T),
     b"0" (b > T >> 45, so x >= T) or b"?" (a tie, settled by x < T).
-    p is read by analytics._exact, which keeps the product exact for every p
-    IidPauli accepts, Decimal included, whose own product would round to its
-    context, and refuses a Decimal past the digit cap."""
-    T = math.ceil(_exact(p, "flip probability") * (1 << 53))
+    The product is taken in Fraction, which keeps it exact for a Decimal p,
+    whose own product would round to its context; _Plan passes the Fraction
+    that analytics._exact read."""
+    T = math.ceil(Fraction(p) * (1 << 53))
     t = T >> 45
     return T, (b"1" * t + b"?" + b"0" * 255)[:256]
 
@@ -130,8 +133,8 @@ class Explicit:
 
 AdversaryModel = Union[Honest, SingleBadCopy, IidPauli, ClassMixture, Explicit]
 
-# One copy in a trial: (sigma1, sigma2, (u_b, u_w, v_b, v_w)); see _Plan.
-_Record = tuple[int, int, tuple[int, int, int, int]]
+# One copy in a trial: (sigma1, sigma2, (u_b, u_w, v_b, v_w), fragment); see _Plan.
+_Record = tuple[int, int, tuple[int, int, int, int], str]
 
 
 @record
@@ -181,13 +184,15 @@ def trial_seed(master_seed: int, index: int) -> int:
 class _Plan:
     """Per-(graph, k, model) preparation shared across trials.
 
-    A copy's record is (sigma1, sigma2, attack): the syndrome masks a group-1
-    and a group-2 test observe, and the raw (u_b, u_w, v_b, v_w) masks of the
-    attack. Each adversary model is prepared once, in its own branch below,
-    into ``draw(rng)``, which returns one record per copy. Records of fixed
-    attacks (the clean copy, the class representatives, explicit atoms) are
-    built here once and shared by every trial; IID records are drawn fresh in
-    every trial.
+    A copy's record is (sigma1, sigma2, attack, fragment): the syndrome masks
+    a group-1 and a group-2 test observe, the raw (u_b, u_w, v_b, v_w) masks
+    of the attack, and the _CLASS_JSON fragment of the copy's class
+    (bool(sigma1), bool(sigma2)). The class is decided here, when the record
+    is made, and nowhere else. Each adversary model is prepared once, in its
+    own branch below, into ``draw(rng)``, which returns one record per copy.
+    Records of fixed attacks (the clean copy, the class representatives,
+    explicit atoms) are built here once and shared by every trial; IID
+    records are drawn fresh in every trial.
     """
 
     def __init__(self, g: BipartiteGraphState, k: int, model: AdversaryModel):
@@ -244,7 +249,11 @@ class _Plan:
                     records[places[-1]] = rep11
                 return records
         elif isinstance(model, IidPauli):
-            if not (0 <= model.p_x <= 1 and 0 <= model.p_z <= 1):
+            # Read once, exactly: analytics._exact refuses a NaN, a value that
+            # is not a number and a Decimal past the digit cap in one line.
+            p_x = _exact(model.p_x, "flip probability")
+            p_z = _exact(model.p_z, "flip probability")
+            if not (0 <= p_x <= 1 and 0 <= p_z <= 1):
                 raise ValueError("flip probabilities must be in [0, 1]")
             # Per copy, one bulk draw covers exactly the Mersenne-Twister words
             # of one random() call per qubit, in lane order u_b, u_w (prob
@@ -260,8 +269,8 @@ class _Plan:
             # Big-endian, so the last lane comes first: the p_z half, then p_x.
             z_tops = slice(4, 8 * half, 8)
             x_tops = slice(8 * half + 4, None, 8)
-            tz, table_z = _lane_table(model.p_z)
-            tx, table_x = _lane_table(model.p_x)
+            tz, table_z = _lane_table(p_z)
+            tx, table_x = _lane_table(p_x)
             b_mask = (1 << n_b) - 1
             w_mask = (1 << n_w) - 1
 
@@ -284,7 +293,8 @@ class _Plan:
                         (flips >> half) & b_mask,
                         flips >> (half + n_b),
                     )
-                    records.append((*syndrome_masks(g, *masks), masks))
+                    sigma1, sigma2 = syndrome_masks(g, *masks)
+                    records.append((sigma1, sigma2, masks, _FRAGMENTS[not not sigma1][not not sigma2]))
                 return records
         elif isinstance(model, Explicit):
             if len(model.copies) != n:
@@ -300,9 +310,9 @@ class _Plan:
                     if not prob >= 0:
                         raise ValueError(f"explicit probabilities must be nonnegative, got {_shown(prob)}")
                     # syndromes() also checks that the attack fits the graph.
-                    sigma1, sigma2 = syndromes(g, attack)
+                    sigma1, sigma2 = (sigma.bits for sigma in syndromes(g, attack))
                     masks = (attack.u_b.bits, attack.u_w.bits, attack.v_b.bits, attack.v_w.bits)
-                    records.append((sigma1.bits, sigma2.bits, masks))
+                    records.append((sigma1, sigma2, masks, _FRAGMENTS[not not sigma1][not not sigma2]))
                 totals = _running_totals(prob for prob, _ in atoms)
                 if not totals or abs(totals[-1] - 1.0) > 1e-9:
                     raise ValueError("explicit copy distribution is not normalized")
@@ -321,7 +331,7 @@ class _Plan:
             raise ValueError("class with s=1 is not realizable: graph has no B vertices")
         if t and g.n_w == 0:
             raise ValueError("class with t=1 is not realizable: graph has no W vertices")
-        return s, t, (0, 0, s, t)
+        return s, t, (0, 0, s, t), _FRAGMENTS[s][t]
 
 
 def _running_totals(weights: Iterable) -> list[float]:
@@ -383,6 +393,9 @@ def _sample(getrandbits: Callable[[int], int], n: int, m: int) -> list[int]:
             chosen.append(j)
     return chosen
 
+
+# A record's class fragment: its transcript spelling, and through _CLASS its BlockClass.
+_fragment = itemgetter(3)
 
 # What _trial returns: (records, order, accepted, third_fidelity).
 _Round = tuple[list[_Record], list[int], bool, int]
@@ -467,7 +480,7 @@ def _transcript(
         k=k,
         seed=seed,
         partition=tuple(map(int, _partition(order, k))),
-        classes=tuple(_CLASS[bool(sigma1), bool(sigma2)] for sigma1, sigma2, _ in records),
+        classes=tuple(_CLASS[fragment] for fragment in map(_fragment, records)),
         accepted=accepted,
         third_fidelity=third,
         raw_outcomes=raw,
@@ -508,12 +521,14 @@ def transcript_lines(
     """Stream (line, accepted, third_fidelity) for trials 0..trials-1.
 
     Each line is transcript_to_json of the matching run_trials transcript,
-    formatted straight from the trial kernel without building the transcript.
+    formatted straight from the trial kernel without building the transcript:
+    the classes are the fragments the records carry, so no copy's class is
+    looked up again.
     """
     for index, (seed, (records, order, accepted, third)) in enumerate(
         _trials(g, k, model, trials, master_seed)
     ):
-        classes = [_CLASS_JSON[not not sigma1, not not sigma2] for sigma1, sigma2, _ in records]
+        classes = map(_fragment, records)
         yield _json_line(index, seed, _partition(order, k), classes, accepted, third), accepted, third
 
 

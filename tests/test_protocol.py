@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import traceback
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -36,6 +37,7 @@ from stabtest.protocol import (
     trial_seed,
 )
 from stabtest.protocol import (
+    _CLASS_JSON,
     _lane_table,
     _pick,
     _Plan,
@@ -573,7 +575,7 @@ def _assert_bulk_draw_matches_reference(g, k, p_x, p_z, seed):
     expected = _reference_iid_draw(g, k, p_x, p_z, ref_rng)
     rng = random.Random(seed)
     records = _Plan(g, k, IidPauli(p_x, p_z)).draw(rng)
-    assert [masks for _, _, masks in records] == expected
+    assert [masks for _, _, masks, _ in records] == expected
     assert rng.getstate() == ref_rng.getstate()
 
 
@@ -631,6 +633,23 @@ def test_decimal_flip_probability_gets_the_digit_cap():
             estimate(path_graph(3), 1, IidPauli(p_x, p_z), 1, 0)
 
 
+@pytest.mark.parametrize("p", [Decimal("NaN"), Decimal("sNaN"), "one half", "3/2"])
+def test_flip_probability_is_read_exactly_before_its_range_check(p):
+    # A Decimal NaN cannot be compared with 0 and text cannot be compared
+    # at all, so p is read exactly first; each is refused in one line.
+    for p_x, p_z in ((p, 0), (0, p)):
+        with pytest.raises(ValueError) as info:
+            estimate(path_graph(3), 1, IidPauli(p_x, p_z), 1, 0)
+        lines = traceback.format_exception_only(info.type, info.value)
+        assert len(lines) == 1 and len(lines[0]) < 200
+
+
+def test_text_flip_probability_is_read_as_its_value():
+    for p, q in (("1/2", 0.5), ("0.25", 0.25), (Decimal("0.75"), 0.75)):
+        lines = [list(transcript_lines(G5, 2, model, 20, 3)) for model in (IidPauli(p, p), IidPauli(q, q))]
+        assert lines[0] == lines[1]
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_bulk_iid_draw_is_exact_at_the_drawn_value(seed):
     # p equal to the value random() is about to return is the tightest case:
@@ -638,9 +657,9 @@ def test_bulk_iid_draw_is_exact_at_the_drawn_value(seed):
     v = random.Random(seed).random()
     for p in (math.nextafter(v, 0.0), v, math.nextafter(v, 1.0)):
         _assert_bulk_draw_matches_reference(G5, 1, p, p, seed)
-    _, _, (u_b, _, _, _) = _Plan(G5, 1, IidPauli(math.nextafter(v, 1.0), 0.0)).draw(random.Random(seed))[0]
+    _, _, (u_b, _, _, _), _ = _Plan(G5, 1, IidPauli(math.nextafter(v, 1.0), 0.0)).draw(random.Random(seed))[0]
     assert u_b & 1
-    _, _, (u_b, _, _, _) = _Plan(G5, 1, IidPauli(v, 0.0)).draw(random.Random(seed))[0]
+    _, _, (u_b, _, _, _), _ = _Plan(G5, 1, IidPauli(v, 0.0)).draw(random.Random(seed))[0]
     assert not u_b & 1
     # The same at every lane of the first copy, where a lane's top byte ties
     # and the exact compare decides: p on the lane's half is the value its
@@ -725,7 +744,7 @@ def test_one_sample_draws_the_stream_of_randrange(n):
 
 
 def _class_record(s, t):
-    return s, t, (0, 0, s, t)
+    return s, t, (0, 0, s, t), f"[{s}, {t}]"
 
 
 @pytest.mark.parametrize("k", [2, 10, 11, 50])
@@ -760,6 +779,33 @@ def test_trial_draws_match_the_random_methods(k):
         rng = random.Random(seed)
         records, got_order, _, _ = _trial(mixture, rng)
         assert (records, got_order, rng.getstate()) == (expected, order, ref.getstate())
+
+
+@pytest.mark.parametrize("graph", ["path:5", "rhg:2x2x2"])
+def test_every_record_carries_the_fragment_of_its_syndromes(graph):
+    # The class of a copy is decided once, when its record is made; the
+    # fragment it carries is what the transcript writes, so it must be the
+    # class its syndromes give. IID at p = 1/2 ties about one lane in 256,
+    # so the exact compare runs too.
+    g = parse_graph(graph)
+    k = 11
+    models = [
+        Honest(),
+        *(SingleBadCopy(BlockClass(s, t)) for s, t in ((1, 0), (0, 1), (1, 1))),
+        _LINE_MODELS["mixture"],
+        IidPauli(0.5, 0.5),
+        IidPauli(0.02, 0.01),
+        _explicit(g, k),
+    ]
+    seen = set()
+    for model in models:
+        plan = _Plan(g, k, model)
+        rng = random.Random(7)
+        for _ in range(30):
+            for sigma1, sigma2, _, fragment in plan.draw(rng):
+                assert fragment == _CLASS_JSON[bool(sigma1), bool(sigma2)]
+                seen.add(fragment)
+    assert seen == set(_CLASS_JSON.values())
 
 
 _RESEED_MODELS = {
