@@ -10,7 +10,10 @@ generator per trial to the state random.Random(seed) would start from (see
 _trials).
 
 RNG consumption order within a trial: adversary draw first, then the
-partition shuffle, then (only when requested) raw outcome sampling.
+partition shuffle, then (only when requested) raw outcome sampling. An IID
+draw takes every copy's words at draw time and decodes a copy only when the
+trial or a caller first reads it; decoding draws nothing, so reading fewer
+copies leaves the stream as it is.
 
 The partition shuffle, a mixture's bad-copy placements and a single bad
 copy's place are drawn by the kernel's own loops over rng.getrandbits. Each
@@ -30,9 +33,9 @@ import random
 import struct
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 # hashlib loads OpenSSL; CPython's built-in module gives the same digest. It
 # is _sha2 from 3.12 on and _sha256 before, and hashlib stands in for both.
@@ -46,9 +49,9 @@ except ImportError:
 
 from ._record import record
 from .analytics import ClassMixture, _exact
-from .gf2 import BitVector
+from .gf2 import BitVector, _xor_rows
 from .graphs import BipartiteGraphState, _shown
-from .pauli import BlockClass, BlockPauli, sample_outcomes, syndrome_masks, syndromes
+from .pauli import BlockClass, BlockPauli, sample_outcomes, syndromes
 
 __all__ = [
     "MAX_COPIES",
@@ -137,6 +140,34 @@ AdversaryModel = Union[Honest, SingleBadCopy, IidPauli, ClassMixture, Explicit]
 _Record = tuple[int, int, tuple[int, int, int, int], str]
 
 
+class _IidRecords:
+    """The records of one IID draw, each decoded the first time it is read.
+
+    Holds every copy's drawn word; indexing copy j replaces its word with the
+    record decode(word) makes, so a copy is decoded at most once and a copy
+    that is never read is never decoded. len() is the number of copies, and
+    iteration reads every copy in copy order.
+    """
+
+    __slots__ = ("_items", "_decode")
+
+    def __init__(self, words: list[int], decode: Callable[[int], _Record]):
+        self._items = words
+        self._decode = decode
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, j: int) -> _Record:
+        item = self._items[j]
+        if item.__class__ is int:
+            item = self._items[j] = self._decode(item)
+        return item
+
+    def __iter__(self) -> Iterator[_Record]:
+        return map(self.__getitem__, range(len(self._items)))
+
+
 @record
 class Transcript:
     """Record of one protocol run."""
@@ -174,6 +205,11 @@ class EstimateResult:
 # memory the way graphs.MAX_QUBITS bounds a graph's.
 MAX_COPIES = 2**16
 
+# Largest (2k+1)·(n_b + n_w) of an IidPauli run. A trial holds every copy's
+# drawn words, 16 bytes a qubit, from the draw on, so the cap bounds that
+# memory the way MAX_COPIES bounds the records'.
+_MAX_IID_QUBITS = 2**23
+
 
 def trial_seed(master_seed: int, index: int) -> int:
     """Derived per-trial seed: top 8 bytes of SHA-256('{master_seed}:{index}')."""
@@ -187,12 +223,14 @@ class _Plan:
     A copy's record is (sigma1, sigma2, attack, fragment): the syndrome masks
     a group-1 and a group-2 test observe, the raw (u_b, u_w, v_b, v_w) masks
     of the attack, and the _CLASS_JSON fragment of the copy's class
-    (bool(sigma1), bool(sigma2)). The class is decided here, when the record
-    is made, and nowhere else. Each adversary model is prepared once, in its
+    (bool(sigma1), bool(sigma2)). The class is decided when the record is
+    made, and nowhere else. Each adversary model is prepared once, in its
     own branch below, into ``draw(rng)``, which returns one record per copy.
     Records of fixed attacks (the clean copy, the class representatives,
-    explicit atoms) are built here once and shared by every trial; IID
-    records are drawn fresh in every trial.
+    explicit atoms) are built here once and shared by every trial, and draw
+    returns them in a list. IID copies are drawn fresh in every trial, and
+    draw returns an _IidRecords, which makes a copy's record, and so decides
+    its class, when the copy is first read.
     """
 
     def __init__(self, g: BipartiteGraphState, k: int, model: AdversaryModel):
@@ -255,47 +293,62 @@ class _Plan:
             p_z = _exact(model.p_z, "flip probability")
             if not (0 <= p_x <= 1 and 0 <= p_z <= 1):
                 raise ValueError("flip probabilities must be in [0, 1]")
+            n_b, n_w = g.n_b, g.n_w
+            half = n_b + n_w
+            if n * half > _MAX_IID_QUBITS:
+                raise ValueError(
+                    f"iid draws too large: {_shown(n)} copies x {_shown(half)} qubits = {_shown(n * half)}"
+                    f" qubit draws per trial (at most 2**23 = {_MAX_IID_QUBITS})"
+                )
             # Per copy, one bulk draw covers exactly the Mersenne-Twister words
             # of one random() call per qubit, in lane order u_b, u_w (prob
             # p_x), then v_b, v_w (p_z), and leaves the generator in the state
             # those calls would; bit i of a mask is set iff that random() call
-            # falls below its flip probability. A lane's top byte decides its
-            # flip; only a tie (about one lane in 256) reads the lane's
-            # 8 bytes for the exact compare x < T.
-            n_b, n_w = g.n_b, g.n_w
-            half = n_b + n_w
+            # falls below its flip probability. A trial draws every copy's
+            # word first, in copy order, and decodes a copy only when it is
+            # read (_IidRecords). A lane's top byte decides its flip; only a
+            # tie (about one lane in 256) reads the lane's 8 bytes for the
+            # exact compare x < T.
             n_bits = 128 * half
             n_bytes = 16 * half
             # Big-endian, so the last lane comes first: the p_z half, then p_x.
+            # When both halves get the same table (as when p_x = p_z), one
+            # slice and one translate read every lane's top byte.
             z_tops = slice(4, 8 * half, 8)
             x_tops = slice(8 * half + 4, None, 8)
             tz, table_z = _lane_table(p_z)
             tx, table_x = _lane_table(p_x)
+            one_table = table_x == table_z
             b_mask = (1 << n_b) - 1
             w_mask = (1 << n_w) - 1
+            # pauli.syndrome_masks, with the adjacency rows read once per plan.
+            rows_t, rows = g.adjacency_t.rows, g.adjacency.rows
+            unpack_lane = _LANE_WORDS.unpack_from
 
-            def draw(rng: random.Random) -> list[_Record]:
-                records = []
-                for _ in range(n):
-                    raw = rng.getrandbits(n_bits).to_bytes(n_bytes, "big")
-                    # Digit d is lane 2 * half - 1 - d, so bit i of the parse is lane i.
+            def decode(word: int) -> _Record:
+                raw = word.to_bytes(n_bytes, "big")
+                # Digit d is lane 2 * half - 1 - d, so bit i of the parse is lane i.
+                if one_table:
+                    digits = bytearray(raw[4::8].translate(table_z))
+                else:
                     digits = bytearray(raw[z_tops].translate(table_z) + raw[x_tops].translate(table_x))
-                    d = digits.find(b"?")
-                    while d >= 0:
-                        w1, w0 = _LANE_WORDS.unpack_from(raw, 8 * d)
-                        # In place: a tie costs O(1), not a copy of the digits.
-                        digits[d] = b"01"[((w0 >> 5) << 26 | w1 >> 6) < (tz if d < half else tx)]
-                        d = digits.find(b"?", d + 1)
-                    flips = int(digits or b"0", 2)
-                    masks = (
-                        flips & b_mask,
-                        (flips >> n_b) & w_mask,
-                        (flips >> half) & b_mask,
-                        flips >> (half + n_b),
-                    )
-                    sigma1, sigma2 = syndrome_masks(g, *masks)
-                    records.append((sigma1, sigma2, masks, _FRAGMENTS[not not sigma1][not not sigma2]))
-                return records
+                d = digits.find(b"?")
+                while d >= 0:
+                    w1, w0 = unpack_lane(raw, 8 * d)
+                    # In place: a tie costs O(1), not a copy of the digits.
+                    digits[d] = b"01"[((w0 >> 5) << 26 | w1 >> 6) < (tz if d < half else tx)]
+                    d = digits.find(b"?", d + 1)
+                flips = int(digits or b"0", 2)
+                u_b = flips & b_mask
+                u_w = (flips >> n_b) & w_mask
+                v_b = (flips >> half) & b_mask
+                v_w = flips >> (half + n_b)
+                sigma1 = v_b ^ _xor_rows(rows_t, u_w)
+                sigma2 = v_w ^ _xor_rows(rows, u_b)
+                return sigma1, sigma2, (u_b, u_w, v_b, v_w), _FRAGMENTS[not not sigma1][not not sigma2]
+
+            def draw(rng: random.Random) -> _IidRecords:
+                return _IidRecords(list(map(rng.getrandbits, repeat(n_bits, n))), decode)
         elif isinstance(model, Explicit):
             if len(model.copies) != n:
                 raise ValueError(
@@ -397,16 +450,19 @@ def _sample(getrandbits: Callable[[int], int], n: int, m: int) -> list[int]:
 # A record's class fragment: its transcript spelling, and through _CLASS its BlockClass.
 _fragment = itemgetter(3)
 
-# What _trial returns: (records, order, accepted, third_fidelity).
-_Round = tuple[list[_Record], list[int], bool, int]
+# What _trial returns: (records, order, accepted). records is a list, or an
+# _IidRecords for IidPauli, whose copies are decoded as they are read.
+_Round = tuple[Sequence[_Record], list[int], bool]
 
 
 def _trial(plan: _Plan, rng: random.Random) -> _Round:
     """One round from a freshly seeded generator: draw the copies, partition
     them, test them. rng is left where the shuffle left it.
 
-    order[:k] is group 1, order[k:2k] group 2 and order[-1] the kept copy;
-    third_fidelity is 1 iff the kept copy is clean.
+    order[:k] is group 1, order[k:2k] group 2 and order[-1] the kept copy.
+    The test reads copies only up to the first that fails, and not the kept
+    copy: whether it is clean is _kept_clean's to read, for the callers that
+    need it. An IID round decodes only the copies that are read.
     """
     records = plan.draw(rng)
     order = plan.copies[:]
@@ -422,8 +478,14 @@ def _trial(plan: _Plan, rng: random.Random) -> _Round:
             if records[j][1]:
                 accepted = False
                 break
+    return records, order, accepted
+
+
+def _kept_clean(records: Sequence[_Record], order: list[int]) -> int:
+    """The round's third_fidelity: 1 iff the kept copy, order[-1], is clean,
+    so that neither test group would see it."""
     kept = records[order[-1]]
-    return records, order, accepted, int(not (kept[0] or kept[1]))
+    return int(not (kept[0] or kept[1]))
 
 
 def _trials(
@@ -464,7 +526,7 @@ def _transcript(
     """The transcript of one round. Given rng, the generator the round was
     drawn from, it also samples the raw outcomes of both test groups from
     rng, where the round left it."""
-    records, order, accepted, third = round_
+    records, order, accepted = round_
     raw = None
     if rng is not None:
         outcomes = []
@@ -482,7 +544,7 @@ def _transcript(
         partition=tuple(map(int, _partition(order, k))),
         classes=tuple(_CLASS[fragment] for fragment in map(_fragment, records)),
         accepted=accepted,
-        third_fidelity=third,
+        third_fidelity=_kept_clean(records, order),
         raw_outcomes=raw,
     )
 
@@ -525,9 +587,8 @@ def transcript_lines(
     the classes are the fragments the records carry, so no copy's class is
     looked up again.
     """
-    for index, (seed, (records, order, accepted, third)) in enumerate(
-        _trials(g, k, model, trials, master_seed)
-    ):
+    for index, (seed, (records, order, accepted)) in enumerate(_trials(g, k, model, trials, master_seed)):
+        third = _kept_clean(records, order)
         classes = map(_fragment, records)
         yield _json_line(index, seed, _partition(order, k), classes, accepted, third), accepted, third
 
@@ -541,13 +602,14 @@ def estimate(
 ) -> EstimateResult:
     """Monte Carlo aggregate over derived per-trial seeds, through
     EstimateResult.from_counts. Aggregates equal those of run_trials with the
-    same arguments."""
+    same arguments. Only an accepted trial's kept copy is read, since a
+    rejected trial's fidelity does not count."""
     accepted = 0
     clean = 0
-    for _, (_, _, ok, third) in _trials(g, k, model, trials, master_seed):
+    for _, (records, order, ok) in _trials(g, k, model, trials, master_seed):
         if ok:
             accepted += 1
-            clean += third
+            clean += _kept_clean(records, order)
     return EstimateResult.from_counts(trials, accepted, clean)
 
 

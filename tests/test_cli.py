@@ -364,6 +364,18 @@ def test_k_at_the_copy_cap_is_accepted(tmp_path):
     assert f"({MAX_COPIES - 1} copies per trial)" in out
 
 
+def test_iid_draws_past_the_joint_cap_fail_cleanly(tmp_path):
+    # 129 copies of edgeless:65536 pass (2k+1) * (n_b + n_w) <= 2**23 by
+    # 65536, and are refused before any trial runs.
+    status, _, err = _run_main(["simulate", "--graph", "edgeless:65536", "--k", "64",
+                                "--adversary", "iid:0.01,0.01", "--trials", "1", "--outdir", str(tmp_path)])
+    assert status == 2
+    lines = _error_lines(err)
+    assert len(lines) == 1 and len(lines[0]) < 200, err[:300]
+    assert "129 copies" in lines[0] and "65536 qubits" in lines[0], err[:300]
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("n_b, n_w", [(MAX_QUBITS + 1, 0), (MAX_QUBITS // 2, MAX_QUBITS // 2 + 1)])
 def test_json_graph_past_the_cap_fails_cleanly(tmp_path, n_b, n_w):
     path = tmp_path / "g.json"

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from stabtest.analytics import MAX_DIGITS, DomainError, t_functionals
 from stabtest.cli import parse_graph
-from stabtest.gf2 import BitMatrix, BitVector
+from stabtest.gf2 import BitMatrix, BitVector, mat_vec
 from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
 from stabtest.pauli import BlockClass, BlockPauli
 from stabtest.protocol import (
@@ -686,6 +686,89 @@ def test_iid_estimate_matches_full_runs_on_random_graphs(g, k, p_x, p_z, seed):
     assert est.counts["accepted_clean"] == sum(tr.third_fidelity for tr in runs)
 
 
+@pytest.mark.parametrize("graph", ["path:5", "rhg:2x2x2"])
+@pytest.mark.parametrize("p_x, p_z", [(0.3, 0.1), (0.5, 0.5), (0.02, 0.01)])
+def test_lazy_iid_records_are_the_eager_records(graph, p_x, p_z):
+    # An IID draw takes every copy's words at once and decodes a copy when it
+    # is first read: before any read, the generator is where the per-qubit
+    # loop leaves it, and the records do not depend on the order they are
+    # read in. p = 0.5 ties about one lane in 256, so the exact compare runs.
+    g = parse_graph(graph)
+    k = 3
+    plan = _Plan(g, k, IidPauli(p_x, p_z))
+    for seed in range(5):
+        ref_rng = random.Random(seed)
+        _reference_iid_draw(g, k, p_x, p_z, ref_rng)
+        rng = random.Random(seed)
+        records = plan.draw(rng)
+        assert rng.getstate() == ref_rng.getstate()
+        assert len(records) == 2 * k + 1
+        backwards = [records[j] for j in reversed(range(len(records)))]
+        assert list(records) == backwards[::-1] == list(plan.draw(random.Random(seed)))
+
+
+def _lane_rate(p):
+    """The exact probability that random() < p: random() is uniform over the
+    multiples of 2**-53 in [0, 1), so it is ceil(p * 2**53) / 2**53."""
+    return Fraction(math.ceil(Fraction(p) * 2**53), 2**53)
+
+
+def _iid_class_rates(g, p_x, p_z):
+    """r[s, t], the probability that one IID copy has class (s, t), summed by
+    brute force over all four masks u_b, u_w, v_b, v_w, with syndromes from
+    mat_vec."""
+    px, pz = _lane_rate(p_x), _lane_rate(p_z)
+    n_b, n_w = g.n_b, g.n_w
+    rates = dict.fromkeys(((s, t) for s in (0, 1) for t in (0, 1)), Fraction(0))
+    for u_b in range(1 << n_b):
+        for u_w in range(1 << n_w):
+            for v_b in range(1 << n_b):
+                for v_w in range(1 << n_w):
+                    x_flips = u_b.bit_count() + u_w.bit_count()
+                    z_flips = v_b.bit_count() + v_w.bit_count()
+                    weight = (px**x_flips * (1 - px) ** (n_b + n_w - x_flips)
+                              * pz**z_flips * (1 - pz) ** (n_b + n_w - z_flips))
+                    sigma1 = v_b ^ mat_vec(g.adjacency, BitVector(n_w, u_w)).bits
+                    sigma2 = v_w ^ mat_vec(g.adjacency.transpose(), BitVector(n_b, u_b)).bits
+                    rates[bool(sigma1), bool(sigma2)] += weight
+    assert sum(rates.values()) == 1
+    return rates
+
+
+@pytest.mark.parametrize("graph", ["path:5", "grid:2x2"])
+def test_iid_estimate_agrees_with_the_exact_class_rates(graph):
+    # IID copies are independent and identical, so with r[s, t] one copy's
+    # class rates, a trial passes with (r00 + r01)^k * (r00 + r10)^k, and
+    # the kept copy of a passing trial is clean with r00, for every k.
+    # estimate, which reads the kept copy only when the trial passes, must
+    # land within 3 standard errors of both at fixed seeds.
+    g = parse_graph(graph)
+    p_x, p_z = 0.05, 0.1
+    r = _iid_class_rates(g, p_x, p_z)
+    trials = 10000
+    for k in (1, 2, 3):
+        pass_rate = (r[0, 0] + r[0, 1]) ** k * (r[0, 0] + r[1, 0]) ** k
+        est = estimate(g, k, IidPauli(p_x, p_z), trials, k)
+        accepted = est.counts["accepted"]
+        for got, exact, n in ((est.pass_rate, pass_rate, trials),
+                              (est.conditional_fidelity, r[0, 0], accepted)):
+            se = math.sqrt(exact * (1 - exact) / n)
+            assert abs(got - exact) <= 3 * se, (k, float(got), float(exact), se)
+
+
+def test_iid_draws_past_the_joint_cap_are_refused_before_any_trial():
+    # A trial holds every copy's drawn words, 16 bytes a qubit, from the
+    # draw on, so (2k+1) * (n_b + n_w) is capped at 2**23: 127 copies of
+    # 65536 qubits fit and 129 do not. Only the plan is built.
+    g = parse_graph("edgeless:65536")
+    _Plan(g, 63, IidPauli(0.01, 0.01))
+    with pytest.raises(ValueError) as info:
+        _Plan(g, 64, IidPauli(0.01, 0.01))
+    lines = traceback.format_exception_only(info.type, info.value)
+    assert len(lines) == 1 and len(lines[0]) < 200
+    assert "129 copies" in lines[0] and "65536 qubits" in lines[0]
+
+
 # The kernel's getrandbits loops against the random.Random methods they stand
 # for: the same result and the same generator state afterwards. n covers
 # every small size, two larger ones and the largest copy count a run accepts;
@@ -762,8 +845,8 @@ def test_trial_draws_match_the_random_methods(k):
         order = list(range(n))
         ref.shuffle(order)
         rng = random.Random(seed)
-        records, got_order, _, _ = _trial(single, rng)
-        assert (records, got_order, rng.getstate()) == (expected, order, ref.getstate())
+        records, got_order, _ = _trial(single, rng)
+        assert (list(records), got_order, rng.getstate()) == (expected, order, ref.getstate())
 
         ref = random.Random(seed)
         c = 0 if ref.random() < 0.5 else 1
@@ -777,8 +860,8 @@ def test_trial_draws_match_the_random_methods(k):
         order = list(range(n))
         ref.shuffle(order)
         rng = random.Random(seed)
-        records, got_order, _, _ = _trial(mixture, rng)
-        assert (records, got_order, rng.getstate()) == (expected, order, ref.getstate())
+        records, got_order, _ = _trial(mixture, rng)
+        assert (list(records), got_order, rng.getstate()) == (expected, order, ref.getstate())
 
 
 @pytest.mark.parametrize("graph", ["path:5", "rhg:2x2x2"])
@@ -829,8 +912,9 @@ def test_trial_loop_reseeds_to_the_state_of_a_fresh_generator(graph, kind, k):
     model = _explicit(g, k) if kind == "explicit" else _RESEED_MODELS[kind]
     plan = _Plan(g, k, model)
     rounds = _trials(g, k, model, 25, 31)
-    for index, (seed, (records, order, accepted, third)) in enumerate(rounds):
+    for index, (seed, (records, order, accepted)) in enumerate(rounds):
         assert seed == trial_seed(31, index)
         ref_rng = random.Random(seed)
-        assert (records, order, accepted, third) == _trial(plan, ref_rng)
+        ref_records, ref_order, ref_accepted = _trial(plan, ref_rng)
+        assert (list(records), order, accepted) == (list(ref_records), ref_order, ref_accepted)
         assert rounds.gi_frame.f_locals["rng"].getstate() == ref_rng.getstate()
