@@ -146,7 +146,8 @@ class _IidRecords:
     Holds every copy's drawn word; indexing copy j replaces its word with the
     record decode(word) makes, so a copy is decoded at most once and a copy
     that is never read is never decoded. len() is the number of copies, and
-    iteration reads every copy in copy order.
+    iteration decodes every copy not yet read, then yields the records in
+    copy order.
     """
 
     __slots__ = ("_items", "_decode")
@@ -165,7 +166,9 @@ class _IidRecords:
         return item
 
     def __iter__(self) -> Iterator[_Record]:
-        return map(self.__getitem__, range(len(self._items)))
+        decode = self._decode
+        self._items = items = [decode(item) if item.__class__ is int else item for item in self._items]
+        return iter(items)
 
 
 @record
@@ -312,26 +315,22 @@ class _Plan:
             n_bits = 128 * half
             n_bytes = 16 * half
             # Big-endian, so the last lane comes first: the p_z half, then p_x.
-            # When both halves get the same table (as when p_x = p_z), one
-            # slice and one translate read every lane's top byte.
             z_tops = slice(4, 8 * half, 8)
             x_tops = slice(8 * half + 4, None, 8)
             tz, table_z = _lane_table(p_z)
             tx, table_x = _lane_table(p_x)
-            one_table = table_x == table_z
             b_mask = (1 << n_b) - 1
             w_mask = (1 << n_w) - 1
-            # pauli.syndrome_masks, with the adjacency rows read once per plan.
+            # pauli.syndrome_masks, with the adjacency rows read once per plan:
+            # calling it per copy cost about 1% of simulate's throughput on
+            # iid-rhg (BENCH_30.json, row_hoist).
             rows_t, rows = g.adjacency_t.rows, g.adjacency.rows
             unpack_lane = _LANE_WORDS.unpack_from
 
             def decode(word: int) -> _Record:
                 raw = word.to_bytes(n_bytes, "big")
                 # Digit d is lane 2 * half - 1 - d, so bit i of the parse is lane i.
-                if one_table:
-                    digits = bytearray(raw[4::8].translate(table_z))
-                else:
-                    digits = bytearray(raw[z_tops].translate(table_z) + raw[x_tops].translate(table_x))
+                digits = bytearray(raw[z_tops].translate(table_z) + raw[x_tops].translate(table_x))
                 d = digits.find(b"?")
                 while d >= 0:
                     w1, w0 = unpack_lane(raw, 8 * d)
@@ -610,6 +609,9 @@ def estimate(
         if ok:
             accepted += 1
             clean += _kept_clean(records, order)
+        # A rejected IID round keeps most of its words undecoded: let them go
+        # before the loop draws the next round's.
+        del records
     return EstimateResult.from_counts(trials, accepted, clean)
 
 

@@ -20,7 +20,7 @@ from stabtest.analytics import MAX_DIGITS, DomainError, t_functionals
 from stabtest.cli import parse_graph
 from stabtest.gf2 import BitMatrix, BitVector, mat_vec
 from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
-from stabtest.pauli import BlockClass, BlockPauli
+from stabtest.pauli import BlockClass, BlockPauli, syndrome_masks
 from stabtest.protocol import (
     MAX_COPIES,
     ClassMixture,
@@ -693,6 +693,7 @@ def test_lazy_iid_records_are_the_eager_records(graph, p_x, p_z):
     # is first read: before any read, the generator is where the per-qubit
     # loop leaves it, and the records do not depend on the order they are
     # read in. p = 0.5 ties about one lane in 256, so the exact compare runs.
+    # Each record's syndromes are pauli.syndrome_masks of its masks.
     g = parse_graph(graph)
     k = 3
     plan = _Plan(g, k, IidPauli(p_x, p_z))
@@ -705,6 +706,8 @@ def test_lazy_iid_records_are_the_eager_records(graph, p_x, p_z):
         assert len(records) == 2 * k + 1
         backwards = [records[j] for j in reversed(range(len(records)))]
         assert list(records) == backwards[::-1] == list(plan.draw(random.Random(seed)))
+        for sigma1, sigma2, masks, _ in records:
+            assert (sigma1, sigma2) == syndrome_masks(g, *masks)
 
 
 def _lane_rate(p):
@@ -767,6 +770,24 @@ def test_iid_draws_past_the_joint_cap_are_refused_before_any_trial():
     lines = traceback.format_exception_only(info.type, info.value)
     assert len(lines) == 1 and len(lines[0]) < 200
     assert "129 copies" in lines[0] and "65536 qubits" in lines[0]
+
+
+def test_estimate_holds_one_round_of_iid_words():
+    # On edgeless:4096 the first group-1 copy fails in every trial, so a
+    # round leaves 20 of its 21 words undecoded. estimate lets go of them
+    # before it draws the next round: its peak stays under one and a half
+    # rounds of words, where holding two rounds would take two.
+    g = parse_graph("edgeless:4096")
+    k = 10
+    round_bytes = (2 * k + 1) * 4096 * 16
+    tracemalloc.start()
+    try:
+        est = estimate(g, k, IidPauli(0.01, 0.01), 4, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.counts["accepted"] == 0
+    assert peak < 1.5 * round_bytes, (peak, round_bytes)
 
 
 # The kernel's getrandbits loops against the random.Random methods they stand
