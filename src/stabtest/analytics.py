@@ -62,6 +62,9 @@ class ClassCounts:
     k: int
 
     def __post_init__(self):
+        for name, value in zip("abck", (self.a, self.b, self.c, self.k)):
+            if type(value) is not int:  # bool is an int subclass; a float would reach math.perm
+                raise DomainError(f"class count {name} must be an int, got {_shown(value)}")
         if self.k < 1:
             raise DomainError("k must be at least 1")
         if min(self.a, self.b, self.c) < 0:
@@ -121,14 +124,22 @@ def conditional_fidelity(a: int, b: int, k: int) -> Fraction:
     return Fraction((k + 1 - a) * (k + 1 - b), (k + 1) ** 2 - a * b)
 
 
+def _expected(dist: Iterable[tuple[tuple[int, int, int], Rational]], k: int) -> Profile:
+    """Profile of a state whose class counts at k follow dist's ((a, b, c), weight) atoms:
+    weighted sums of pass_prob and joint_prob, where a c > 0 atom adds 0 to joint,
+    as a (1,1) copy passes only as the kept copy; conditional is joint/pass, None if 0."""
+    passing = joint = Fraction(0)
+    for (a, b, c), w in dist:
+        passing += w * pass_prob(ClassCounts(a, b, c, k))
+        if not c:
+            joint += w * joint_prob(a, b, k)
+    return Profile(passing, joint, joint / passing if passing else None)
+
+
 def profile(cc: ClassCounts) -> Profile:
-    """Closed-form twin of oracle. A (1,1) copy passes only as the kept copy,
-    so c > 0 leaves no clean kept copy; conditional is None if never accepted."""
-    p = pass_prob(cc)
-    if cc.c:
-        return Profile(p, Fraction(0), Fraction(0) if p else None)
-    joint = joint_prob(cc.a, cc.b, cc.k)
-    return Profile(p, joint, conditional_fidelity(cc.a, cc.b, cc.k) if p else None)
+    """Closed-form twin of oracle: the one-atom _expected, so for c = 0 and
+    pass > 0 conditional is conditional_fidelity(a, b, k)."""
+    return _expected([((cc.a, cc.b, cc.c), 1)], cc.k)
 
 
 # Most digits of a numerator or denominator read from text: below Python's
@@ -256,10 +267,9 @@ def t_functionals(
         raise DomainError("k must be at least 1")
     mixture = ClassMixture(beta, q0, q1)
     mixture.check_budget(k)
-    t1 = sum((w * pass_prob(ClassCounts(a, b, 0, k)) for (a, b), w in mixture.q0), Fraction(0))
-    t2 = sum((w * pass_prob(ClassCounts(a, b, 1, k)) for (a, b), w in mixture.q1), Fraction(0))
-    t3 = sum((w * joint_prob(a, b, k) for (a, b), w in mixture.q0), Fraction(0))
-    return t1, t2, t3
+    branch0 = _expected((((a, b, 0), w) for (a, b), w in mixture.q0), k)
+    branch1 = _expected((((a, b, 1), w) for (a, b), w in mixture.q1), k)
+    return branch0.passing, branch1.passing, branch0.joint
 
 
 def theorem1_bound(alpha, k: int):
@@ -387,10 +397,13 @@ def lemma_check(beta: Rational, q0: Weights, q1: Weights, k: int, alpha: Rationa
     threshold alpha, from its exact acceptance probability and conditional fidelity."""
     if _exact(alpha, "alpha") <= 0:
         raise DomainError("alpha must be positive")
-    beta = _exact(beta, "beta")
-    t1, t2, t3 = t_functionals(beta, q0, q1, k)
-    passing = beta * t1 + (1 - beta) * t2
-    return theorem1_verdict(passing, beta * t3 / passing if passing else None, alpha, k)
+    if k < 1:
+        raise DomainError("k must be at least 1")
+    mixture = ClassMixture(beta, q0, q1)
+    mixture.check_budget(k)
+    state = _expected([((a, b, 0), mixture.beta * w) for (a, b), w in mixture.q0]
+                      + [((a, b, 1), (1 - mixture.beta) * w) for (a, b), w in mixture.q1], k)
+    return theorem1_verdict(state.passing, state.conditional, alpha, k)
 
 
 def oracle(cc: ClassCounts) -> Profile:

@@ -124,11 +124,12 @@ class Explicit:
     """Fully explicit adversary: one attack distribution per copy.
 
     Each entry of ``copies`` is a tuple of (probability, BlockPauli) atoms.
-    Atoms are drawn as for ClassMixture, from float running totals, so a
-    realized probability can differ from the stated one by float rounding,
-    about 2**-53 per atom. The totals need only come within 1e-9 of 1; when
-    they stop short of 1, the last atom absorbs the shortfall, and when they
-    pass 1, the atoms beyond 1 lose the excess.
+    A probability is read exactly, as IidPauli's are, and must not be
+    negative. Atoms are drawn as for ClassMixture, from float running totals,
+    so a realized probability can differ from the stated one by float
+    rounding, about 2**-53 per atom. The totals need only come within 1e-9
+    of 1; when they stop short of 1, the last atom absorbs the shortfall, and
+    when they pass 1, the atoms beyond 1 lose the excess.
     """
 
     copies: tuple[tuple[tuple[float, BlockPauli], ...], ...]
@@ -356,16 +357,20 @@ class _Plan:
             # Per copy, (records, running totals) in atom order.
             tables = []
             for atoms in model.copies:
-                records = []
+                records, probs = [], []
                 for prob, attack in atoms:
-                    # Not "prob < 0", which is false for NaN.
-                    if not prob >= 0:
+                    # Read once, exactly, as IidPauli's: analytics._exact refuses
+                    # a NaN or a value that is not a number in one line.
+                    exact = _exact(prob, "explicit probability")
+                    if exact < 0:
                         raise ValueError(f"explicit probabilities must be nonnegative, got {_shown(prob)}")
+                    probs.append(exact)
                     # syndromes() also checks that the attack fits the graph.
                     sigma1, sigma2 = (sigma.bits for sigma in syndromes(g, attack))
                     masks = (attack.u_b.bits, attack.u_w.bits, attack.v_b.bits, attack.v_w.bits)
                     records.append((sigma1, sigma2, masks, _FRAGMENTS[not not sigma1][not not sigma2]))
-                totals = _running_totals(prob for prob, _ in atoms)
+                # float(Fraction(x)) == float(x) for a float, Fraction or Decimal x.
+                totals = _running_totals(probs)
                 if not totals or abs(totals[-1] - 1.0) > 1e-9:
                     raise ValueError("explicit copy distribution is not normalized")
                 tables.append((records, totals))

@@ -10,6 +10,8 @@ from stabtest.analytics import (
     MAX_DIGITS,
     ClassCounts,
     DomainError,
+    Profile,
+    _expected,
     bounds_rows,
     conditional_fidelity,
     joint_prob,
@@ -469,3 +471,88 @@ def test_bounds_rows_count_per_k():
     counts = Counter(row[0] for row in bounds_rows(40))
     assert counts == {k: (k + 2) ** 2 - 1 + (k + 1) ** 2 for k in range(1, 41)}
     assert sum(counts.values()) == 49360
+
+
+# A count that is not an exact int is refused as ClassMixture's atoms are:
+# 0.5 and 2.0 used to escape from math.perm as TypeError, '1' from a
+# comparison, and True ran as 1.
+@pytest.mark.parametrize("value", [0.5, 2.0, "1", None, True, "1" * 5000], ids=["float", "float-int", "str", "none",
+                                                                              "bool", "long-str"])
+@pytest.mark.parametrize("call", [
+    lambda v: ClassCounts(v, 0, 0, 2),
+    lambda v: ClassCounts(1, 0, 0, v),
+    lambda v: pass_prob(ClassCounts(0, v, 0, 2)),
+    lambda v: joint_prob(v, 0, 2),
+    lambda v: joint_prob(0, 0, v),
+    lambda v: conditional_fidelity(0, v, 2),
+    lambda v: xi(v, 0, 2),
+], ids=["counts-a", "counts-k", "pass-b", "joint-a", "joint-k", "conditional-b", "xi-a"])
+def test_class_counts_refuse_counts_that_are_not_ints(call, value):
+    with pytest.raises(DomainError, match="class count [abck] must be an int, got ") as info:
+        call(value)
+    assert "\n" not in str(info.value)
+    assert len(f"error: {info.value}") < 200
+
+
+def _random_counts(rng, k):
+    """A count distribution at k: one to four (a, b, c) atoms, c up to 3, with
+    positive Fraction weights summing to 1."""
+    n = 2 * k + 1
+    atoms = []
+    for _ in range(rng.randrange(1, 5)):
+        c = rng.randrange(0, min(3, n) + 1)
+        a = rng.randrange(0, n - c + 1)
+        atoms.append([(a, rng.randrange(0, n - c - a + 1), c), rng.randrange(1, 10)])
+    total = sum(w for _, w in atoms)
+    return [(counts, F(w, total)) for counts, w in atoms]
+
+
+def test_expected_is_the_weighted_sum_of_oracle_values():
+    rng = random.Random(13)
+    with_c2 = 0
+    for k in (1, 2, 3, 4):
+        for _ in range(25):
+            dist = _random_counts(rng, k)
+            with_c2 += any(c >= 2 for (_, _, c), _ in dist)
+            passing = sum((w * oracle(ClassCounts(*counts, k)).passing for counts, w in dist), F(0))
+            joint = sum((w * oracle(ClassCounts(*counts, k)).joint for counts, w in dist), F(0))
+            assert _expected(dist, k) == Profile(passing, joint, joint / passing if passing else None), (k, dist)
+    assert with_c2 >= 20
+
+
+def test_profile_conditional_is_the_closed_form():
+    # profile reads conditional as joint/pass; this pins it to
+    # conditional_fidelity past criterion 3's k <= 4.
+    checked = 0
+    for k in range(1, 9):
+        for a in range(2 * k + 2):
+            for b in range(2 * k + 2 - a):
+                got = profile(ClassCounts(a, b, 0, k))
+                if got.passing:
+                    assert got.conditional == conditional_fidelity(a, b, k), (a, b, k)
+                    checked += 1
+                else:
+                    assert got.conditional is None
+    assert checked == sum((k + 2) ** 2 - 1 for k in range(1, 9))
+
+
+def test_lemma_check_is_the_beta_weighted_t_functionals():
+    rng = random.Random(17)
+    cases = [(1, {(3, 0): 1}, {(0, 0): 1}, 1), (0, {(0, 0): 1}, {(2, 0): 1}, 1)]  # pass 0 on the branch drawn
+    for _ in range(150):
+        k = rng.randrange(1, 6)
+        beta = rng.choice([0, 1, F(rng.randrange(1, 100), 100)])
+        # a up to k + 2 and b up to k + 1 admit atoms that never pass, within each branch's budget.
+        a0, a1 = rng.randrange(0, k + 3), rng.randrange(0, k + 2)
+        q0 = [((a0, rng.randrange(0, min(k + 1, 2 * k + 1 - a0) + 1)), F(1, 3)), ((0, rng.randrange(0, k + 2)), F(2, 3))]
+        q1 = [((a1, rng.randrange(0, min(k + 1, 2 * k - a1) + 1)), 1)]
+        cases.append((beta, q0, q1, k))
+    nones = 0
+    for beta, q0, q1, k in cases:
+        t1, t2, t3 = t_functionals(beta, q0, q1, k)
+        passing = beta * t1 + (1 - beta) * t2
+        verdict = lemma_check(beta, q0, q1, k, F(1, 2))
+        assert verdict.passing == passing, (beta, q0, q1, k)
+        assert verdict.conditional == (beta * t3 / passing if passing else None), (beta, q0, q1, k)
+        nones += verdict.conditional is None
+    assert nones >= 2

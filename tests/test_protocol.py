@@ -460,10 +460,41 @@ def test_explicit_rejects_nan_probability():
     bad = BlockPauli(BitVector.zero(G5.n_b), BitVector.zero(G5.n_w),
                      BitVector.unit(G5.n_b, 0), BitVector.zero(G5.n_w))
     model = Explicit((((math.nan, bad), (1.0, clean)),) + (((1.0, clean),),) * 4)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="finite real number"):
         estimate(G5, 2, model, 10, 0)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="finite real number"):
         run_protocol(G5, 2, model, 0)
+
+
+@pytest.mark.parametrize("prob", [Decimal("NaN"), Decimal("sNaN"), "0.5", None, 1 + 0j, -0.5, "x" * 5000],
+                         ids=["decimal-nan", "decimal-snan", "text", "none", "complex", "negative", "long-text"])
+def test_explicit_probabilities_end_in_one_short_value_error(prob):
+    # Each probability is read exactly before any comparison, so a Decimal
+    # NaN, text or a value that is not a number no longer escapes as
+    # decimal.InvalidOperation or TypeError.
+    g = path_graph(3)
+    clean = _clean(g)
+    model = Explicit((((prob, clean), (1.0, clean)),) + (((1.0, clean),),) * 2)
+    with pytest.raises(ValueError) as info:
+        estimate(g, 1, model, 5, 0)
+    assert "\n" not in str(info.value)
+    assert len(f"error: {info.value}") < 200
+
+
+def test_explicit_exact_probabilities_draw_as_their_floats():
+    # The running totals are float(Fraction(prob)), which is float(prob) for
+    # a float, Fraction or Decimal, so the draws do not depend on the type.
+    clean = _clean(G5)
+    bad = BlockPauli(BitVector.zero(G5.n_b), BitVector.zero(G5.n_w),
+                     BitVector.unit(G5.n_b, 0), BitVector.zero(G5.n_w))
+
+    def model(p, q):
+        return Explicit((((p, bad), (q, clean)),) * 5)
+
+    expected = estimate(G5, 2, model(0.3, 0.7), 300, 4)
+    for p, q in ((Fraction(0.3), Fraction(0.7)), (Decimal(0.3), Decimal(0.7))):
+        assert estimate(G5, 2, model(p, q), 300, 4) == expected
+    assert estimate(G5, 2, model("1/2", "0.5"), 300, 4) == estimate(G5, 2, model(0.5, 0.5), 300, 4)
 
 
 def test_k_must_be_positive():
