@@ -15,9 +15,10 @@ import sys
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import analytics
-from .analytics import MAX_DIGITS, ClassCounts, _fraction
+from .analytics import MAX_DIGITS, ClassCounts, ClassMixture, _fraction
 from .gf2 import BitMatrix
 from .graphs import (
     MAX_QUBITS,
@@ -31,19 +32,9 @@ from .graphs import (
     path_graph,
     rhg_lattice,
 )
-from .pauli import BlockClass
-from .protocol import (
-    AdversaryModel,
-    ClassMixture,
-    EstimateResult,
-    Honest,
-    IidPauli,
-    SingleBadCopy,
-    transcript_lines,
-)
-# perfbench/spans.py patches these by getattr; without them `--trace 1` dies with AttributeError.
-from .protocol import run_trials, transcript_to_json  # noqa: F401
-from .reduction import compute_reduction, converted_relations
+
+if TYPE_CHECKING:
+    from .protocol import AdversaryModel
 
 __all__ = [
     "MAX_BOUNDS_K",
@@ -79,6 +70,15 @@ def _count(text: str) -> int:
         raise ValueError(f"a count of {digits} digits is out of range (at most {MAX_QUBITS} qubits)") from None
 
 
+def _sides(arg: str, n: int, form: str) -> list[int]:
+    """The n counts of an x-separated graph spec, refused by the spec's form
+    when there are not n of them."""
+    parts = arg.split("x")
+    if len(parts) != n:
+        raise ValueError(f"expected {form}")
+    return [_count(part) for part in parts]
+
+
 def _integer(text: str) -> int:
     """argparse type of the integer options: int(text), refused in the words
     argparse uses for int, with the text shown by _shown."""
@@ -103,11 +103,9 @@ def parse_graph(spec: str) -> BipartiteGraphState:
         if kind == "path":
             return path_graph(_count(arg))
         if kind == "grid":
-            w, h = (_count(part) for part in arg.split("x"))
-            return grid_graph(w, h)
+            return grid_graph(*_sides(arg, 2, "grid:WxH"))
         if kind == "rhg":
-            lx, ly, lz = (_count(part) for part in arg.split("x"))
-            return rhg_lattice(lx, ly, lz)
+            return rhg_lattice(*_sides(arg, 3, "rhg:XxYxZ"))
         if kind == "edgeless":
             return edgeless_graph(_count(arg))
     except ValueError as exc:
@@ -158,6 +156,9 @@ def _load_mixture(path: str) -> ClassMixture:
 
 def parse_adversary(spec: str) -> AdversaryModel:
     """Mini-grammar: honest | single-bad:s,t | iid:px,pz | mixture:<json file>."""
+    from .pauli import BlockClass
+    from .protocol import Honest, IidPauli, SingleBadCopy
+
     kind, _, arg = spec.partition(":")
     if kind == "honest":
         if arg:
@@ -243,8 +244,13 @@ def _default_outdir() -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .protocol import EstimateResult, transcript_lines
+
     g = parse_graph(args.graph)
     model = parse_adversary(args.adversary)
+    # Checks k, the trial count and the model's fit at k before anything is
+    # written, so a refused run leaves no output directory behind.
+    lines = transcript_lines(g, args.k, model, args.trials, args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     transcript_path = outdir / "transcripts.jsonl"
@@ -256,7 +262,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # that, so a run that fails keeps the old pair. The inner block exits
     # first: transcripts.jsonl is moved first and summary.csv last.
     with _atomic_write(summary_path) as summary, _atomic_write(transcript_path) as fh:
-        for line, ok, third in transcript_lines(g, args.k, model, args.trials, args.seed):
+        for line, ok, third in lines:
             fh.write(line + "\n")
             if ok:
                 accepted += 1
@@ -298,6 +304,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    from .reduction import compute_reduction, converted_relations
+
     g = parse_graph(args.graph)
     r = compute_reduction(g)
     print(f"graph: {args.graph} (n_b={g.n_b}, n_w={g.n_w})")
@@ -422,6 +430,19 @@ def build_parser() -> argparse.ArgumentParser:
     orc.set_defaults(func=cmd_oracle)
 
     return parser
+
+
+def __getattr__(name: str):
+    """The protocol names that perfbench/spans.py reads from this module by
+    getattr and patches here: without them `--trace 1` dies with
+    AttributeError. Reading one imports protocol, which the commands that do
+    not simulate leave unloaded. ROADMAP item 11 deletes this together with
+    item 4, which retargets those spans."""
+    if name in ("run_trials", "transcript_to_json"):
+        from . import protocol
+
+        return getattr(protocol, name)
+    raise AttributeError(f"module '{__name__}' has no attribute '{name}'")
 
 
 def main(argv=None) -> int:

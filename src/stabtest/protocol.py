@@ -497,15 +497,21 @@ def _trials(
 ) -> Iterator[tuple[int, _Round]]:
     """(seed, _trial's round) for trials 0..trials-1 under derived per-trial seeds.
 
-    The one trial loop behind run_trials, transcript_lines and estimate. It
-    keeps one generator and reseeds it for every trial with the C seeding
-    that random.Random(seed) runs for an int seed, which leaves the same
-    state. trial_seed is looked up on the module at every trial, as a traced
-    run replaces it there.
+    The one trial loop behind run_trials, transcript_lines and estimate. The
+    trial count is checked and the plan built when _trials is called, so a
+    refused run is refused before the first trial is asked for.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    plan = _Plan(g, k, model)
+    return _rounds(_Plan(g, k, model), trials, master_seed)
+
+
+def _rounds(plan: _Plan, trials: int, master_seed: int) -> Iterator[tuple[int, _Round]]:
+    """_trials' loop. It keeps one generator and reseeds it for every trial
+    with the C seeding that random.Random(seed) runs for an int seed, which
+    leaves the same state. trial_seed is looked up on the module at every
+    trial, as a traced run replaces it there.
+    """
     rng = random.Random()
     reseed = _random.Random.seed
     for index in range(trials):
@@ -589,12 +595,19 @@ def transcript_lines(
     Each line is transcript_to_json of the matching run_trials transcript,
     formatted straight from the trial kernel without building the transcript:
     the classes are the fragments the records carry, so no copy's class is
-    looked up again.
+    looked up again. The arguments are checked when it is called, before
+    the first line is asked for, so a caller can be refused before it makes
+    anything to write the lines into.
     """
-    for index, (seed, (records, order, accepted)) in enumerate(_trials(g, k, model, trials, master_seed)):
-        third = _kept_clean(records, order)
-        classes = map(_fragment, records)
-        yield _json_line(index, seed, _partition(order, k), classes, accepted, third), accepted, third
+    rounds = _trials(g, k, model, trials, master_seed)
+
+    def lines() -> Iterator[tuple[str, bool, int]]:
+        for index, (seed, (records, order, accepted)) in enumerate(rounds):
+            third = _kept_clean(records, order)
+            classes = map(_fragment, records)
+            yield _json_line(index, seed, _partition(order, k), classes, accepted, third), accepted, third
+
+    return lines()
 
 
 def estimate(

@@ -356,6 +356,32 @@ def test_k_max_past_the_cap_writes_nothing(tmp_path, k_max):
     assert os.listdir(tmp_path) == []
 
 
+# Refusals that need k or the trial count, which a run meets only once it has
+# the graph and the model; parse-time refusals are covered above.
+@pytest.mark.parametrize(
+    "graph, k, adversary, trials, field",
+    [
+        ("path:3", "0", "honest", "5", "k must be at least 1"),
+        ("path:3", "1", "honest", "0", "trials must be at least 1"),
+        ("path:1", str(MAX_COPIES // 2), "honest", "1", "k="),
+        ("edgeless:65536", "64", "iid:0.01,0.01", "1", "iid draws too large"),
+        ("path:5", "1", {**MIX_OK, "q0": [[4, 0, 1]]}, "1", "copy budget"),
+    ],
+    ids=["k-0", "trials-0", "k-cap", "iid-joint-cap", "mixture-copy-budget"],
+)
+def test_simulate_refusals_leave_no_outdir(tmp_path, graph, k, adversary, trials, field):
+    if not isinstance(adversary, str):
+        (tmp_path / "mix.json").write_text(json.dumps(adversary))
+        adversary = f"mixture:{tmp_path / 'mix.json'}"
+    outdir = tmp_path / "out"
+    status, out, err = _run_main(["simulate", "--graph", graph, "--k", k, "--adversary", adversary,
+                                  "--trials", trials, "--outdir", str(outdir)])
+    assert (status, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and field in lines[0], err[:300]
+    assert not outdir.exists()
+
+
 def test_k_at_the_copy_cap_is_accepted(tmp_path):
     k = MAX_COPIES // 2 - 1
     status, out, err = _run_main(["simulate", "--graph", "path:1", "--k", str(k), "--adversary", "honest",
@@ -855,11 +881,13 @@ NO_B = {"n_b": 0, "n_w": 2, "edges": []}
         ("path:5", {**MIX_OK, "q0": [[0, 0, 0]]}, "q0 weights must have positive total"),
         ("path:5", {**MIX_OK, "q1": [[0, 0, 1], [1, 0, -1]]}, "q1 weights must have positive total"),
         ("grid:0x3", "honest", "grid dimensions must be positive"),
+        ("grid:5x5x5", "honest", "bad graph spec 'grid:5x5x5': expected grid:WxH"),
+        ("rhg:1x1", "honest", "bad graph spec 'rhg:1x1': expected rhg:XxYxZ"),
         ("edgeless:0", "honest", "need at least one vertex"),
         (NO_B, "single-bad:1,0", "class with s=1 is not realizable: graph has no B vertices"),
     ],
-    ids=["honest-argument", "mixture-not-object", "q0-zero-total", "q1-zero-total", "grid-0x3", "edgeless-0",
-         "no-b-vertex"],
+    ids=["honest-argument", "mixture-not-object", "q0-zero-total", "q1-zero-total", "grid-0x3", "grid-5x5x5",
+         "rhg-1x1", "edgeless-0", "no-b-vertex"],
 )
 def test_refused_specs_fail_cleanly(tmp_path, capsys, graph, adversary, field):
     if isinstance(graph, dict):

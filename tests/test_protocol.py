@@ -109,6 +109,32 @@ def test_importing_the_cli_leaves_dataclasses_and_inspect_unloaded():
     assert _python_output(code) == "[]"
 
 
+def _layers_after(*argvs):
+    """Which of pauli, protocol and reduction a fresh interpreter has loaded
+    after importing the cli and running each argv through cli.main in turn."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import stabtest.cli\n"
+        f"for argv in {argvs}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert stabtest.cli.main(argv) == 0, argv\n"
+        "    print(sorted({'stabtest.pauli', 'stabtest.protocol', 'stabtest.reduction'} & sys.modules.keys()))\n"
+    )
+    return _python_output(code).splitlines()
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    # verify-bounds and oracle run on the exact analytics alone, reduce adds
+    # the reduction and simulate the Monte Carlo layers: a layer imported by
+    # a command that does not run it is compiled at every start of it.
+    bounds = ["verify-bounds", "--k-max", "3", "--out", str(tmp_path / "bounds.csv")]
+    reduce = ["reduce", "--graph", "path:3"]
+    assert _layers_after(bounds, ["oracle", "1", "0", "0", "2"], reduce) == ["[]", "[]", "['stabtest.reduction']"]
+    simulate = ["simulate", "--graph", "path:3", "--k", "1", "--adversary", "honest", "--trials", "3",
+                "--outdir", str(tmp_path / "out")]
+    assert _layers_after(simulate) == ["['stabtest.pauli', 'stabtest.protocol']"]
+
+
 def test_hashlib_stands_in_without_a_builtin_sha256():
     # A None entry in sys.modules makes `from _sha2 import ...` raise ImportError.
     code = (
@@ -574,9 +600,10 @@ def test_transcript_lines_match_transcripts(graph, kind):
 
 
 def test_transcript_lines_need_a_trial():
+    # Refused when called, before the first line is asked for.
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials"):
-            next(transcript_lines(G5, 2, Honest(), trials, 0))
+            transcript_lines(G5, 2, Honest(), trials, 0)
 
 
 def test_single_bad_rates_near_closed_form():

@@ -11,7 +11,8 @@ stderr, and the bytes of every file it writes. The cases are:
   of SIMULATE_GOLDEN in tests/test_determinism.py, beside that file's
   mixture.json;
 * ``verify-bounds --k-max 30``;
-* ``reduce --graph rhg:2x2x2``.
+* ``reduce --graph rhg:2x2x2``;
+* ``oracle 1 1 0 3``.
 
 Prints one line per (interpreter, case), "same" or "DIFFERS", and exits 1 if
 any output differs from the running interpreter's or a case exits nonzero
@@ -54,6 +55,7 @@ def cases() -> tuple[dict, list[tuple[str, list[str]]]]:
     ]
     out.append(("verify-bounds --k-max 30", ["verify-bounds", "--k-max", "30"]))
     out.append(("reduce --graph rhg:2x2x2", ["reduce", "--graph", "rhg:2x2x2"]))
+    out.append(("oracle 1 1 0 3", ["oracle", "1", "1", "0", "3"]))
     return mixture, out
 
 
