@@ -52,6 +52,17 @@ class DomainError(ValueError):
     """An argument lies outside the domain of the requested formula."""
 
 
+def _positive(value, name: str) -> int:
+    """value, if it is an int of at least 1: the one rule for k, trials and
+    k-max. Anything else ends in one DomainError line; a bool, float, text
+    or None is not an int, and k is named as the class count ClassCounts holds."""
+    if type(value) is not int:  # bool is an int subclass
+        raise DomainError(f"{'class count k' if name == 'k' else name} must be an int, got {_shown(value)}")
+    if value < 1:
+        raise DomainError(f"{name} must be at least 1")
+    return value
+
+
 @record
 class ClassCounts:
     """Attack profile over 2k+1 copies: a, b, c copies of class (1,0), (0,1), (1,1)."""
@@ -62,11 +73,10 @@ class ClassCounts:
     k: int
 
     def __post_init__(self):
-        for name, value in zip("abck", (self.a, self.b, self.c, self.k)):
+        for name, value in zip("abc", (self.a, self.b, self.c)):
             if type(value) is not int:  # bool is an int subclass; a float would reach math.perm
                 raise DomainError(f"class count {name} must be an int, got {_shown(value)}")
-        if self.k < 1:
-            raise DomainError("k must be at least 1")
+        _positive(self.k, "k")
         if min(self.a, self.b, self.c) < 0:
             raise DomainError("class counts must be nonnegative")
         if self.a + self.b + self.c > 2 * self.k + 1:
@@ -263,8 +273,7 @@ def t_functionals(
     (profiles without a (1,1) copy); T2 averages acceptance over Q1, where
     one (1,1) copy rides along.
     """
-    if k < 1:
-        raise DomainError("k must be at least 1")
+    _positive(k, "k")
     mixture = ClassMixture(beta, q0, q1)
     mixture.check_budget(k)
     branch0 = _expected((((a, b, 0), w) for (a, b), w in mixture.q0), k)
@@ -277,8 +286,7 @@ def theorem1_bound(alpha, k: int):
 
     Exact inputs give an exact Fraction; float input gives a float.
     """
-    if k < 1:
-        raise DomainError("k must be at least 1")
+    _positive(k, "k")
     n = 2 * k + 1
     exact = _exact(alpha, "alpha")
     if exact * n <= 1:
@@ -296,8 +304,7 @@ def theorem1_verdict(passing: Fraction, conditional: Fraction | None, alpha: Rat
     and passing >= alpha; then holds says conditional >= bound, and otherwise
     holds is vacuously True. lemma_check passes exact values, simulate rates.
     """
-    if k < 1:
-        raise DomainError("k must be at least 1")
+    _positive(k, "k")
     alpha = _exact(alpha, "alpha")
     bound = theorem1_bound(alpha, k) if alpha * (2 * k + 1) > 1 else None
     premise = bound is not None and passing >= alpha
@@ -307,8 +314,7 @@ def theorem1_verdict(passing: Fraction, conditional: Fraction | None, alpha: Rat
 
 def trace_bound(alpha, k: int) -> float:
     """Trace-distance ceiling 1/sqrt(alpha(2k+1)) for alpha >= 1/(2k+1)."""
-    if k < 1:
-        raise DomainError("k must be at least 1")
+    _positive(k, "k")
     n = 2 * k + 1
     exact = _exact(alpha, "alpha")
     if exact * n < 1:
@@ -397,8 +403,7 @@ def lemma_check(beta: Rational, q0: Weights, q1: Weights, k: int, alpha: Rationa
     threshold alpha, from its exact acceptance probability and conditional fidelity."""
     if _exact(alpha, "alpha") <= 0:
         raise DomainError("alpha must be positive")
-    if k < 1:
-        raise DomainError("k must be at least 1")
+    _positive(k, "k")
     mixture = ClassMixture(beta, q0, q1)
     mixture.check_budget(k)
     state = _expected([((a, b, 0), mixture.beta * w) for (a, b), w in mixture.q0]

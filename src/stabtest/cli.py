@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import analytics
-from .analytics import MAX_DIGITS, ClassCounts, ClassMixture, _fraction
+from .analytics import MAX_DIGITS, ClassCounts, ClassMixture, _fraction, _positive
 from .gf2 import BitMatrix
 from .graphs import (
     MAX_QUBITS,
@@ -337,8 +337,7 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     gives a conditional fidelity joint/pass >= 1 - 1/((2k+1) alpha). Nothing
     is claimed for states outside class mixtures.
     """
-    if args.k_max < 1:
-        raise ValueError("k-max must be at least 1")
+    _positive(args.k_max, "k-max")
     if args.k_max > MAX_BOUNDS_K:
         raise ValueError(f"k-max={_shown(args.k_max)} is too large: xi overflows a float past k={MAX_BOUNDS_K}")
     rows = 0

@@ -48,10 +48,10 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from ._record import record
-from .analytics import ClassMixture, _exact
-from .gf2 import BitVector, _xor_rows
+from .analytics import ClassMixture, DomainError, _exact, _positive
+from .gf2 import BitVector
 from .graphs import BipartiteGraphState, _shown
-from .pauli import BlockClass, BlockPauli, sample_outcomes, syndromes
+from .pauli import BlockClass, BlockPauli, sample_outcomes, syndrome_masks, syndromes
 
 __all__ = [
     "MAX_COPIES",
@@ -238,11 +238,10 @@ class _Plan:
     """
 
     def __init__(self, g: BipartiteGraphState, k: int, model: AdversaryModel):
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        _positive(k, "k")
         n = 2 * k + 1
         if n > MAX_COPIES:
-            raise ValueError(f"k={_shown(k)} is too large: {_shown(n)} copies (at most {MAX_COPIES})")
+            raise DomainError(f"k={_shown(k)} is too large: {_shown(n)} copies (at most {MAX_COPIES})")
         self.g = g
         self.k = k
         self.copies = list(range(n))
@@ -322,10 +321,6 @@ class _Plan:
             tx, table_x = _lane_table(p_x)
             b_mask = (1 << n_b) - 1
             w_mask = (1 << n_w) - 1
-            # pauli.syndrome_masks, with the adjacency rows read once per plan:
-            # calling it per copy cost about 1% of simulate's throughput on
-            # iid-rhg (BENCH_30.json, row_hoist).
-            rows_t, rows = g.adjacency_t.rows, g.adjacency.rows
             unpack_lane = _LANE_WORDS.unpack_from
 
             def decode(word: int) -> _Record:
@@ -343,8 +338,7 @@ class _Plan:
                 u_w = (flips >> n_b) & w_mask
                 v_b = (flips >> half) & b_mask
                 v_w = flips >> (half + n_b)
-                sigma1 = v_b ^ _xor_rows(rows_t, u_w)
-                sigma2 = v_w ^ _xor_rows(rows, u_b)
+                sigma1, sigma2 = syndrome_masks(g, u_b, u_w, v_b, v_w)
                 return sigma1, sigma2, (u_b, u_w, v_b, v_w), _FRAGMENTS[not not sigma1][not not sigma2]
 
             def draw(rng: random.Random) -> _IidRecords:
@@ -501,8 +495,7 @@ def _trials(
     trial count is checked and the plan built when _trials is called, so a
     refused run is refused before the first trial is asked for.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _positive(trials, "trials")
     return _rounds(_Plan(g, k, model), trials, master_seed)
 
 

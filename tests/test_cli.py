@@ -3,9 +3,11 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from stabtest.analytics import bounds_rows, xi
 from stabtest import cli
-from stabtest.cli import MAX_BOUNDS_K, MAX_DIGITS, _fmt_pair, main, parse_adversary, parse_graph
+from stabtest.cli import BOUNDS_HEADER, MAX_BOUNDS_K, MAX_DIGITS, _fmt_pair, main, parse_adversary, parse_graph
 from stabtest.graphs import MAX_QUBITS
 from stabtest.protocol import MAX_COPIES, ClassMixture, Honest, IidPauli, SingleBadCopy
 
@@ -926,3 +928,20 @@ def test_mixture_runs_on_one_sided_graphs(tmp_path, capsys, graph, q0, missing):
             _single_error_line(capsys, f"error: class with {missing}")
         else:
             assert "wrote " in capsys.readouterr().out
+
+
+def _run_module(*argv):
+    """The finished `python -m stabtest.cli argv` run, with src on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "stabtest.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_running_the_module_exits_with_mains_status():
+    # The `if __name__ == "__main__"` guard, which no in-process call reaches.
+    proc = _run_module("verify-bounds", "--k-max", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == ",".join(BOUNDS_HEADER)
+    proc = _run_module("oracle", "0", "0", "0", "0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: k must be at least 1\n")

@@ -16,7 +16,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stabtest.analytics import MAX_DIGITS, DomainError, t_functionals
+from stabtest.analytics import (
+    MAX_DIGITS,
+    ClassCounts,
+    DomainError,
+    lemma_check,
+    t_functionals,
+    theorem1_bound,
+    theorem1_verdict,
+    trace_bound,
+)
 from stabtest.cli import parse_graph
 from stabtest.gf2 import BitMatrix, BitVector, mat_vec
 from stabtest.graphs import BipartiteGraphState, grid_graph, path_graph, rhg_lattice
@@ -340,6 +349,50 @@ def test_copy_budget_is_one_refusal_for_formulas_and_trials(q0, q1, k):
     with pytest.raises(DomainError, match="copy budget") as trials:
         estimate(G5, k, model, 10, 0)
     assert str(formula.value) == str(trials.value)
+
+
+# Every public entry that takes k or a trial count, with the argument in
+# question as its only free one.
+_HALF = Fraction(1, 2)
+_K_ANALYTICS = {
+    "ClassCounts": lambda k: ClassCounts(0, 0, 0, k),
+    "t_functionals": lambda k: t_functionals(_HALF, {(0, 0): 1}, {(0, 0): 1}, k),
+    "theorem1_bound": lambda k: theorem1_bound(_HALF, k),
+    "theorem1_verdict": lambda k: theorem1_verdict(_HALF, _HALF, _HALF, k),
+    "trace_bound": lambda k: trace_bound(_HALF, k),
+    "lemma_check": lambda k: lemma_check(_HALF, {(0, 0): 1}, {(0, 0): 1}, k, _HALF),
+}
+_K_RUNS = {
+    "estimate": lambda k: estimate(G5, k, Honest(), 3, 0),
+    "run_trials": lambda k: next(run_trials(G5, k, Honest(), 3, 0)),
+    "transcript_lines": lambda k: transcript_lines(G5, k, Honest(), 3, 0),
+    "run_protocol": lambda k: run_protocol(G5, k, Honest(), 0),
+}
+_TRIALS = {
+    "estimate": lambda trials: estimate(G5, 1, Honest(), trials, 0),
+    "run_trials": lambda trials: next(run_trials(G5, 1, Honest(), trials, 0)),
+    "transcript_lines": lambda trials: transcript_lines(G5, 1, Honest(), trials, 0),
+}
+
+
+@pytest.mark.parametrize("entries, value", [
+    *((_K_ANALYTICS | _K_RUNS, k) for k in (2.0, True, "2", None, 0)),
+    # An int of at least 1 is a k to the formulas; a run refuses it past MAX_COPIES.
+    (_K_RUNS, 10**5000),
+    *((_TRIALS, trials) for trials in (True, 2.5, "3", 0)),
+], ids=["k-float", "k-bool", "k-str", "k-none", "k-0", "k-huge", "trials-bool", "trials-float", "trials-str",
+        "trials-0"])
+def test_k_and_trials_are_refused_alike_by_every_entry(entries, value):
+    # These used to escape as TypeError, run True as 1 and 2.5 as a count,
+    # or give each function its own message for the same value.
+    messages = {}
+    for name, call in entries.items():
+        with pytest.raises(DomainError) as info:
+            call(value)
+        messages[name] = str(info.value)
+    assert len(set(messages.values())) == 1, messages
+    message = messages.popitem()[1]
+    assert "\n" not in message and len(f"error: {message}") < 200, message
 
 
 def test_mixture_tables_hold_counts_not_records():
