@@ -313,13 +313,26 @@ def theorem1_verdict(passing: Fraction, conditional: Fraction | None, alpha: Rat
 
 
 def trace_bound(alpha, k: int) -> float:
-    """Trace-distance ceiling 1/sqrt(alpha(2k+1)) for alpha >= 1/(2k+1)."""
+    """Trace-distance ceiling 1/sqrt(alpha(2k+1)) for alpha >= 1/(2k+1).
+
+    Where alpha(2k+1) is past the largest float, it is divided by 4**s so
+    that it fits, and the root of the quotient is scaled by 2**-s: a huge
+    alpha or k gives a tiny float, or 0.0 once that underflows, and never an
+    OverflowError."""
     _positive(k, "k")
     n = 2 * k + 1
     exact = _exact(alpha, "alpha")
-    if exact * n < 1:
+    x = exact * n
+    if x < 1:
         raise DomainError("alpha must be at least 1/(2k+1)")
-    return 1.0 / math.sqrt(float(exact) * n)
+    try:
+        product = float(exact) * n
+    except OverflowError:  # alpha or 2k+1 is past the largest float
+        product = math.inf
+    if product < math.inf:
+        return 1.0 / math.sqrt(product)
+    shift = (x.numerator.bit_length() - x.denominator.bit_length()) & ~1
+    return math.ldexp(1.0 / math.sqrt(x.numerator / (x.denominator << shift)), -shift // 2)
 
 
 def xi(a: int, b: int, k: int) -> Fraction:
@@ -361,41 +374,47 @@ def bounds_rows(k_max: int) -> Iterator[tuple]:
     reference for this sweep.
     """
     for k in range(1, k_max + 1):
-        n = 2 * k + 1
-        kk = (k + 1) ** 2
-        # P(k+1, j), P(k, j) for j <= k+1; P(2k+1, j) for j <= 2k+1; P(2k, j) for j <= 2k.
-        pk1 = _falling(k + 1, k + 2)
-        pk = _falling(k, k + 2)
-        p2k1 = _falling(n, n + 1)
-        p2k = _falling(2 * k, n)
-        # c = 0: pass = (kk - ab) P(k+1,a) P(k+1,b) / (kk P(2k+1,a+b)),
-        # joint = P(k,a) P(k,b) / P(2k+1,a+b), conditional = (k+1-a)(k+1-b) / (kk - ab),
-        # xi = (k+1-a)(k+1-b) - (kk - ab) + kk P(2k+1,a+b) / (n P(k+1,a) P(k+1,b)).
-        for a in range(k + 2):
-            pk1_a, pk_a = pk1[a], pk[a]
-            for b in range(k + 2 if a <= k else k + 1):
-                s = p2k1[a + b]
-                perms = pk1_a * pk1[b]
-                cond_num = (k + 1 - a) * (k + 1 - b)
-                cond_den = kk - a * b
-                pass_num = cond_den * perms
-                pass_den = kk * s
-                joint_num = pk_a * pk[b]
-                xi_den = n * perms
-                xi_num = (cond_num - cond_den) * xi_den + pass_den
-                # joint >= pass - 1/n, multiplied through by n * kk * s > 0, is
-                # xi_num >= 0: kk P(k,a) P(k,b) = (k+1-a)(k+1-b) P(k+1,a) P(k+1,b).
-                yield (k, a, b, 0, (pass_num, pass_den), (joint_num, s), (cond_num, cond_den),
-                       (xi_num, xi_den), xi_num >= 0)
-        # c = 1: pass = P(k,a) P(k,b) / (n P(2k,a+b)); joint and conditional are 0.
-        for a in range(k + 1):
-            pk_a = pk[a]
-            for b in range(k + 1):
-                pass_num = pk_a * pk[b]
-                pass_den = n * p2k[a + b]
-                # 0 >= pass - 1/n, multiplied through by pass_den > 0.
-                yield (k, a, b, 1, (pass_num, pass_den), (0, 1), (0, 1), None,
-                       pass_den >= n * pass_num)
+        yield from _bounds_rows_at(k)
+
+
+def _bounds_rows_at(k: int) -> Iterator[tuple]:
+    """The rows of bounds_rows with this k, in the same order: a forked
+    verify-bounds worker asks for its own k values only."""
+    n = 2 * k + 1
+    kk = (k + 1) ** 2
+    # P(k+1, j), P(k, j) for j <= k+1; P(2k+1, j) for j <= 2k+1; P(2k, j) for j <= 2k.
+    pk1 = _falling(k + 1, k + 2)
+    pk = _falling(k, k + 2)
+    p2k1 = _falling(n, n + 1)
+    p2k = _falling(2 * k, n)
+    # c = 0: pass = (kk - ab) P(k+1,a) P(k+1,b) / (kk P(2k+1,a+b)),
+    # joint = P(k,a) P(k,b) / P(2k+1,a+b), conditional = (k+1-a)(k+1-b) / (kk - ab),
+    # xi = (k+1-a)(k+1-b) - (kk - ab) + kk P(2k+1,a+b) / (n P(k+1,a) P(k+1,b)).
+    for a in range(k + 2):
+        pk1_a, pk_a = pk1[a], pk[a]
+        for b in range(k + 2 if a <= k else k + 1):
+            s = p2k1[a + b]
+            perms = pk1_a * pk1[b]
+            cond_num = (k + 1 - a) * (k + 1 - b)
+            cond_den = kk - a * b
+            pass_num = cond_den * perms
+            pass_den = kk * s
+            joint_num = pk_a * pk[b]
+            xi_den = n * perms
+            xi_num = (cond_num - cond_den) * xi_den + pass_den
+            # joint >= pass - 1/n, multiplied through by n * kk * s > 0, is
+            # xi_num >= 0: kk P(k,a) P(k,b) = (k+1-a)(k+1-b) P(k+1,a) P(k+1,b).
+            yield (k, a, b, 0, (pass_num, pass_den), (joint_num, s), (cond_num, cond_den),
+                   (xi_num, xi_den), xi_num >= 0)
+    # c = 1: pass = P(k,a) P(k,b) / (n P(2k,a+b)); joint and conditional are 0.
+    for a in range(k + 1):
+        pk_a = pk[a]
+        for b in range(k + 1):
+            pass_num = pk_a * pk[b]
+            pass_den = n * p2k[a + b]
+            # 0 >= pass - 1/n, multiplied through by pass_den > 0.
+            yield (k, a, b, 1, (pass_num, pass_den), (0, 1), (0, 1), None,
+                   pass_den >= n * pass_num)
 
 
 def lemma_check(beta: Rational, q0: Weights, q1: Weights, k: int, alpha: Rational) -> LemmaVerdict:

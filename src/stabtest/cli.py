@@ -325,6 +325,65 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
+def _bounds_lines(rows, write) -> tuple[int, int]:
+    """Write rows of analytics.bounds_rows as CSV lines through write; return
+    how many rows there were and how many of them fail bound_ok."""
+    count = violations = 0
+    fmt = _fmt_pair
+    # Every field is an int, a .12g decimal, "" or true/false, none of which a
+    # CSV writer would quote, so rows are plain joins. Every value of a row is
+    # symmetric in (a, b), and row (b, a, c) of the same k comes first when
+    # a > b, so its text is kept in `tails` (one k at a time) and reused.
+    tails: dict[tuple[int, int, int], str] = {}
+    tails_k = 0
+    for k, a, b, c, p, joint, conditional, xi_val, ok in rows:
+        count += 1
+        if not ok:
+            violations += 1
+        if k != tails_k:
+            tails.clear()
+            tails_k = k
+        if a > b:
+            tail = tails[b, a, c]
+        else:
+            tail = f"{fmt(p)},{fmt(joint)},{fmt(conditional)},{fmt(xi_val)},{'true' if ok else 'false'}\n"
+            tails[a, b, c] = tail
+        write(f"{k},{a},{b},{c},{tail}")
+    return count, violations
+
+
+def _bounds_block(k: int) -> tuple[str, int, int]:
+    """The CSV text of the rows with this k, with their row and violation
+    counts: what a forked worker of the sweep sends for each of its k."""
+    parts: list[str] = []
+    count, violations = _bounds_lines(analytics._bounds_rows_at(k), parts.append)
+    return "".join(parts), count, violations
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# Fewest rows of a sweep that is split over forked workers: the break-even
+# of forking. One process's time over that of two workers, median of 21
+# alternating runs on 2 vCPUs, was 0.75-0.90 at k_max = 16 (3,872 rows),
+# 0.99-1.16 at k_max = 20 (7,080 rows) and 1.07-1.39 at k_max = 25.
+_MIN_FORKED_ROWS = 7000
+
+
+def _bounds_workers(k_max: int) -> int:
+    """How many processes sweep 1..k_max: the usable CPUs, at most
+    os.cpu_count() and k_max, or 1 where os.fork is missing or the sweep
+    has fewer than _MIN_FORKED_ROWS rows (2k^2 + 6k + 4 per k)."""
+    if not hasattr(os, "fork") or sum(2 * k * k + 6 * k + 4 for k in range(1, k_max + 1)) < _MIN_FORKED_ROWS:
+        return 1
+    return min(_usable_cpus(), os.cpu_count() or 1, k_max)
+
+
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
     """Write the analytics.bounds_rows sweep as CSV; exit 1 if a row fails bound_ok.
 
@@ -336,35 +395,24 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     condition is affine, so it holds for the mixture; with pass >= alpha it
     gives a conditional fidelity joint/pass >= 1 - 1/((2k+1) alpha). Nothing
     is claimed for states outside class mixtures.
+
+    The rows of different k share nothing, so with P = _bounds_workers(K) > 1
+    the sweep runs in P forked workers (`stabtest._forked`), worker i taking
+    the k with k = i + 1 (mod P), and the blocks are written in k order. The
+    file, the summary line and the exit status are those of one process.
     """
     _positive(args.k_max, "k-max")
     if args.k_max > MAX_BOUNDS_K:
         raise ValueError(f"k-max={_shown(args.k_max)} is too large: xi overflows a float past k={MAX_BOUNDS_K}")
-    rows = 0
-    violations = 0
-    fmt = _fmt_pair
-    # Every field is an int, a .12g decimal, "" or true/false, none of which a
-    # CSV writer would quote, so rows are plain joins. Every value of a row is
-    # symmetric in (a, b), and row (b, a, c) of the same k comes first when
-    # a > b, so its text is kept in `tails` (one k at a time) and reused.
-    tails: dict[tuple[int, int, int], str] = {}
-    tails_k = 0
+    workers = _bounds_workers(args.k_max)
     with _atomic_write(Path(args.out)) if args.out else nullcontext(sys.stdout) as out:
-        write = out.write
-        write(",".join(BOUNDS_HEADER) + "\n")
-        for k, a, b, c, p, joint, conditional, xi_val, ok in analytics.bounds_rows(args.k_max):
-            rows += 1
-            if not ok:
-                violations += 1
-            if k != tails_k:
-                tails.clear()
-                tails_k = k
-            if a > b:
-                tail = tails[b, a, c]
-            else:
-                tail = f"{fmt(p)},{fmt(joint)},{fmt(conditional)},{fmt(xi_val)},{'true' if ok else 'false'}\n"
-                tails[a, b, c] = tail
-            write(f"{k},{a},{b},{c},{tail}")
+        out.write(",".join(BOUNDS_HEADER) + "\n")
+        if workers > 1:
+            from ._forked import sweep
+
+            rows, violations = sweep(args.k_max, workers, _bounds_block, out.write)
+        else:
+            rows, violations = _bounds_lines(analytics.bounds_rows(args.k_max), out.write)
     if args.out:
         print(f"wrote {args.out}: {rows} rows, {violations} violations")
     return 1 if violations else 0

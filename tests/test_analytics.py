@@ -122,6 +122,20 @@ def test_trace_bound_values_and_domain():
     assert trace_bound(F(9, 10), 4) < trace_bound(F(1, 2), 4)
 
 
+@pytest.mark.parametrize("alpha, k", [(F(1, 2), 10**5000), (F(1, 2), 2**1100), (10**400, 1), (2 * 10**400, 1)],
+                         ids=["k-10e5000", "k-2e1100", "alpha-10e400", "alpha-2e400"])
+def test_trace_bound_past_the_largest_float(alpha, k):
+    # alpha(2k+1) is past the largest float here, as 2k+1 or as alpha; the
+    # reference is 1/sqrt(alpha(2k+1)) in 28-digit decimals, read as a float.
+    # In the last case the bit lengths of alpha(2k+1) and 1 differ by an odd
+    # number, which the scaling rounds down to an even power of two.
+    exact = F(alpha)
+    expected = float(1 / (Decimal(exact.numerator) * (2 * k + 1) / exact.denominator).sqrt())
+    value = trace_bound(alpha, k)
+    assert value >= 0.0
+    assert math.isclose(value, expected, rel_tol=1e-12, abs_tol=0.0), (value, expected)
+
+
 def test_xi_exact_zeros():
     for k in range(1, 30):
         assert xi(1, 0, k) == 0

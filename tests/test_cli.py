@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -870,6 +871,158 @@ def test_verify_bounds_counts_a_violation(tmp_path, monkeypatch, capsys):
     assert main(["verify-bounds", "--k-max", "1", "--out", str(out_path)]) == 1
     assert capsys.readouterr() == (f"wrote {out_path}: 1 rows, 1 violations\n", "")
     assert out_path.read_text().splitlines()[1] == "1,0,0,0,1,0.5,0.5,,false"
+
+
+# The forked sweep runs two workers; a test never asks for more processes
+# than the machine has CPUs.
+forked = pytest.mark.skipif(
+    not hasattr(os, "fork") or cli._usable_cpus() < 2 or (os.cpu_count() or 1) < 2,
+    reason="a forked verify-bounds sweep needs os.fork and at least 2 usable CPUs",
+)
+
+
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Every sweep runs in two forked workers. Yields the pids the parent
+    forked, and checks at the end that none of them is left to wait for."""
+    pids = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli, "_bounds_workers", lambda k_max: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):  # every worker has been waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forked
+@pytest.mark.parametrize("k_max", [2, 3, 8, 13, 40])
+def test_forked_sweep_writes_the_csv_writer_reference(tmp_path, capsys, two_workers, k_max):
+    expected, rows, violations = _reference_bounds_csv(k_max)
+    out_path = tmp_path / "bounds.csv"
+    assert main(["verify-bounds", "--k-max", str(k_max), "--out", str(out_path)]) == 0
+    assert out_path.read_bytes() == expected.encode()
+    assert capsys.readouterr() == (f"wrote {out_path}: {rows} rows, 0 violations\n", "")
+    assert main(["verify-bounds", "--k-max", str(k_max)]) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert len(two_workers) == 4
+
+
+def _planted(monkeypatch, k_bad, plant):
+    """Make analytics._bounds_rows_at(k_bad) yield plant(rows) instead of its rows."""
+    rows_at = cli.analytics._bounds_rows_at
+    monkeypatch.setattr(cli.analytics, "_bounds_rows_at",
+                        lambda k: plant(rows_at(k)) if k == k_bad else rows_at(k))
+
+
+@forked
+def test_forked_sweep_counts_a_violation_in_a_worker(tmp_path, monkeypatch, capsys, two_workers):
+    # Row (k, a, b, c) = (4, 0, 0, 0), of the second worker, is marked failing.
+    _planted(monkeypatch, 4, lambda rows: ((*row[:8], row[1:4] != (0, 0, 0)) for row in rows))
+    expected, rows, _ = _reference_bounds_csv(8)
+    lines = expected.splitlines(keepends=True)
+    bad = next(i for i, line in enumerate(lines) if line.startswith("4,0,0,0,"))
+    lines[bad] = lines[bad].replace(",true\n", ",false\n")
+    out_path = tmp_path / "bounds.csv"
+    assert main(["verify-bounds", "--k-max", "8", "--out", str(out_path)]) == 1
+    assert capsys.readouterr() == (f"wrote {out_path}: {rows} rows, 1 violations\n", "")
+    assert out_path.read_text() == "".join(lines)
+    assert len(two_workers) == 2
+
+
+def _raise_at_k(rows):
+    raise RuntimeError("planted failure")
+    yield
+
+
+def _exit_at_k(rows):
+    os._exit(3)
+    yield
+
+
+@forked
+@pytest.mark.parametrize("plant, message", [
+    (_raise_at_k, "error: verify-bounds worker for k=5 failed: RuntimeError: planted failure\n"),
+    (_exit_at_k, "error: verify-bounds worker for k=5 exited before sending its rows\n"),
+], ids=["raises", "exits"])
+def test_a_failing_worker_ends_in_one_error_line(tmp_path, monkeypatch, capsys, two_workers, plant, message):
+    _planted(monkeypatch, 5, plant)
+    out_path = tmp_path / "bounds.csv"
+    assert main(["verify-bounds", "--k-max", "8", "--out", str(out_path)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert os.listdir(tmp_path) == []  # no output and no temp file
+    assert len(two_workers) == 2
+
+
+def _stall_at_k(rows):
+    time.sleep(60)
+    yield from rows
+
+
+@forked
+def test_an_interrupted_forked_sweep_leaves_no_worker_and_no_output(tmp_path, monkeypatch, two_workers):
+    # The parent is interrupted reading k = 3 while the second worker is
+    # still busy with k = 4: that worker is killed, not waited out.
+    from stabtest import _forked
+
+    block = _forked._block
+
+    def interrupted(fd, k):
+        if k == 3:
+            raise KeyboardInterrupt
+        return block(fd, k)
+
+    _planted(monkeypatch, 4, _stall_at_k)
+    monkeypatch.setattr(_forked, "_block", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify-bounds", "--k-max", "40", "--out", str(tmp_path / "bounds.csv")])
+    assert time.monotonic() - start < 30
+    assert os.listdir(tmp_path) == []
+    assert len(two_workers) == 2
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+@pytest.mark.parametrize("where", ["one-usable-cpu", "no-fork"])
+def test_sweep_stays_in_process_without_cpus_or_fork(tmp_path, monkeypatch, capsys, where):
+    if where == "one-usable-cpu":
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", _no_fork)
+    else:
+        monkeypatch.delattr(os, "fork", raising=False)
+    # k_max = 20 is the smallest sweep with _MIN_FORKED_ROWS rows or more.
+    assert cli._bounds_workers(20) == 1
+    out_path = tmp_path / "bounds.csv"
+    assert main(["verify-bounds", "--k-max", "20", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == f"wrote {out_path}: 7080 rows, 0 violations\n"
+    assert out_path.read_text() == _reference_bounds_csv(20)[0]
+
+
+def test_sweep_processes_are_capped(monkeypatch):
+    # Only the count: no process is started here.
+    monkeypatch.setattr(os, "fork", _no_fork, raising=False)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli._bounds_workers(40) == 4  # at most os.cpu_count()
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli._bounds_workers(20) == 20  # at most k_max
+    # Below _MIN_FORKED_ROWS (2k^2 + 6k + 4 rows per k) the sweep stays in one process.
+    assert sum(2 * k * k + 6 * k + 4 for k in range(1, 20)) < cli._MIN_FORKED_ROWS <= 7080
+    assert cli._bounds_workers(19) == 1
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli._usable_cpus() == (os.cpu_count() or 1)
 
 
 NO_B = {"n_b": 0, "n_w": 2, "edges": []}

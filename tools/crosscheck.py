@@ -10,7 +10,9 @@ stderr, and the bytes of every file it writes. The cases are:
 * ``simulate --k 2 --trials 200 --seed 3`` for every (graph, adversary) pair
   of SIMULATE_GOLDEN in tests/test_determinism.py, beside that file's
   mixture.json;
-* ``verify-bounds --k-max 30``;
+* ``verify-bounds --k-max 30`` and ``verify-bounds --k-max 40``; on a
+  machine with two or more usable CPUs, the second runs the sweep in forked
+  workers;
 * ``reduce --graph rhg:2x2x2``;
 * ``oracle 1 1 0 3``.
 
@@ -54,6 +56,7 @@ def cases() -> tuple[dict, list[tuple[str, list[str]]]]:
         for graph, adversary in sorted(golden)
     ]
     out.append(("verify-bounds --k-max 30", ["verify-bounds", "--k-max", "30"]))
+    out.append(("verify-bounds --k-max 40", ["verify-bounds", "--k-max", "40"]))
     out.append(("reduce --graph rhg:2x2x2", ["reduce", "--graph", "rhg:2x2x2"]))
     out.append(("oracle 1 1 0 3", ["oracle", "1", "1", "0", "3"]))
     return mixture, out
