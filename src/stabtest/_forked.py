@@ -1,10 +1,12 @@
-"""A verify-bounds sweep split over forked worker processes.
+"""A command's output split into numbered blocks, formatted by forked worker processes.
 
-Worker i of P keeps to one CPU, formats the CSV text of k = i + 1,
-i + 1 + P, ... (striped, since a row costs more as k grows) and sends each
-k's block through its own pipe; the parent writes the blocks in k order. `cli.cmd_verify_bounds`
-imports this module only for a sweep that runs in more than one process, so
-`import stabtest.cli` compiles none of it.
+Both commands that fork use `sweep`: `verify-bounds` numbers its blocks by
+k, one block per k, and `simulate` numbers blocks of consecutive trials.
+Worker i of P keeps to one CPU, formats the text of the blocks at positions
+i, i + P, ... of the numbering (striped, since a block of `verify-bounds`
+costs more as k grows) and sends each block through its own pipe; the parent
+writes the blocks in order. The commands import this module only for a run
+that forks, so `import stabtest.cli` compiles none of it.
 """
 
 from __future__ import annotations
@@ -16,17 +18,18 @@ from typing import Callable
 
 from .graphs import _cut
 
-# What precedes each block on a pipe: its row count, violation count and byte
-# length. A worker that fails sends one record with row count -1 whose bytes
-# are its error message, and exits non-zero.
+# What precedes each block on a pipe: its two counts (rows and violations for
+# verify-bounds, accepted and clean trials for simulate) and its byte length.
+# A worker that fails sends one record with first count -1 whose bytes are its
+# error message, and exits non-zero.
 _HEADER = struct.Struct("<qqq")
 # Most bytes asked of one os.read: a pipe hands over at most its buffer anyway.
 _CHUNK = 1 << 20
 
 
-def _send(fd: int, text: str, rows: int, violations: int) -> None:
+def _send(fd: int, text: str, first: int, second: int) -> None:
     data = text.encode()
-    view = memoryview(_HEADER.pack(rows, violations, len(data)) + data)
+    view = memoryview(_HEADER.pack(first, second, len(data)) + data)
     while view:
         view = view[os.write(fd, view):]
 
@@ -42,23 +45,24 @@ def _receive(fd: int, size: int) -> bytearray:
     return data
 
 
-def _block(fd: int, k: int) -> tuple[int, int, bytearray]:
-    """(rows, violations, bytes) of the block for k, the next one on fd."""
+def _block(fd: int, number: int) -> tuple[int, int, bytearray] | None:
+    """(first count, second count, bytes) of block `number`, the next one on
+    fd, or None if its worker exited before sending all of it. A failed
+    worker's record has first count -1 and its message as the bytes."""
     head = _receive(fd, _HEADER.size)
     if len(head) == _HEADER.size:
-        rows, violations, size = _HEADER.unpack(head)
+        first, second, size = _HEADER.unpack(head)
         data = _receive(fd, size)
         if len(data) == size:
-            if rows < 0:
-                raise ChildProcessError(f"verify-bounds worker for k={k} failed: {_cut(data.decode(), 200)}")
-            return rows, violations, data
-    raise ChildProcessError(f"verify-bounds worker for k={k} exited before sending its rows")
+            return first, second, data
+    return None
 
 
-def _work(fd: int, reads: list[int], ks: range, block: Callable, cpu: int | None) -> None:
-    """A forked worker: send block(k) for each k in ks through fd, or one
-    error record on the first exception. It leaves only through os._exit, so
-    it flushes no buffer it inherited and runs none of the parent's cleanup."""
+def _work(fd: int, reads: list[int], numbers: range, block: Callable, cpu: int | None) -> None:
+    """A forked worker: send block(number) for each number in numbers through
+    fd, or one error record on the first exception. It leaves only through
+    os._exit, so it flushes no buffer it inherited and runs none of the
+    parent's cleanup."""
     status = 1
     try:
         for read in reads:
@@ -69,8 +73,8 @@ def _work(fd: int, reads: list[int], ks: range, block: Callable, cpu: int | None
             except OSError:  # pinning only makes the sweep faster
                 pass
         try:
-            for k in ks:
-                _send(fd, *block(k))
+            for number in numbers:
+                _send(fd, *block(number))
             status = 0
         except BaseException as exc:
             _send(fd, f"{type(exc).__name__}: {exc}", -1, 0)
@@ -79,19 +83,25 @@ def _work(fd: int, reads: list[int], ks: range, block: Callable, cpu: int | None
         os._exit(status)
 
 
-def sweep(k_max: int, workers: int, block: Callable, write: Callable) -> tuple[int, int]:
-    """Write the text of block(k) for k = 1..k_max, in order, through write,
-    each k formatted by one of `workers` forked processes; return the summed
-    (rows, violations). block(k) returns (text, rows, violations).
+def sweep(
+    blocks: range, workers: int, block: Callable, write: Callable, name: Callable[[int], str], unit: str
+) -> tuple[int, int]:
+    """Write the text of block(number) for each number in blocks, in order,
+    through write, each block formatted by one of `workers` forked processes;
+    return the two counts summed over the blocks. block(number) returns
+    (text, first count, second count), both counts not negative.
 
     A worker that fails or exits early ends the sweep in a ChildProcessError,
-    an OSError that names no file, so the command prints one `error:` line.
-    On every exit path, an interrupt included, the workers still running are
-    killed and every worker is waited for."""
+    an OSError that names no file, so the command prints one `error:` line:
+    "<name(number)> failed: <the worker's exception>" or "<name(number)>
+    exited before sending its <unit>". On every exit path, an interrupt
+    included, the workers still running are killed and every worker is
+    waited for."""
     # Each worker keeps to a CPU of its own. Left free, the workers and the
     # parent, which wake each other through the pipes, tend to gather on one
-    # CPU: at --k-max 40 on 2 vCPUs, two free workers took 1.05x the time of
-    # one process, and two pinned ones 0.59x (medians of 16 alternating runs).
+    # CPU: at verify-bounds --k-max 40 on 2 vCPUs, two free workers took 1.05x
+    # the time of one process, and two pinned ones 0.59x (medians of 16
+    # alternating runs).
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None] * workers
     reads: list[int] = []
     pids: list[int] = []
@@ -103,18 +113,23 @@ def sweep(k_max: int, workers: int, block: Callable, write: Callable) -> tuple[i
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _work(send, reads, range(i + 1, k_max + 1, workers), block, cpus[i % len(cpus)])
+                    _work(send, reads, blocks[i::workers], block, cpus[i % len(cpus)])
                 pids.append(pid)
             finally:
                 os.close(send)
-        rows = violations = 0
-        for k in range(1, k_max + 1):
-            count, bad, data = _block(reads[(k - 1) % workers], k)
+        first = second = 0
+        for position, number in enumerate(blocks):
+            got = _block(reads[position % workers], number)
+            if got is None:
+                raise ChildProcessError(f"{name(number)} exited before sending its {unit}")
+            count, other, data = got
+            if count < 0:
+                raise ChildProcessError(f"{name(number)} failed: {_cut(data.decode(), 200)}")
             write(data.decode())
-            rows += count
-            violations += bad
+            first += count
+            second += other
         done = True
-        return rows, violations
+        return first, second
     finally:
         for read in reads:
             os.close(read)

@@ -243,30 +243,136 @@ def _default_outdir() -> str:
     return os.environ.get("STABTEST_OUTDIR", ".")
 
 
+def _transcript_lines(lines, write) -> tuple[int, int]:
+    """Write the lines of protocol._lines through write, one a line; return
+    how many trials were accepted and how many of those kept a clean copy."""
+    accepted = clean = 0
+    for line, ok, third in lines:
+        write(line + "\n")
+        if ok:
+            accepted += 1
+            clean += third
+    return accepted, clean
+
+
+# Least one-process work, in microseconds of _simulate_workers' estimate, of
+# a simulate run that is split over forked workers: the break-even of
+# forking. One process's time over that of two workers (median of 21
+# alternating runs of cli.main on 2 vCPUs) crossed 1.0 at an estimate of
+# 7.3-9.8 ms for a mixture on grid:5x5 at k = 5 (600 trials 0.98, 800
+# trials 1.12), 7.4-9.9 ms for IID flips on rhg:3x3x3 at k = 2 (75 trials
+# 0.93, 100 trials 1.04) and 8.8 ms for honest copies on path:5 at k = 2
+# (800 trials 1.00).
+_MIN_FORKED_MICROS = 9_000
+# Most copies a block of a forked simulate holds, at about 11 bytes of
+# transcript text a copy: the text a worker formats and sends at once.
+_BLOCK_COPIES = 2**16
+# Blocks per worker, so that the parent writes one block while the workers
+# format the next ones.
+_BLOCKS_PER_WORKER = 4
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _processes(most: int) -> int:
+    """How many processes may share work that splits into `most` parts: the
+    usable CPUs, at most os.cpu_count() and `most`, or 1 where os.fork is
+    missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    return min(_usable_cpus(), os.cpu_count() or 1, most)
+
+
+def _simulate_workers(trials: int, copies: int, iid: bool, n: int) -> int:
+    """How many processes run a simulate of `trials` trials of `copies`
+    copies on n qubits: _processes(trials), or 1 when the estimated
+    one-process time of the trials is below _MIN_FORKED_MICROS. With
+    P <= trials, the blocks of _trial_blocks number at least P.
+
+    A trial costs about 10 + 0.2 copies microseconds under the models whose
+    copies are fixed records (honest, single-bad, mixture), and
+    10 + (2 + n/16) copies under IID flips, which draw and decode every
+    qubit of every copy. Best of 5 over protocol.transcript_lines on 2 vCPUs,
+    in microseconds a trial: 10.6 on path:5 at k = 2, 13.1 for a mixture on
+    grid:5x5 at k = 5, 16.9 for single-bad at k = 20; IID at k = 2, 26.3 on
+    grid:5x5, 87.4 on rhg:3x3x3 and 173 on rhg:4x4x4."""
+    per_copy = 2 + n / 16 if iid else 0.2
+    if trials * (10 + per_copy * copies) < _MIN_FORKED_MICROS:
+        return 1
+    return _processes(trials)
+
+
+def _trial_blocks(trials: int, copies: int, workers: int) -> tuple[int, int]:
+    """(block size, block count) of a simulate split over workers: blocks of
+    consecutive trials, _BLOCKS_PER_WORKER per worker, but none of more than
+    _BLOCK_COPIES copies unless a trial alone has more."""
+    size = max(1, min(-(-trials // (_BLOCKS_PER_WORKER * workers)), _BLOCK_COPIES // copies))
+    return size, -(-trials // size)
+
+
+def _forked_transcripts(plan, trials: int, master_seed: int, workers: int, write) -> tuple[int, int]:
+    """_transcript_lines of trials 0..trials-1 of plan, formatted by `workers`
+    forked processes: the trial range is cut into the blocks of _trial_blocks,
+    striped over the workers, each block formatted through protocol._lines
+    and written in trial order. A failed worker names its trial range."""
+    from ._forked import sweep
+    from .protocol import _lines
+
+    size, count = _trial_blocks(trials, 2 * plan.k + 1, workers)
+
+    def trials_of(number: int) -> range:
+        return range(number * size, min((number + 1) * size, trials))
+
+    def block(number: int) -> tuple[str, int, int]:
+        parts: list[str] = []
+        accepted, clean = _transcript_lines(_lines(plan, trials_of(number), master_seed), parts.append)
+        return "".join(parts), accepted, clean
+
+    def name(number: int) -> str:
+        block_trials = trials_of(number)
+        return f"simulate worker for trials {block_trials[0]}..{block_trials[-1]}"
+
+    return sweep(range(count), workers, block, write, name, "transcripts")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .protocol import EstimateResult, transcript_lines
+    """Run --trials trials of the 2k+1-copy test; write transcripts.jsonl and
+    summary.csv to --outdir and print the report.
+
+    Trials share nothing, each drawn from its own seed, so with
+    P = _simulate_workers(...) > 1 the trial range is split into blocks of
+    consecutive trials, striped over P forked workers (`stabtest._forked`)
+    that format their blocks through the one-process loop, and the blocks
+    are written in trial order (_forked_transcripts). The files, the report
+    and the exit status are those of one process.
+    """
+    from .protocol import EstimateResult, IidPauli, _lines, _plan
 
     g = parse_graph(args.graph)
     model = parse_adversary(args.adversary)
     # Checks k, the trial count and the model's fit at k before anything is
     # written, so a refused run leaves no output directory behind.
-    lines = transcript_lines(g, args.k, model, args.trials, args.seed)
+    plan = _plan(g, args.k, model, args.trials)
+    workers = _simulate_workers(args.trials, 2 * args.k + 1, isinstance(model, IidPauli), g.n)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     transcript_path = outdir / "transcripts.jsonl"
     summary_path = outdir / "summary.csv"
 
-    accepted = 0
-    clean = 0
     # Both files are replaced at the end and the report is formatted before
     # that, so a run that fails keeps the old pair. The inner block exits
     # first: transcripts.jsonl is moved first and summary.csv last.
     with _atomic_write(summary_path) as summary, _atomic_write(transcript_path) as fh:
-        for line, ok, third in lines:
-            fh.write(line + "\n")
-            if ok:
-                accepted += 1
-                clean += third
+        if workers > 1:
+            accepted, clean = _forked_transcripts(plan, args.trials, args.seed, workers, fh.write)
+        else:
+            accepted, clean = _transcript_lines(_lines(plan, range(args.trials), args.seed), fh.write)
 
         result = EstimateResult.from_counts(args.trials, accepted, clean)
         pass_rate, cond = result.pass_rate, result.conditional_fidelity
@@ -360,14 +466,6 @@ def _bounds_block(k: int) -> tuple[str, int, int]:
     return "".join(parts), count, violations
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 # Fewest rows of a sweep that is split over forked workers: the break-even
 # of forking. One process's time over that of two workers, median of 21
 # alternating runs on 2 vCPUs, was 0.75-0.90 at k_max = 16 (3,872 rows),
@@ -376,12 +474,11 @@ _MIN_FORKED_ROWS = 7000
 
 
 def _bounds_workers(k_max: int) -> int:
-    """How many processes sweep 1..k_max: the usable CPUs, at most
-    os.cpu_count() and k_max, or 1 where os.fork is missing or the sweep
-    has fewer than _MIN_FORKED_ROWS rows (2k^2 + 6k + 4 per k)."""
-    if not hasattr(os, "fork") or sum(2 * k * k + 6 * k + 4 for k in range(1, k_max + 1)) < _MIN_FORKED_ROWS:
+    """How many processes sweep 1..k_max: _processes(k_max), or 1 when the
+    sweep has fewer than _MIN_FORKED_ROWS rows (2k^2 + 6k + 4 per k)."""
+    if sum(2 * k * k + 6 * k + 4 for k in range(1, k_max + 1)) < _MIN_FORKED_ROWS:
         return 1
-    return min(_usable_cpus(), os.cpu_count() or 1, k_max)
+    return _processes(k_max)
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
@@ -410,7 +507,8 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
         if workers > 1:
             from ._forked import sweep
 
-            rows, violations = sweep(args.k_max, workers, _bounds_block, out.write)
+            rows, violations = sweep(range(1, args.k_max + 1), workers, _bounds_block, out.write,
+                                     lambda k: f"verify-bounds worker for k={k}", "rows")
         else:
             rows, violations = _bounds_lines(analytics.bounds_rows(args.k_max), out.write)
     if args.out:

@@ -7,7 +7,7 @@ third copy's fidelity indicator. Everything is driven by a single seeded RNG
 per trial; per-trial seeds derive from a master seed via SHA-256, so results
 are reproducible regardless of execution order. A trial loop reseeds one
 generator per trial to the state random.Random(seed) would start from (see
-_trials).
+_rounds).
 
 RNG consumption order within a trial: adversary draw first, then the
 partition shuffle, then (only when requested) raw outcome sampling. An IID
@@ -486,28 +486,34 @@ def _kept_clean(records: Sequence[_Record], order: list[int]) -> int:
     return int(not (kept[0] or kept[1]))
 
 
+def _plan(g: BipartiteGraphState, k: int, model: AdversaryModel, trials: int) -> _Plan:
+    """The plan of a run of `trials` trials, built once the trial count is
+    checked: what every trial entry point asks for before its first trial,
+    so a refused run is refused before anything is drawn or written."""
+    _positive(trials, "trials")
+    return _Plan(g, k, model)
+
+
 def _trials(
     g: BipartiteGraphState, k: int, model: AdversaryModel, trials: int, master_seed: int
 ) -> Iterator[tuple[int, _Round]]:
-    """(seed, _trial's round) for trials 0..trials-1 under derived per-trial seeds.
-
-    The one trial loop behind run_trials, transcript_lines and estimate. The
-    trial count is checked and the plan built when _trials is called, so a
-    refused run is refused before the first trial is asked for.
-    """
-    _positive(trials, "trials")
-    return _rounds(_Plan(g, k, model), trials, master_seed)
+    """(seed, _trial's round) for trials 0..trials-1 under derived per-trial
+    seeds, for run_trials and estimate. The arguments are checked and the
+    plan built when _trials is called."""
+    return _rounds(_plan(g, k, model, trials), range(trials), master_seed)
 
 
-def _rounds(plan: _Plan, trials: int, master_seed: int) -> Iterator[tuple[int, _Round]]:
-    """_trials' loop. It keeps one generator and reseeds it for every trial
-    with the C seeding that random.Random(seed) runs for an int seed, which
+def _rounds(plan: _Plan, indices: range, master_seed: int) -> Iterator[tuple[int, _Round]]:
+    """(seed, _trial's round) for the trials in indices: the one trial loop
+    behind run_trials, transcript_lines, estimate and each block of a forked
+    `simulate`. It keeps one generator and reseeds it for every trial with
+    the C seeding that random.Random(seed) runs for an int seed, which
     leaves the same state. trial_seed is looked up on the module at every
     trial, as a traced run replaces it there.
     """
     rng = random.Random()
     reseed = _random.Random.seed
-    for index in range(trials):
+    for index in indices:
         seed = trial_seed(master_seed, index)
         reseed(rng, seed)
         yield seed, _trial(plan, rng)
@@ -592,15 +598,18 @@ def transcript_lines(
     the first line is asked for, so a caller can be refused before it makes
     anything to write the lines into.
     """
-    rounds = _trials(g, k, model, trials, master_seed)
+    return _lines(_plan(g, k, model, trials), range(trials), master_seed)
 
-    def lines() -> Iterator[tuple[str, bool, int]]:
-        for index, (seed, (records, order, accepted)) in enumerate(rounds):
-            third = _kept_clean(records, order)
-            classes = map(_fragment, records)
-            yield _json_line(index, seed, _partition(order, k), classes, accepted, third), accepted, third
 
-    return lines()
+def _lines(plan: _Plan, indices: range, master_seed: int) -> Iterator[tuple[str, bool, int]]:
+    """transcript_lines' stream for the trials in indices, the trial numbers
+    its lines carry. `simulate` formats its whole run, or each block of a
+    forked run, through this one loop."""
+    k = plan.k
+    for index, (seed, (records, order, accepted)) in zip(indices, _rounds(plan, indices, master_seed)):
+        third = _kept_clean(records, order)
+        classes = map(_fragment, records)
+        yield _json_line(index, seed, _partition(order, k), classes, accepted, third), accepted, third
 
 
 def estimate(

@@ -10,6 +10,10 @@ stderr, and the bytes of every file it writes. The cases are:
 * ``simulate --k 2 --trials 200 --seed 3`` for every (graph, adversary) pair
   of SIMULATE_GOLDEN in tests/test_determinism.py, beside that file's
   mixture.json;
+* ``simulate`` of that mixture on ``grid:5x5`` at ``--k 5`` over 2000 trials,
+  and of ``iid:0.01,0.01`` on ``rhg:3x3x3`` at ``--k 2`` over 300 trials:
+  both past the break-even of forking, so on a machine with two or more
+  usable CPUs they run in forked workers;
 * ``verify-bounds --k-max 30`` and ``verify-bounds --k-max 40``; on a
   machine with two or more usable CPUs, the second runs the sweep in forked
   workers;
@@ -55,6 +59,12 @@ def cases() -> tuple[dict, list[tuple[str, list[str]]]]:
           "--adversary", adversary, "--outdir", "out"])
         for graph, adversary in sorted(golden)
     ]
+    out.append(("simulate grid:5x5 mixture, 2000 trials",
+                ["simulate", "--graph", "grid:5x5", "--k", "5", "--trials", "2000", "--seed", "3",
+                 "--adversary", "mixture:mixture.json", "--outdir", "out"]))
+    out.append(("simulate rhg:3x3x3 iid:0.01,0.01, 300 trials",
+                ["simulate", "--graph", "rhg:3x3x3", "--k", "2", "--trials", "300", "--seed", "3",
+                 "--adversary", "iid:0.01,0.01", "--outdir", "out"]))
     out.append(("verify-bounds --k-max 30", ["verify-bounds", "--k-max", "30"]))
     out.append(("verify-bounds --k-max 40", ["verify-bounds", "--k-max", "40"]))
     out.append(("reduce --graph rhg:2x2x2", ["reduce", "--graph", "rhg:2x2x2"]))
