@@ -1,12 +1,15 @@
 """A command's output split into numbered blocks, formatted by forked worker processes.
 
-Both commands that fork use `sweep`: `verify-bounds` numbers its blocks by
-k, one block per k, and `simulate` numbers blocks of consecutive trials.
-Worker i of P keeps to one CPU, formats the text of the blocks at positions
-i, i + P, ... of the numbering (striped, since a block of `verify-bounds`
-costs more as k grows) and sends each block through its own pipe; the parent
-writes the blocks in order. The commands import this module only for a run
-that forks, so `import stabtest.cli` compiles none of it.
+Both commands that fork use `sweep`, through cli._write_blocks:
+`verify-bounds` numbers its blocks by k, one block per k, and `simulate`
+numbers blocks of consecutive trials. Worker i of P keeps to one CPU, formats
+the text of the blocks at positions i, i + P, ... of the numbering (striped,
+since a block of `verify-bounds` costs more as k grows) and sends each block
+through its own pipe; the parent writes the blocks in order. Every fork comes
+before the first block is written, so when os.pipe or os.fork refuses a
+worker, `sweep` stops the workers already started and leaves the blocks to
+one process. The commands import this module only for a run that forks, so
+`import stabtest.cli` compiles none of it.
 """
 
 from __future__ import annotations
@@ -59,10 +62,10 @@ def _block(fd: int, number: int) -> tuple[int, int, bytearray] | None:
 
 
 def _work(fd: int, reads: list[int], numbers: range, block: Callable, cpu: int | None) -> None:
-    """A forked worker: send block(number) for each number in numbers through
-    fd, or one error record on the first exception. It leaves only through
-    os._exit, so it flushes no buffer it inherited and runs none of the
-    parent's cleanup."""
+    """A forked worker: send the text that block(number, write) writes, and
+    its two counts, for each number in numbers through fd, or one error
+    record on the first exception. It leaves only through os._exit, so it
+    flushes no buffer it inherited and runs none of the parent's cleanup."""
     status = 1
     try:
         for read in reads:
@@ -74,7 +77,9 @@ def _work(fd: int, reads: list[int], numbers: range, block: Callable, cpu: int |
                 pass
         try:
             for number in numbers:
-                _send(fd, *block(number))
+                parts: list[str] = []
+                counts = block(number, parts.append)
+                _send(fd, "".join(parts), *counts)
             status = 0
         except BaseException as exc:
             _send(fd, f"{type(exc).__name__}: {exc}", -1, 0)
@@ -85,13 +90,15 @@ def _work(fd: int, reads: list[int], numbers: range, block: Callable, cpu: int |
 
 def sweep(
     blocks: range, workers: int, block: Callable, write: Callable, name: Callable[[int], str], unit: str
-) -> tuple[int, int]:
-    """Write the text of block(number) for each number in blocks, in order,
-    through write, each block formatted by one of `workers` forked processes;
-    return the two counts summed over the blocks. block(number) returns
-    (text, first count, second count), both counts not negative.
+) -> tuple[int, int] | None:
+    """Write the text of each block in blocks, in order, through write, each
+    block formatted by one of `workers` forked processes; return the two
+    counts summed over the blocks. block(number, write) writes the block's
+    text through write and returns its two counts, both not negative.
 
-    A worker that fails or exits early ends the sweep in a ChildProcessError,
+    If os.pipe or os.fork refuses a worker, return None before any block is
+    written, so the caller writes them all in one process. Any later failure
+    ends the sweep: a worker that fails or exits early in a ChildProcessError,
     an OSError that names no file, so the command prints one `error:` line:
     "<name(number)> failed: <the worker's exception>" or "<name(number)>
     exited before sending its <unit>". On every exit path, an interrupt
@@ -108,15 +115,20 @@ def sweep(
     done = False
     try:
         for i in range(workers):
-            read, send = os.pipe()
+            try:
+                read, send = os.pipe()
+            except OSError:  # refused, as a fork may be below: no block is written yet
+                return None
             reads.append(read)
             try:
                 pid = os.fork()
                 if pid == 0:
                     _work(send, reads, blocks[i::workers], block, cpus[i % len(cpus)])
-                pids.append(pid)
+            except OSError:
+                return None
             finally:
                 os.close(send)
+            pids.append(pid)
         first = second = 0
         for position, number in enumerate(blocks):
             got = _block(reads[position % workers], number)

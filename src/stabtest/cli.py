@@ -255,17 +255,24 @@ def _transcript_lines(lines, write) -> tuple[int, int]:
     return accepted, clean
 
 
-# Least one-process work, in microseconds of _simulate_workers' estimate, of
-# a simulate run that is split over forked workers: the break-even of
-# forking. One process's time over that of two workers (median of 21
-# alternating runs of cli.main on 2 vCPUs) crossed 1.0 at an estimate of
-# 7.3-9.8 ms for a mixture on grid:5x5 at k = 5 (600 trials 0.98, 800
-# trials 1.12), 7.4-9.9 ms for IID flips on rhg:3x3x3 at k = 2 (75 trials
-# 0.93, 100 trials 1.04) and 8.8 ms for honest copies on path:5 at k = 2
-# (800 trials 1.00).
+# Least estimated one-process work, in microseconds, of a run that is split
+# over forked workers: the break-even of forking, the one for both commands.
+# One process's time over that of two workers (median of 21 alternating runs
+# of cli.main on 2 vCPUs) crossed 1.0
+# - for simulate, at an estimate of 7.3-9.8 ms for a mixture on grid:5x5 at
+#   k = 5 (600 trials 0.98, 800 trials 1.12), 7.4-9.9 ms for IID flips on
+#   rhg:3x3x3 at k = 2 (75 trials 0.93, 100 trials 1.04) and 8.8 ms for
+#   honest copies on path:5 at k = 2 (800 trials 1.00);
+# - for verify-bounds, between k_max = 16 (3,872 rows, 0.75-0.90) and
+#   k_max = 20 (7,080 rows, 0.99-1.16); k_max = 25 gave 1.07-1.39.
 _MIN_FORKED_MICROS = 9_000
-# Most copies a block of a forked simulate holds, at about 11 bytes of
-# transcript text a copy: the text a worker formats and sends at once.
+# Weight of a verify-bounds row in that estimate, set by the crossover: at
+# 1.3 us a row the sweep forks from k_max = 20 and stays in one process at
+# 19. A row takes 1.8-1.9 us in one process (best of 7 at k_max = 16-40), so
+# a sweep breaks even at about 13 ms of one-process work, later than simulate.
+_ROW_MICROS = 1.3
+# Most copies a block of simulate holds, at about 11 bytes of transcript text
+# a copy: the text a forked worker formats and sends at once.
 _BLOCK_COPIES = 2**16
 # Blocks per worker, so that the parent writes one block while the workers
 # format the next ones.
@@ -280,20 +287,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _processes(most: int) -> int:
-    """How many processes may share work that splits into `most` parts: the
-    usable CPUs, at most os.cpu_count() and `most`, or 1 where os.fork is
-    missing."""
-    if not hasattr(os, "fork"):
+def _workers(micros: float, most: int) -> int:
+    """How many processes share work that splits into `most` parts and is
+    estimated at `micros` microseconds in one process: 1 below
+    _MIN_FORKED_MICROS or where os.fork is missing, else the usable CPUs, at
+    most os.cpu_count() and `most`."""
+    if micros < _MIN_FORKED_MICROS or not hasattr(os, "fork"):
         return 1
     return min(_usable_cpus(), os.cpu_count() or 1, most)
 
 
 def _simulate_workers(trials: int, copies: int, iid: bool, n: int) -> int:
     """How many processes run a simulate of `trials` trials of `copies`
-    copies on n qubits: _processes(trials), or 1 when the estimated
-    one-process time of the trials is below _MIN_FORKED_MICROS. With
-    P <= trials, the blocks of _trial_blocks number at least P.
+    copies on n qubits, by _workers. With P <= trials, the blocks of
+    _trial_blocks number at least P.
 
     A trial costs about 10 + 0.2 copies microseconds under the models whose
     copies are fixed records (honest, single-bad, mixture), and
@@ -303,54 +310,48 @@ def _simulate_workers(trials: int, copies: int, iid: bool, n: int) -> int:
     grid:5x5 at k = 5, 16.9 for single-bad at k = 20; IID at k = 2, 26.3 on
     grid:5x5, 87.4 on rhg:3x3x3 and 173 on rhg:4x4x4."""
     per_copy = 2 + n / 16 if iid else 0.2
-    if trials * (10 + per_copy * copies) < _MIN_FORKED_MICROS:
-        return 1
-    return _processes(trials)
+    return _workers(trials * (10 + per_copy * copies), trials)
 
 
 def _trial_blocks(trials: int, copies: int, workers: int) -> tuple[int, int]:
-    """(block size, block count) of a simulate split over workers: blocks of
-    consecutive trials, _BLOCKS_PER_WORKER per worker, but none of more than
-    _BLOCK_COPIES copies unless a trial alone has more."""
+    """(block size, block count) of a simulate run by `workers` processes:
+    blocks of consecutive trials, _BLOCKS_PER_WORKER per worker, but none of
+    more than _BLOCK_COPIES copies unless a trial alone has more."""
     size = max(1, min(-(-trials // (_BLOCKS_PER_WORKER * workers)), _BLOCK_COPIES // copies))
     return size, -(-trials // size)
 
 
-def _forked_transcripts(plan, trials: int, master_seed: int, workers: int, write) -> tuple[int, int]:
-    """_transcript_lines of trials 0..trials-1 of plan, formatted by `workers`
-    forked processes: the trial range is cut into the blocks of _trial_blocks,
-    striped over the workers, each block formatted through protocol._lines
-    and written in trial order. A failed worker names its trial range."""
-    from ._forked import sweep
-    from .protocol import _lines
+def _write_blocks(blocks: range, workers: int, block, write, name, unit: str) -> tuple[int, int]:
+    """Write every block in blocks, in order, through write; return the two
+    counts summed over them. block(number, write) writes one block's text
+    and returns its two counts. With workers > 1 the blocks are formatted by
+    forked processes (_forked.sweep, whose failures name a block by
+    name(number) and its text by unit); with one worker, or when a fork is
+    refused, this process writes them, streaming each block's text."""
+    if workers > 1:
+        from ._forked import sweep
 
-    size, count = _trial_blocks(trials, 2 * plan.k + 1, workers)
-
-    def trials_of(number: int) -> range:
-        return range(number * size, min((number + 1) * size, trials))
-
-    def block(number: int) -> tuple[str, int, int]:
-        parts: list[str] = []
-        accepted, clean = _transcript_lines(_lines(plan, trials_of(number), master_seed), parts.append)
-        return "".join(parts), accepted, clean
-
-    def name(number: int) -> str:
-        block_trials = trials_of(number)
-        return f"simulate worker for trials {block_trials[0]}..{block_trials[-1]}"
-
-    return sweep(range(count), workers, block, write, name, "transcripts")
+        counts = sweep(blocks, workers, block, write, name, unit)
+        if counts is not None:
+            return counts
+    first = second = 0
+    for number in blocks:
+        count, other = block(number, write)
+        first += count
+        second += other
+    return first, second
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run --trials trials of the 2k+1-copy test; write transcripts.jsonl and
     summary.csv to --outdir and print the report.
 
-    Trials share nothing, each drawn from its own seed, so with
-    P = _simulate_workers(...) > 1 the trial range is split into blocks of
-    consecutive trials, striped over P forked workers (`stabtest._forked`)
-    that format their blocks through the one-process loop, and the blocks
-    are written in trial order (_forked_transcripts). The files, the report
-    and the exit status are those of one process.
+    Trials share nothing, each drawn from its own seed, so _write_blocks
+    writes the blocks of consecutive trials of _trial_blocks in trial order:
+    with P = _simulate_workers(...) > 1 they are striped over P forked
+    workers, and below the break-even of forking, or when a fork is refused,
+    one process writes them. The files, the report and the exit status are
+    the same bytes either way.
     """
     from .protocol import EstimateResult, IidPauli, _lines, _plan
 
@@ -359,7 +360,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Checks k, the trial count and the model's fit at k before anything is
     # written, so a refused run leaves no output directory behind.
     plan = _plan(g, args.k, model, args.trials)
-    workers = _simulate_workers(args.trials, 2 * args.k + 1, isinstance(model, IidPauli), g.n)
+    copies = 2 * args.k + 1
+    workers = _simulate_workers(args.trials, copies, isinstance(model, IidPauli), g.n)
+    size, count = _trial_blocks(args.trials, copies, workers)
+
+    def trials_of(number: int) -> range:
+        return range(number * size, min((number + 1) * size, args.trials))
+
+    def block(number: int, write) -> tuple[int, int]:
+        return _transcript_lines(_lines(plan, trials_of(number), args.seed), write)
+
+    def name(number: int) -> str:
+        return f"simulate worker for trials {trials_of(number)[0]}..{trials_of(number)[-1]}"
+
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     transcript_path = outdir / "transcripts.jsonl"
@@ -369,10 +382,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # that, so a run that fails keeps the old pair. The inner block exits
     # first: transcripts.jsonl is moved first and summary.csv last.
     with _atomic_write(summary_path) as summary, _atomic_write(transcript_path) as fh:
-        if workers > 1:
-            accepted, clean = _forked_transcripts(plan, args.trials, args.seed, workers, fh.write)
-        else:
-            accepted, clean = _transcript_lines(_lines(plan, range(args.trials), args.seed), fh.write)
+        accepted, clean = _write_blocks(range(count), workers, block, fh.write, name, "transcripts")
 
         result = EstimateResult.from_counts(args.trials, accepted, clean)
         pass_rate, cond = result.pass_rate, result.conditional_fidelity
@@ -432,23 +442,19 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _bounds_lines(rows, write) -> tuple[int, int]:
-    """Write rows of analytics.bounds_rows as CSV lines through write; return
-    how many rows there were and how many of them fail bound_ok."""
+    """Write the rows of analytics.bounds_rows with one k as CSV lines through
+    write; return how many rows there were and how many of them fail bound_ok."""
     count = violations = 0
     fmt = _fmt_pair
     # Every field is an int, a .12g decimal, "" or true/false, none of which a
     # CSV writer would quote, so rows are plain joins. Every value of a row is
-    # symmetric in (a, b), and row (b, a, c) of the same k comes first when
-    # a > b, so its text is kept in `tails` (one k at a time) and reused.
+    # symmetric in (a, b), and row (b, a, c) comes first when a > b, so its
+    # text is kept in `tails` and reused.
     tails: dict[tuple[int, int, int], str] = {}
-    tails_k = 0
     for k, a, b, c, p, joint, conditional, xi_val, ok in rows:
         count += 1
         if not ok:
             violations += 1
-        if k != tails_k:
-            tails.clear()
-            tails_k = k
         if a > b:
             tail = tails[b, a, c]
         else:
@@ -458,27 +464,10 @@ def _bounds_lines(rows, write) -> tuple[int, int]:
     return count, violations
 
 
-def _bounds_block(k: int) -> tuple[str, int, int]:
-    """The CSV text of the rows with this k, with their row and violation
-    counts: what a forked worker of the sweep sends for each of its k."""
-    parts: list[str] = []
-    count, violations = _bounds_lines(analytics._bounds_rows_at(k), parts.append)
-    return "".join(parts), count, violations
-
-
-# Fewest rows of a sweep that is split over forked workers: the break-even
-# of forking. One process's time over that of two workers, median of 21
-# alternating runs on 2 vCPUs, was 0.75-0.90 at k_max = 16 (3,872 rows),
-# 0.99-1.16 at k_max = 20 (7,080 rows) and 1.07-1.39 at k_max = 25.
-_MIN_FORKED_ROWS = 7000
-
-
 def _bounds_workers(k_max: int) -> int:
-    """How many processes sweep 1..k_max: _processes(k_max), or 1 when the
-    sweep has fewer than _MIN_FORKED_ROWS rows (2k^2 + 6k + 4 per k)."""
-    if sum(2 * k * k + 6 * k + 4 for k in range(1, k_max + 1)) < _MIN_FORKED_ROWS:
-        return 1
-    return _processes(k_max)
+    """How many processes sweep 1..k_max, by _workers, at _ROW_MICROS a row
+    (2k^2 + 6k + 4 rows per k)."""
+    return _workers(_ROW_MICROS * sum(2 * k * k + 6 * k + 4 for k in range(1, k_max + 1)), k_max)
 
 
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
@@ -493,24 +482,21 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     gives a conditional fidelity joint/pass >= 1 - 1/((2k+1) alpha). Nothing
     is claimed for states outside class mixtures.
 
-    The rows of different k share nothing, so with P = _bounds_workers(K) > 1
-    the sweep runs in P forked workers (`stabtest._forked`), worker i taking
-    the k with k = i + 1 (mod P), and the blocks are written in k order. The
-    file, the summary line and the exit status are those of one process.
+    The rows of different k share nothing, so each k is a block of
+    _write_blocks, written in k order: with P = _bounds_workers(K) > 1
+    worker i of P forked workers takes the k with k = i + 1 (mod P), and
+    below the break-even of forking, or when a fork is refused, one process
+    writes them. The file, the summary line and the exit status are the same
+    bytes either way.
     """
     _positive(args.k_max, "k-max")
     if args.k_max > MAX_BOUNDS_K:
         raise ValueError(f"k-max={_shown(args.k_max)} is too large: xi overflows a float past k={MAX_BOUNDS_K}")
-    workers = _bounds_workers(args.k_max)
     with _atomic_write(Path(args.out)) if args.out else nullcontext(sys.stdout) as out:
         out.write(",".join(BOUNDS_HEADER) + "\n")
-        if workers > 1:
-            from ._forked import sweep
-
-            rows, violations = sweep(range(1, args.k_max + 1), workers, _bounds_block, out.write,
-                                     lambda k: f"verify-bounds worker for k={k}", "rows")
-        else:
-            rows, violations = _bounds_lines(analytics.bounds_rows(args.k_max), out.write)
+        rows, violations = _write_blocks(range(1, args.k_max + 1), _bounds_workers(args.k_max),
+                                         lambda k, write: _bounds_lines(analytics._bounds_rows_at(k), write),
+                                         out.write, lambda k: f"verify-bounds worker for k={k}", "rows")
     if args.out:
         print(f"wrote {args.out}: {rows} rows, {violations} violations")
     return 1 if violations else 0

@@ -20,6 +20,8 @@ from stabtest.cli import BOUNDS_HEADER, MAX_BOUNDS_K, MAX_DIGITS, _fmt_pair, mai
 from stabtest.graphs import MAX_QUBITS
 from stabtest.protocol import MAX_COPIES, ClassMixture, Honest, IidPauli, SingleBadCopy
 
+from test_forked import forked, two_workers  # noqa: F401 (two_workers is a fixture)
+
 
 def test_parse_graph_builtins():
     assert parse_graph("path:5").n == 5
@@ -866,39 +868,11 @@ def test_every_output_is_opened_without_newline_translation(tmp_path, monkeypatc
 
 def test_verify_bounds_counts_a_violation(tmp_path, monkeypatch, capsys):
     row = (1, 0, 0, 0, (1, 1), (1, 2), (1, 2), None, False)
-    monkeypatch.setattr(cli.analytics, "bounds_rows", lambda k_max: iter([row]))
+    monkeypatch.setattr(cli.analytics, "_bounds_rows_at", lambda k: iter([row]))
     out_path = tmp_path / "bounds.csv"
     assert main(["verify-bounds", "--k-max", "1", "--out", str(out_path)]) == 1
     assert capsys.readouterr() == (f"wrote {out_path}: 1 rows, 1 violations\n", "")
     assert out_path.read_text().splitlines()[1] == "1,0,0,0,1,0.5,0.5,,false"
-
-
-# The forked sweep runs two workers; a test never asks for more processes
-# than the machine has CPUs.
-forked = pytest.mark.skipif(
-    not hasattr(os, "fork") or cli._usable_cpus() < 2 or (os.cpu_count() or 1) < 2,
-    reason="a forked verify-bounds sweep needs os.fork and at least 2 usable CPUs",
-)
-
-
-@pytest.fixture
-def two_workers(monkeypatch):
-    """Every sweep runs in two forked workers. Yields the pids the parent
-    forked, and checks at the end that none of them is left to wait for."""
-    pids = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(cli, "_bounds_workers", lambda k_max: 2)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    yield pids
-    with pytest.raises(ChildProcessError):  # every worker has been waited for
-        os.waitpid(-1, os.WNOHANG)
 
 
 @forked
@@ -999,7 +973,7 @@ def test_sweep_stays_in_process_without_cpus_or_fork(tmp_path, monkeypatch, caps
         monkeypatch.setattr(os, "fork", _no_fork)
     else:
         monkeypatch.delattr(os, "fork", raising=False)
-    # k_max = 20 is the smallest sweep with _MIN_FORKED_ROWS rows or more.
+    # k_max = 20 is the smallest sweep past the break-even of forking.
     assert cli._bounds_workers(20) == 1
     out_path = tmp_path / "bounds.csv"
     assert main(["verify-bounds", "--k-max", "20", "--out", str(out_path)]) == 0
@@ -1015,8 +989,9 @@ def test_sweep_processes_are_capped(monkeypatch):
     assert cli._bounds_workers(40) == 4  # at most os.cpu_count()
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert cli._bounds_workers(20) == 20  # at most k_max
-    # Below _MIN_FORKED_ROWS (2k^2 + 6k + 4 rows per k) the sweep stays in one process.
-    assert sum(2 * k * k + 6 * k + 4 for k in range(1, 20)) < cli._MIN_FORKED_ROWS <= 7080
+    # Below _MIN_FORKED_MICROS, at _ROW_MICROS a row (2k^2 + 6k + 4 rows per
+    # k), the sweep stays in one process: 6156 rows at k_max = 19, 7080 at 20.
+    assert 6156 * cli._ROW_MICROS < cli._MIN_FORKED_MICROS <= 7080 * cli._ROW_MICROS
     assert cli._bounds_workers(19) == 1
 
 

@@ -1,9 +1,13 @@
-"""`simulate` split over forked workers: the bytes, counts and report of one
+"""Output split into blocks over forked workers: `simulate`'s bytes, counts
+and report of one process, a refused fork that leaves both commands to one
 process, and no worker or temp file left behind on any exit path.
 
-The tests that fork run two workers, forced through cli._simulate_workers,
-and never ask for more processes than the machine has CPUs."""
+The tests that fork run two workers, forced through cli._workers, the one
+worker rule of both commands, and never ask for more processes than the
+machine has CPUs. `forked` and `two_workers` serve the forked
+`verify-bounds` tests of test_cli.py too."""
 
+import errno
 import os
 import time
 
@@ -26,14 +30,15 @@ from test_protocol import _python_output
 
 forked = pytest.mark.skipif(
     not hasattr(os, "fork") or cli._usable_cpus() < 2 or (os.cpu_count() or 1) < 2,
-    reason="a forked simulate needs os.fork and at least 2 usable CPUs",
+    reason="a forked run needs os.fork and at least 2 usable CPUs",
 )
 
 
 @pytest.fixture
 def two_workers(monkeypatch):
-    """Every simulate runs in two forked workers. Yields the pids the parent
-    forked, and checks at the end that none of them is left to wait for."""
+    """Every simulate and verify-bounds runs in two forked workers. Yields the
+    pids the parent forked, and checks at the end that none of them is left
+    to wait for."""
     pids = []
     fork = os.fork
 
@@ -43,7 +48,7 @@ def two_workers(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(cli, "_simulate_workers", lambda trials, copies, iid, n: 2)
+    monkeypatch.setattr(cli, "_workers", lambda micros, most: 2)
     monkeypatch.setattr(os, "fork", counted_fork)
     yield pids
     with pytest.raises(ChildProcessError):  # every worker has been waited for
@@ -51,7 +56,7 @@ def two_workers(monkeypatch):
 
 
 def _one_process(monkeypatch):
-    monkeypatch.setattr(cli, "_simulate_workers", lambda trials, copies, iid, n: 1)
+    monkeypatch.setattr(cli, "_workers", lambda micros, most: 1)
 
 
 @forked
@@ -76,8 +81,15 @@ def test_joined_blocks_match_the_line_goldens(two_workers, case):
         k, model, seed, golden = 3, _explicit_model(g, 3), 21, EXPLICIT_GOLDEN
     else:
         k, model, seed, golden = 11, ClassMixture.from_weights(*MIXTURE_K11), 8, MIXTURE_K11_GOLDEN
+    plan = _plan(g, k, model, 300)
+    size, count = cli._trial_blocks(300, 2 * k + 1, 2)
+
+    def block(number, write):
+        trials = range(number * size, min((number + 1) * size, 300))
+        return cli._transcript_lines(protocol._lines(plan, trials, seed), write)
+
     parts = []
-    accepted, clean = cli._forked_transcripts(_plan(g, k, model, 300), 300, seed, 2, parts.append)
+    accepted, clean = cli._write_blocks(range(count), 2, block, parts.append, str, "transcripts")
     assert len(parts) == 8  # 300 trials in 8 blocks of at most 38, striped over the two workers
     assert (_sha("".join(parts).encode()), {"trials": 300, "accepted": accepted, "accepted_clean": clean}) == golden
     assert len(two_workers) == 2
@@ -244,3 +256,122 @@ def test_only_a_run_that_forks_loads_the_fork_module(tmp_path):
         "print('stabtest._forked' in sys.modules)\n"
     )
     assert _python_output(code).split() == ["False", "False"]
+
+
+def _bounds(out_path):
+    """The verify-bounds sweep of k = 1..8: its exit status and CSV bytes."""
+    status = main(["verify-bounds", "--k-max", "8", "--out", str(out_path)])
+    return status, out_path.read_bytes()
+
+
+def _violation_at_k4(monkeypatch):
+    """Mark row (k, a, b, c) = (4, 0, 0, 0), of the second worker, failing."""
+    rows_at = cli.analytics._bounds_rows_at
+
+    def planted(k):
+        rows = rows_at(k)
+        return ((*row[:8], row[1:4] != (0, 0, 0)) for row in rows) if k == 4 else rows
+
+    monkeypatch.setattr(cli.analytics, "_bounds_rows_at", planted)
+
+
+@pytest.fixture(params=["first fork", "second fork", "first pipe"])
+def refused(request, monkeypatch, two_workers):
+    """Two workers are asked for, and os.fork or os.pipe refuses one of them
+    as it would at a process or descriptor limit, which is not approached:
+    the first fork, the second one (the first is real, and that worker is
+    killed) or the first pipe. Yields the pids the parent forked."""
+    name, at = {"first fork": ("fork", 1), "second fork": ("fork", 2), "first pipe": ("pipe", 1)}[request.param]
+    call = getattr(os, name)
+    calls = []
+
+    def refusing():
+        calls.append(name)
+        if len(calls) == at:
+            code = errno.EAGAIN if name == "fork" else errno.EMFILE
+            raise OSError(code, os.strerror(code))
+        return call()
+
+    monkeypatch.setattr(os, name, refusing)
+    yield two_workers
+    assert len(calls) == at and len(two_workers) == at - 1
+
+
+@forked
+@pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+def test_a_refused_fork_writes_what_one_process_writes(tmp_path, monkeypatch, capsys, refused, command):
+    if command == "simulate":
+        def run():
+            return _simulate(tmp_path, "path:5", 2, "iid:0.2,0.1", 41)
+        names, status = ["summary.csv", "transcripts.jsonl"], 0
+    else:
+        _violation_at_k4(monkeypatch)
+
+        def run():
+            return _bounds(tmp_path / "bounds.csv")
+        names, status = ["bounds.csv"], 1
+    after_refusal = run()
+    report = capsys.readouterr()
+    assert after_refusal[0] == status
+    _one_process(monkeypatch)
+    assert run() == after_refusal
+    assert capsys.readouterr() == report
+    assert sorted(os.listdir(tmp_path)) == names  # no temp file
+
+
+def _not_retried(monkeypatch, full_disk):
+    """Record, through cli._write_blocks, the block numbers that this process
+    formats and the texts passed to write; with full_disk, the third text
+    written fails with ENOSPC."""
+    calls, texts = [], []
+    write_blocks = cli._write_blocks
+
+    def recorded(blocks, workers, block, write, name, unit):
+        def recorded_block(number, write):
+            calls.append(number)  # in a worker, the worker's own copy of calls
+            return block(number, write)
+
+        def recorded_write(text):
+            texts.append(text)
+            if full_disk and len(texts) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write(text)
+
+        return write_blocks(blocks, workers, recorded_block, recorded_write, name, unit)
+
+    monkeypatch.setattr(cli, "_write_blocks", recorded)
+    return calls, texts
+
+
+@forked
+@pytest.mark.parametrize("command", ["simulate", "verify-bounds"])
+@pytest.mark.parametrize("failure", ["raises", "exits", "no space"])
+def test_a_failure_past_the_forks_is_not_retried_in_one_process(tmp_path, monkeypatch, capsys, two_workers,
+                                                                 command, failure):
+    if command == "simulate":
+        # 30 trials make 8 blocks of 4 but the last: trials 12..15 are the
+        # second worker's.
+        argv = ["simulate", "--graph", "path:3", "--k", "1", "--adversary", "single-bad:0,1", "--trials", "30",
+                "--outdir", str(tmp_path)]
+        where = "simulate worker for trials 12..15"
+        if failure != "no space":
+            _planted(monkeypatch, 13, _raise if failure == "raises" else _exit)
+    else:
+        argv = ["verify-bounds", "--k-max", "8", "--out", str(tmp_path / "bounds.csv")]
+        where = "verify-bounds worker for k=5"
+        rows_at = cli.analytics._bounds_rows_at
+        plant = _raise if failure == "raises" else _exit
+        if failure != "no space":
+            monkeypatch.setattr(cli.analytics, "_bounds_rows_at", lambda k: plant() if k == 5 else rows_at(k))
+    calls, texts = _not_retried(monkeypatch, failure == "no space")
+    assert main(argv) == 2
+    message = {
+        "raises": f"{where} failed: RuntimeError: planted failure",
+        "exits": f"{where} exited before sending its {'transcripts' if command == 'simulate' else 'rows'}",
+        "no space": f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}",
+    }[failure]
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert calls == []  # no block was formatted in this process
+    assert len(texts) == len(set(texts))  # and none was written twice
+    assert os.listdir(tmp_path) == []  # no output and no temp file
+    assert len(two_workers) == 2

@@ -14,9 +14,9 @@ stderr, and the bytes of every file it writes. The cases are:
   and of ``iid:0.01,0.01`` on ``rhg:3x3x3`` at ``--k 2`` over 300 trials:
   both past the break-even of forking, so on a machine with two or more
   usable CPUs they run in forked workers;
-* ``verify-bounds --k-max 30`` and ``verify-bounds --k-max 40``; on a
-  machine with two or more usable CPUs, the second runs the sweep in forked
-  workers;
+* ``verify-bounds --k-max 19``, the largest sweep below the break-even of
+  forking, so it runs in one process, and ``verify-bounds --k-max 40``,
+  which on a machine with two or more usable CPUs runs in forked workers;
 * ``reduce --graph rhg:2x2x2``;
 * ``oracle 1 1 0 3``.
 
@@ -65,7 +65,7 @@ def cases() -> tuple[dict, list[tuple[str, list[str]]]]:
     out.append(("simulate rhg:3x3x3 iid:0.01,0.01, 300 trials",
                 ["simulate", "--graph", "rhg:3x3x3", "--k", "2", "--trials", "300", "--seed", "3",
                  "--adversary", "iid:0.01,0.01", "--outdir", "out"]))
-    out.append(("verify-bounds --k-max 30", ["verify-bounds", "--k-max", "30"]))
+    out.append(("verify-bounds --k-max 19", ["verify-bounds", "--k-max", "19"]))
     out.append(("verify-bounds --k-max 40", ["verify-bounds", "--k-max", "40"]))
     out.append(("reduce --graph rhg:2x2x2", ["reduce", "--graph", "rhg:2x2x2"]))
     out.append(("oracle 1 1 0 3", ["oracle", "1", "1", "0", "3"]))
