@@ -226,15 +226,22 @@ def _naming(path: Path):
 def _atomic_write(path: Path):
     """Write to a temp file beside path and move it over path only if the
     block completes, so a failed run leaves the previous output untouched.
-    newline="" keeps the bytes the same on every platform."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    A symlink is followed, so the file it names is replaced and the link
+    stays; a path that names anything else but a regular file (a directory,
+    a FIFO, a device) is refused before anything is written. newline=""
+    keeps the bytes the same on every platform."""
+    target = Path(os.path.realpath(path))
+    with _naming(path):
+        if target.exists() and not target.is_file():
+            raise ValueError(f"not a regular file, so not replaced: {_shown(str(path))}")
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         with _naming(path):
             fh = open(tmp, "w", newline="")
         with fh:
             yield fh
         with _naming(path):
-            os.replace(tmp, path)
+            os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -581,6 +588,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and exc.filename is None:
+            # The reader of stdout stopped early, as `| head` does. End
+            # quietly, with stdout on devnull so that the interpreter's final
+            # flush has somewhere to go, and with the status a shell gives a
+            # command killed by SIGPIPE: 128 + 13.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
         if isinstance(exc, OSError) and exc.filename is not None:
             # The path may be anything given on the command line.
             exc = f"[Errno {exc.errno}] {exc.strerror}: {_shown(exc.filename)}"

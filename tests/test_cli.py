@@ -1,11 +1,16 @@
 import csv
+import errno
+import fcntl
 import io
 import json
 import os
 import re
+import signal
+import stat
 import subprocess
 import sys
 import tempfile
+import termios
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,7 +22,7 @@ from hypothesis import strategies as st
 from stabtest.analytics import bounds_rows, xi
 from stabtest import cli
 from stabtest.cli import BOUNDS_HEADER, MAX_BOUNDS_K, MAX_DIGITS, _fmt_pair, main, parse_adversary, parse_graph
-from stabtest.graphs import MAX_QUBITS
+from stabtest.graphs import MAX_QUBITS, _shown
 from stabtest.protocol import MAX_COPIES, ClassMixture, Honest, IidPauli, SingleBadCopy
 
 from test_forked import forked, two_workers  # noqa: F401 (two_workers is a fixture)
@@ -1058,12 +1063,16 @@ def test_mixture_runs_on_one_sided_graphs(tmp_path, capsys, graph, q0, missing):
             assert "wrote " in capsys.readouterr().out
 
 
+def _module_env():
+    """The environment of a `python -m stabtest.cli` run, with src on the path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_module(*argv):
     """The finished `python -m stabtest.cli argv` run, with src on the path."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "stabtest.cli", *argv], env=env, capture_output=True, text=True,
-                          timeout=60)
+    return subprocess.run([sys.executable, "-m", "stabtest.cli", *argv], env=_module_env(), capture_output=True,
+                          text=True, timeout=60)
 
 
 def test_running_the_module_exits_with_mains_status():
@@ -1073,3 +1082,125 @@ def test_running_the_module_exits_with_mains_status():
     assert proc.stdout.splitlines()[0] == ",".join(BOUNDS_HEADER)
     proc = _run_module("oracle", "0", "0", "0", "0")
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: k must be at least 1\n")
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a pipe whose buffer can be set")
+@pytest.mark.parametrize("k_max", [10, 40])  # 40 forks where two CPUs are usable
+def test_a_reader_that_stops_early_ends_the_sweep_quietly(k_max):
+    # As `stabtest verify-bounds | head -1` does. A one-page pipe holds less
+    # than the sweep writes, so the command is still writing when the reader
+    # closes its end.
+    read, write = os.pipe()
+    fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "stabtest.cli", "verify-bounds", "--k-max", str(k_max)],
+                            env=_module_env(), stdout=write, stderr=subprocess.PIPE)
+    os.close(write)
+    with open(read, "rb") as pipe:
+        assert pipe.readline() == (",".join(BOUNDS_HEADER) + "\n").encode()
+    assert proc.communicate(timeout=60) == (None, b"")
+    assert proc.returncode == 141
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_out_refuses_a_fifo_before_writing(tmp_path):
+    # os.replace would put a regular file in its place.
+    fifo = tmp_path / "bounds.csv"
+    os.mkfifo(fifo)
+    status, out, err = _run_main(["verify-bounds", "--k-max", "3", "--out", str(fifo)])
+    assert (status, out, err) == (2, "", f"error: not a regular file, so not replaced: {_shown(str(fifo))}\n")
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and os.listdir(tmp_path) == ["bounds.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_simulate_refuses_a_fifo_before_writing(tmp_path):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    os.mkfifo(outdir / "summary.csv")
+    status, out, err = _simulate_outputs(outdir, "20")
+    assert (status, out) == (2, "") and _error_lines(err) == [
+        f"error: not a regular file, so not replaced: {_shown(str(outdir / 'summary.csv'))}"]
+    assert os.listdir(outdir) == ["summary.csv"]
+
+
+def test_out_follows_a_symlink_and_keeps_it(tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "bounds.csv"
+    link.symlink_to("real.csv")
+    status, out, err = _run_main(["verify-bounds", "--k-max", "3", "--out", str(link)])
+    assert (status, out, err) == (0, f"wrote {link}: 76 rows, 0 violations\n", "")
+    assert os.readlink(link) == "real.csv" and real.read_text() == _reference_bounds_csv(3)[0]
+    assert sorted(os.listdir(tmp_path)) == ["bounds.csv", "real.csv"]
+
+
+def test_simulate_follows_a_symlinked_transcript_file(tmp_path):
+    plain, linked = tmp_path / "plain", tmp_path / "linked"
+    assert _simulate_outputs(plain, "20")[0] == 0
+    linked.mkdir()
+    real = tmp_path / "kept.jsonl"
+    (linked / "transcripts.jsonl").symlink_to(real)
+    status, out, err = _simulate_outputs(linked, "20")
+    assert status == 0 and err == ""
+    assert os.readlink(linked / "transcripts.jsonl") == str(real)
+    assert real.read_bytes() == (plain / "transcripts.jsonl").read_bytes()
+    assert (linked / "summary.csv").read_bytes() == (plain / "summary.csv").read_bytes()
+    assert sorted(os.listdir(linked)) == ["summary.csv", "transcripts.jsonl"]
+
+
+def _unread(pipe):
+    """How many bytes wait in pipe."""
+    return int.from_bytes(fcntl.ioctl(pipe, termios.FIONREAD, bytes(4)), sys.byteorder)
+
+
+@forked
+@pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"), reason="needs a pipe whose buffer can be read")
+def test_a_worker_killed_while_sending_its_rows_ends_in_one_error_line(tmp_path, monkeypatch, capsys, two_workers):
+    # k = 5 is the first worker's. Its rows, 300 times over, make a record of
+    # about 1 MB, more than a pipe holds, so that worker is still sending it
+    # when the parent kills it.
+    from stabtest import _forked
+
+    _planted(monkeypatch, 5, lambda rows: list(rows) * 300)
+    block = _forked._block
+
+    def killed(pipe, k):
+        if k == 5:
+            # Full but for the page, at most, that the parent has begun reading.
+            full = fcntl.fcntl(pipe, fcntl.F_GETPIPE_SZ) - os.sysconf("SC_PAGESIZE")
+            deadline = time.monotonic() + 30
+            while _unread(pipe) < full:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            os.kill(two_workers[0], signal.SIGKILL)
+        return block(pipe, k)
+
+    monkeypatch.setattr(_forked, "_block", killed)
+    assert main(["verify-bounds", "--k-max", "8", "--out", str(tmp_path / "bounds.csv")]) == 2
+    assert capsys.readouterr() == ("", "error: verify-bounds worker for k=5 exited before sending its rows\n")
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ChildProcessError):  # every worker has been waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failed_transcript_move_keeps_the_previous_summary(tmp_path, monkeypatch):
+    # A directory in place of an output is refused before anything is
+    # written, so the move itself is made to fail here: transcripts.jsonl is
+    # moved first, so summary.csv is not replaced either.
+    outdir = tmp_path / "out"
+    assert _simulate_outputs(outdir, "20")[0] == 0
+    names = ["summary.csv", "transcripts.jsonl"]
+    before = {name: (outdir / name).read_bytes() for name in names}
+    replace = os.replace
+
+    def failing(src, dst):
+        if Path(dst).name == "transcripts.jsonl":
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), str(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    status, out, err = _simulate_outputs(outdir, "30")
+    assert (status, out) == (2, "")
+    assert _error_lines(err) == [
+        f"error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: {_shown(str(outdir / 'transcripts.jsonl'))}"]
+    assert {name: (outdir / name).read_bytes() for name in names} == before
+    assert sorted(os.listdir(outdir)) == names

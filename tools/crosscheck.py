@@ -20,7 +20,10 @@ stderr, and the bytes of every file it writes. The cases are:
 * ``reduce --graph rhg:2x2x2``;
 * ``oracle 1 1 0 3``.
 
-Prints one line per (interpreter, case), "same" or "DIFFERS", and exits 1 if
+Every PYTHON is asked its version before the first case runs; one that does
+not start, or does not report a version (a pyenv shim with no version
+selected), ends the check in one ``error:`` line and exit status 2. Then it
+prints one line per (interpreter, case), "same" or "DIFFERS", and exits 1 if
 any output differs from the running interpreter's or a case exits nonzero
 under it (so a tree that fails to import is not read as a match). Standard library only; the
 determinism goldens are read from the test file with ast, not imported.
@@ -93,12 +96,19 @@ def main(pythons: list[str]) -> int:
     if not pythons:
         print("usage: python tools/crosscheck.py PYTHON [PYTHON ...]", file=sys.stderr)
         return 2
-    mixture, todo = cases()
     version = {}
     for python in pythons:
-        proc = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
-                              capture_output=True, text=True)
-        version[python] = proc.stdout.strip() or f"? (exit {proc.returncode})"
+        try:
+            proc = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
+                                  capture_output=True, text=True)
+        except OSError as exc:
+            print(f"error: {python} does not start: {exc.strerror}", file=sys.stderr)
+            return 2
+        version[python] = proc.stdout.strip()
+        if proc.returncode or not version[python]:
+            print(f"error: {python} does not report its version (exit {proc.returncode})", file=sys.stderr)
+            return 2
+    mixture, todo = cases()
     print(f"reference: {sys.executable} (Python {sys.version.split()[0]}), {len(todo)} cases")
     differs = 0
     for name, argv in todo:
