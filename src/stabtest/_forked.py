@@ -27,7 +27,7 @@ from .graphs import _cut
 
 def _block(pipe, number: int):
     """The record of block `number`, the next one on the buffered pipe: its
-    counts and text as ((count, count), str), a failed worker's message as a
+    counts and text as (tuple, str), a failed worker's message as a
     str, or None if its worker exited before sending all of it."""
     try:
         return marshal.load(pipe)
@@ -68,11 +68,12 @@ def _work(fd: int, pipes: list, numbers: range, block: Callable, cpu: int | None
 
 def sweep(
     blocks: range, workers: int, block: Callable, write: Callable, name: Callable[[int], str], unit: str
-) -> tuple[int, int] | None:
+) -> list[tuple] | None:
     """Write the text of each block in blocks, in order, through write, each
-    block formatted by one of `workers` forked processes; return the two
-    counts summed over the blocks. block(number, write) writes the block's
-    text through write and returns its two counts, both not negative.
+    block formatted by one of `workers` forked processes; return the counts
+    of each block, in block order. block(number, write) writes the block's
+    text through write and returns its counts, a tuple of ints that this
+    function only passes on.
 
     If os.pipe or os.fork refuses a worker, return None before any block is
     written, so the caller writes them all in one process. Any later failure
@@ -105,19 +106,18 @@ def sweep(
             except OSError:  # refused, at a process or descriptor limit: no block is written yet
                 return None
             pids.append(pid)
-        first = second = 0
+        counts = []
         for position, number in enumerate(blocks):
             got = _block(pipes[position % workers], number)
             if got is None:
                 raise ChildProcessError(f"{name(number)} exited before sending its {unit}")
             if isinstance(got, str):
                 raise ChildProcessError(f"{name(number)} failed: {_cut(got, 200)}")
-            (count, other), text = got
+            block_counts, text = got
             write(text)
-            first += count
-            second += other
+            counts.append(block_counts)
         done = True
-        return first, second
+        return counts
     finally:
         for pipe in pipes:
             pipe.close()

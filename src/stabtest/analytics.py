@@ -104,26 +104,14 @@ class Profile:
 
 
 def pass_prob(cc: ClassCounts) -> Fraction:
-    """Probability that a uniformly partitioned run accepts the profile.
-
-    A copy of class (1,0) must avoid group 1, class (0,1) must avoid group 2,
-    and class (1,1) must land on the unmeasured third copy, which is possible
-    for at most one such copy.
-    """
-    a, b, c, k = cc.a, cc.b, cc.c, cc.k
-    if c >= 2:
-        return Fraction(0)
-    if c == 1:
-        num = math.perm(k, a) * math.perm(k, b)
-        return Fraction(num, (2 * k + 1) * math.perm(2 * k, a + b))
-    num = ((k + 1) ** 2 - a * b) * math.perm(k + 1, a) * math.perm(k + 1, b)
-    return Fraction(num, (k + 1) ** 2 * math.perm(2 * k + 1, a + b))
+    """Probability that a uniformly partitioned run accepts the profile: profile(cc).passing."""
+    return profile(cc).passing
 
 
 def joint_prob(a: int, b: int, k: int) -> Fraction:
-    """Probability of accepting AND leaving the third copy clean (c = 0 profile)."""
-    ClassCounts(a, b, 0, k)
-    return Fraction(math.perm(k, a) * math.perm(k, b), math.perm(2 * k + 1, a + b))
+    """Probability of accepting AND leaving the third copy clean (c = 0
+    profile): profile(ClassCounts(a, b, 0, k)).joint."""
+    return profile(ClassCounts(a, b, 0, k)).joint
 
 
 def conditional_fidelity(a: int, b: int, k: int) -> Fraction:
@@ -135,14 +123,23 @@ def conditional_fidelity(a: int, b: int, k: int) -> Fraction:
 
 
 def _expected(dist: Iterable[tuple[tuple[int, int, int], Rational]], k: int) -> Profile:
-    """Profile of a state whose class counts at k follow dist's ((a, b, c), weight) atoms:
-    weighted sums of pass_prob and joint_prob, where a c > 0 atom adds 0 to joint,
-    as a (1,1) copy passes only as the kept copy; conditional is joint/pass, None if 0."""
+    """Profile of a state whose class counts at k follow dist's ((a, b, c), weight)
+    atoms, which the caller has checked (a ClassCounts, or a ClassMixture's
+    check_budget at a checked k), so every denominator below is positive.
+
+    A copy of class (1,0) must avoid group 1, class (0,1) must avoid group 2,
+    and class (1,1) must land on the unmeasured third copy, which is possible
+    for at most one such copy: a c > 0 atom adds 0 to joint and a c >= 2 atom
+    0 to pass. conditional is joint/pass, None if pass is 0."""
+    n, kk = 2 * k + 1, (k + 1) ** 2
     passing = joint = Fraction(0)
     for (a, b, c), w in dist:
-        passing += w * pass_prob(ClassCounts(a, b, c, k))
-        if not c:
-            joint += w * joint_prob(a, b, k)
+        if c == 1:
+            passing += w * Fraction(math.perm(k, a) * math.perm(k, b), n * math.perm(2 * k, a + b))
+        elif not c:
+            s = math.perm(n, a + b)
+            passing += w * Fraction((kk - a * b) * math.perm(k + 1, a) * math.perm(k + 1, b), kk * s)
+            joint += w * Fraction(math.perm(k, a) * math.perm(k, b), s)
     return Profile(passing, joint, joint / passing if passing else None)
 
 
@@ -371,10 +368,11 @@ def bounds_rows(k_max: int) -> Iterator[tuple]:
     through by (2k+1)(k+1)^2 P(2k+1, a+b) > 0. Each k builds one table of
     falling factorials, so no ClassCounts, Profile or Fraction is built per
     row; `profile` and `xi` give the same values as Fractions and are the
-    reference for this sweep.
+    reference for this sweep. k_max is checked when it is called, by the
+    rule and in the words of `verify-bounds --k-max`.
     """
-    for k in range(1, k_max + 1):
-        yield from _bounds_rows_at(k)
+    _positive(k_max, "k-max")
+    return (row for k in range(1, k_max + 1) for row in _bounds_rows_at(k))
 
 
 def _bounds_rows_at(k: int) -> Iterator[tuple]:

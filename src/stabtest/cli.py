@@ -328,25 +328,22 @@ def _trial_blocks(trials: int, copies: int, workers: int) -> tuple[int, int]:
     return size, -(-trials // size)
 
 
-def _write_blocks(blocks: range, workers: int, block, write, name, unit: str) -> tuple[int, int]:
-    """Write every block in blocks, in order, through write; return the two
-    counts summed over them. block(number, write) writes one block's text
-    and returns its two counts. With workers > 1 the blocks are formatted by
+def _write_blocks(blocks: range, workers: int, block, write, name, unit: str) -> list[int]:
+    """Write every block in blocks, in order, through write; return each of
+    the counts summed over them, the one place where block counts are added.
+    block(number, write) writes one block's text and returns its counts, a
+    tuple of ints of one length. With workers > 1 the blocks are formatted by
     forked processes (_forked.sweep, whose failures name a block by
     name(number) and its text by unit); with one worker, or when a fork is
     refused, this process writes them, streaming each block's text."""
+    counts = None
     if workers > 1:
         from ._forked import sweep
 
         counts = sweep(blocks, workers, block, write, name, unit)
-        if counts is not None:
-            return counts
-    first = second = 0
-    for number in blocks:
-        count, other = block(number, write)
-        first += count
-        second += other
-    return first, second
+    if counts is None:
+        counts = [block(number, write) for number in blocks]
+    return [sum(column) for column in zip(*counts)]
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

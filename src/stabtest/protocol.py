@@ -494,15 +494,6 @@ def _plan(g: BipartiteGraphState, k: int, model: AdversaryModel, trials: int) ->
     return _Plan(g, k, model)
 
 
-def _trials(
-    g: BipartiteGraphState, k: int, model: AdversaryModel, trials: int, master_seed: int
-) -> Iterator[tuple[int, _Round]]:
-    """(seed, _trial's round) for trials 0..trials-1 under derived per-trial
-    seeds, for run_trials and estimate. The arguments are checked and the
-    plan built when _trials is called."""
-    return _rounds(_plan(g, k, model, trials), range(trials), master_seed)
-
-
 def _rounds(plan: _Plan, indices: range, master_seed: int) -> Iterator[tuple[int, _Round]]:
     """(seed, _trial's round) for the trials in indices: the one trial loop
     behind run_trials, transcript_lines, estimate and each block of a forked
@@ -577,9 +568,10 @@ def run_trials(
     trials: int,
     master_seed: int,
 ) -> Iterator[Transcript]:
-    """Stream transcripts for trials 0..trials-1 under derived per-trial seeds."""
-    for seed, round_ in _trials(g, k, model, trials, master_seed):
-        yield _transcript(g, k, seed, round_)
+    """Stream transcripts for trials 0..trials-1 under derived per-trial seeds.
+    The arguments are checked when it is called, as transcript_lines' are."""
+    rounds = _rounds(_plan(g, k, model, trials), range(trials), master_seed)
+    return (_transcript(g, k, seed, round_) for seed, round_ in rounds)
 
 
 def transcript_lines(
@@ -625,7 +617,7 @@ def estimate(
     rejected trial's fidelity does not count."""
     accepted = 0
     clean = 0
-    for _, (records, order, ok) in _trials(g, k, model, trials, master_seed):
+    for _, (records, order, ok) in _rounds(_plan(g, k, model, trials), range(trials), master_seed):
         if ok:
             accepted += 1
             clean += _kept_clean(records, order)

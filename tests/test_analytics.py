@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -25,6 +27,7 @@ from stabtest.analytics import (
     trace_bound,
     xi,
 )
+from test_acceptance import SWEEP_KS, _random_weights
 
 F = Fraction
 
@@ -430,6 +433,21 @@ def test_bounds_rows_match_profile_and_xi():
                       and (ref_xi is None or ref_xi >= 0))
 
 
+@pytest.mark.parametrize("k_max, message", [
+    (0, "k-max must be at least 1"),
+    (-3, "k-max must be at least 1"),
+    (True, "k-max must be an int, got True"),
+    (2.0, "k-max must be an int, got 2.0"),
+    ("3", "k-max must be an int, got '3'"),
+    (None, "k-max must be an int, got None"),
+], ids=["zero", "negative", "bool", "float", "str", "none"])
+def test_bounds_rows_refuses_a_bad_k_max_when_called(k_max, message):
+    # These used to yield no rows, k = 1's rows for True, or a raw TypeError
+    # at the first row. Now the call refuses, in verify-bounds --k-max's words.
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        bounds_rows(k_max)
+
+
 def test_bounds_rows_are_symmetric_in_a_and_b():
     # Swapping the test groups swaps classes (1,0) and (0,1), so row (k, a, b, c)
     # carries the same int pairs and verdict as row (k, b, a, c), which the sweep
@@ -570,3 +588,36 @@ def test_lemma_check_is_the_beta_weighted_t_functionals():
         assert verdict.conditional == (beta * t3 / passing if passing else None), (beta, q0, q1, k)
         nones += verdict.conditional is None
     assert nones >= 2
+
+
+# SHA-256 of the exact half's values, taken when _expected still summed
+# pass_prob and joint_prob over a ClassCounts per atom. A rewrite of the
+# closed forms must give the same Fractions, so the same reprs.
+_PROFILE_DIGEST = "791943e9fe0cd6dbfa8657ee5fd5f27a2d8717804b795a59669f88fc4661a64a"
+_LEMMA_DIGEST = "bb5d55d6cb179315b40bf05ff8e655e8b0d189a557fcd863912393d190f5afd9"
+
+
+def test_exact_half_is_pinned():
+    # profile over every (a, b, c) with a + b + c <= 2k + 1, for k <= 8.
+    digest = hashlib.sha256()
+    count = 0
+    for k in range(1, 9):
+        for a in range(2 * k + 2):
+            for b in range(2 * k + 2 - a):
+                for c in range(2 * k + 2 - a - b):
+                    digest.update(repr(profile(ClassCounts(a, b, c, k))).encode())
+                    count += 1
+    assert (count, digest.hexdigest()) == (3296, _PROFILE_DIGEST)
+    # (t_functionals, lemma_check) over the first 500 rows per k of the
+    # acceptance criterion 5 sweep, drawn as its _lemma_sweep draws them.
+    digest = hashlib.sha256()
+    for k in SWEEP_KS:
+        rng = random.Random(1000 + k)
+        n = 2 * k + 1
+        for _ in range(500):
+            beta = F(rng.randrange(0, 1001), 1000)
+            q0 = _random_weights(rng, k + 2, 2 * k + 1, favor_clean=True)
+            q1 = _random_weights(rng, k + 1, 2 * k, favor_clean=True)
+            alpha = F(1, n) + (1 - F(1, n)) * F(rng.randrange(1, 1001), 1000) ** 2
+            digest.update(repr((t_functionals(beta, q0, q1, k), lemma_check(beta, q0, q1, k, alpha))).encode())
+    assert digest.hexdigest() == _LEMMA_DIGEST

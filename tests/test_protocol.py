@@ -50,12 +50,13 @@ from stabtest.protocol import (
     _lane_table,
     _pick,
     _Plan,
+    _plan,
+    _rounds,
     _running_totals,
     _sample,
     _shuffle,
     _shuffle_steps,
     _trial,
-    _trials,
 )
 from stabtest.reduction import relation_failures
 
@@ -653,10 +654,11 @@ def test_transcript_lines_match_transcripts(graph, kind):
 
 
 def test_transcript_lines_need_a_trial():
-    # Refused when called, before the first line is asked for.
-    for trials in (0, -1):
-        with pytest.raises(ValueError, match="trials"):
-            transcript_lines(G5, 2, Honest(), trials, 0)
+    # Refused when called, before the first line or transcript is asked for.
+    for entry in (transcript_lines, run_trials):
+        for trials in (0, -1):
+            with pytest.raises(ValueError, match="trials"):
+                entry(G5, 2, Honest(), trials, 0)
 
 
 def test_single_bad_rates_near_closed_form():
@@ -1043,7 +1045,7 @@ def test_trial_loop_reseeds_to_the_state_of_a_fresh_generator(graph, kind, k):
     g = parse_graph(graph)
     model = _explicit(g, k) if kind == "explicit" else _RESEED_MODELS[kind]
     plan = _Plan(g, k, model)
-    rounds = _trials(g, k, model, 25, 31)
+    rounds = _rounds(_plan(g, k, model, 25), range(25), 31)
     for index, (seed, (records, order, accepted)) in enumerate(rounds):
         assert seed == trial_seed(31, index)
         ref_rng = random.Random(seed)

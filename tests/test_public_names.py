@@ -50,6 +50,15 @@ def test_star_import_and_dir_give_all():
     assert set(stabtest.__all__) <= set(dir(stabtest))
 
 
+def test_all_and_homes_name_the_same_public_names():
+    # __all__ stays a literal, which test_stdlib_only reads with
+    # ast.literal_eval, so a name added to _HOMES alone would be importable
+    # by name but missing from `import *`. _HOMES also maps each public
+    # submodule to itself; those are not names of __all__.
+    homed = {name for name, home in stabtest._HOMES.items() if name != home}
+    assert homed == set(stabtest.__all__)
+
+
 def test_a_bare_import_resolves_submodules_on_first_use():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
