@@ -22,7 +22,7 @@ import os
 import signal
 from typing import Callable
 
-from .graphs import _cut
+from ._text import _cut
 
 
 def _block(pipe, number: int):

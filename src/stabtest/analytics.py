@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Union
 
 from ._record import record
-from .graphs import _shown
+from ._text import _shown
 
 __all__ = [
     "DomainError",

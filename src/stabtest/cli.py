@@ -8,32 +8,23 @@ CSV files carry decimals, JSON lines carry exact values.
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib
 import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
-from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import analytics
-from .analytics import MAX_DIGITS, ClassCounts, ClassMixture, _fraction, _positive
-from .gf2 import BitMatrix
-from .graphs import (
-    MAX_QUBITS,
-    BipartiteGraphState,
-    _cut,
-    _read_json,
-    _shown,
-    edgeless_graph,
-    from_json,
-    grid_graph,
-    path_graph,
-    rhg_lattice,
-)
+from ._text import _cut, _shown
 
+# Each command imports the layers it runs when it runs: none compiles another.
 if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .analytics import ClassMixture
+    from .gf2 import BitMatrix
+    from .graphs import BipartiteGraphState
     from .protocol import AdversaryModel
 
 __all__ = [
@@ -66,6 +57,8 @@ def _count(text: str) -> int:
     except ValueError:
         if not re.fullmatch(r"\s*[+-]?\d+(_\d+)*\s*", text):
             raise ValueError(f"invalid literal for int() with base 10: {_shown(text)}") from None
+        from .graphs import MAX_QUBITS
+
         digits = len(re.sub(r"\D", "", text))
         raise ValueError(f"a count of {digits} digits is out of range (at most {MAX_QUBITS} qubits)") from None
 
@@ -98,6 +91,8 @@ def _document(path: Path, what: str) -> str:
 
 def parse_graph(spec: str) -> BipartiteGraphState:
     """Builtin graph specs (path:N, grid:WxH, rhg:XxYxZ, edgeless:N) or a JSON file path."""
+    from .graphs import edgeless_graph, from_json, grid_graph, path_graph, rhg_lattice
+
     kind, _, arg = spec.partition(":")
     try:
         if kind == "path":
@@ -121,6 +116,8 @@ def probability(text: str) -> Fraction:
 
     Errors are raised as ArgumentTypeError, whose message argparse prints;
     for a ValueError it prints only "invalid probability value"."""
+    from .analytics import _fraction
+
     try:
         p = _fraction(text, "alpha")
         if not 0 <= p <= 1:
@@ -131,6 +128,9 @@ def probability(text: str) -> Fraction:
 
 
 def _load_mixture(path: str) -> ClassMixture:
+    from .analytics import ClassMixture, _fraction
+    from .graphs import _read_json
+
     data = _read_json(_document(Path(path), "mixture"), "mixture")
     if not isinstance(data, dict) or not {"beta", "q0", "q1"} <= data.keys():
         raise ValueError("mixture JSON must be an object with beta, q0 and q1")
@@ -357,6 +357,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     one process writes them. The files, the report and the exit status are
     the same bytes either way.
     """
+    import csv
+
+    from . import analytics
     from .protocol import EstimateResult, IidPauli, _lines, _plan
 
     g = parse_graph(args.graph)
@@ -493,7 +496,9 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     writes them. The file, the summary line and the exit status are the same
     bytes either way.
     """
-    _positive(args.k_max, "k-max")
+    from . import analytics
+
+    analytics._positive(args.k_max, "k-max")
     if args.k_max > MAX_BOUNDS_K:
         raise ValueError(f"k-max={_shown(args.k_max)} is too large: xi overflows a float past k={MAX_BOUNDS_K}")
     with _atomic_write(Path(args.out)) if args.out else nullcontext(sys.stdout) as out:
@@ -507,7 +512,9 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cc = ClassCounts(args.a, args.b, args.c, args.k)
+    from . import analytics
+
+    cc = analytics.ClassCounts(args.a, args.b, args.c, args.k)
     result = analytics.oracle(cc)
     closed = analytics.profile(cc)
     print(f"profile: a={args.a} b={args.b} c={args.c} k={args.k} ({2 * args.k + 1} copies)")
@@ -567,17 +574,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def __getattr__(name: str):
-    """The protocol names that perfbench/spans.py reads from this module by
-    getattr and patches here: without them `--trace 1` dies with
-    AttributeError. Reading one imports protocol, which the commands that do
-    not simulate leave unloaded. ROADMAP item 11 deletes this together with
-    item 4, which retargets those spans."""
-    if name in ("run_trials", "transcript_to_json"):
-        from . import protocol
+# The names that __getattr__ serves, each by the module it imports to do so.
+_LAZY = {"run_trials": "protocol", "transcript_to_json": "protocol",
+         **dict.fromkeys(("analytics", "MAX_DIGITS", "_fraction"), "analytics")}
 
-        return getattr(protocol, name)
-    raise AttributeError(f"module '{__name__}' has no attribute '{name}'")
+
+def __getattr__(name: str):
+    """The names of _LAZY, read from this module, which does not import their
+    layer when it is imported: the protocol names that perfbench/spans.py
+    reads by getattr and patches here (without them `--trace 1` dies with
+    AttributeError; ROADMAP item 11 deletes them together with item 4, which
+    retargets those spans), and analytics with its MAX_DIGITS (in __all__)
+    and _fraction. Reading one imports its module, which the commands that
+    do not run it leave unloaded."""
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module '{__name__}' has no attribute '{name}'")
+    module = importlib.import_module(f"{__package__}.{home}")
+    return module if name == home else getattr(module, name)
 
 
 def main(argv=None) -> int:

@@ -9,13 +9,12 @@ position order (row-major for lattices), so constructions are reproducible.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, product
 from math import prod
 
 from ._record import record
+from ._text import _cut, _shown  # noqa: F401  (both names still resolve here)
 from .gf2 import BitMatrix, _ones
 
 __all__ = [
@@ -75,23 +74,6 @@ class BipartiteGraphState:
 # path: the rows take about n**2 / 64 bytes: about 70 MB at the cap, but
 # 16 GB at a million qubits.
 MAX_QUBITS = 2**16
-
-
-def _shown(x: object) -> str:
-    """x for an error message: an int of 10**30 or more by its bit length, as
-    Python prints no int past 4300 digits, and a Fraction as p/q (p alone
-    when q = 1) with p and q shown so; anything else as its repr, cut after
-    40 characters and followed by its length when past 100."""
-    if isinstance(x, int) and abs(x) >= 10**30:
-        return f"<{x.bit_length()}-bit number>"
-    if isinstance(x, Fraction):
-        return _shown(x.numerator) + (f"/{_shown(x.denominator)}" if x.denominator != 1 else "")
-    return _cut(repr(x))
-
-
-def _cut(text: str, longest: int = 100) -> str:
-    """text, or past longest characters its first 40 followed by its length."""
-    return text if len(text) <= longest else f"{text[:40]}... ({len(text)} characters)"
 
 
 def _check_size(field: str, n: int) -> None:
@@ -185,6 +167,8 @@ def edges(g: BipartiteGraphState) -> list[tuple[int, int]]:
 
 def to_json(g: BipartiteGraphState) -> str:
     """n_b, n_w and the edge list; from_json reads it back."""
+    import json
+
     return json.dumps({"n_b": g.n_b, "n_w": g.n_w, "edges": edges(g)})
 
 
@@ -206,6 +190,8 @@ def _json_int(text: str) -> int | _LongInt:
 
 def _read_json(text: str, what: str):
     """json.loads of a graph or mixture document; ``what`` names it in errors."""
+    import json
+
     try:
         return json.loads(text, parse_int=_json_int)
     except RecursionError as exc:

@@ -48,9 +48,10 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from ._record import record
+from ._text import _shown
 from .analytics import ClassMixture, DomainError, _exact, _positive
 from .gf2 import BitVector
-from .graphs import BipartiteGraphState, _shown
+from .graphs import BipartiteGraphState
 from .pauli import BlockClass, BlockPauli, sample_outcomes, syndrome_masks, syndromes
 
 __all__ = [

@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from stabtest.graphs import (
     rhg_lattice,
     to_json,
 )
+from stabtest.graphs import _cut, _shown
 
 
 def test_path_graph_small_cases():
@@ -263,3 +266,34 @@ def test_adjacency_transpose_cached():
     g = grid_graph(3, 2)
     assert g.adjacency_t == g.adjacency.transpose()
     assert g.n == g.n_b + g.n_w
+
+
+@pytest.mark.parametrize("value, text", [
+    (12345, "12345"),
+    (10**30 - 1, "999999999999999999999999999999"),
+    (10**30, "<100-bit number>"),
+    (-(10**30), "<100-bit number>"),
+    (-42, "-42"),
+    (True, "True"),
+    (Fraction(3), "3"),
+    (Fraction(-7, 2), "-7/2"),
+    (Fraction(10**39 + 7, 3), "<130-bit number>/3"),
+    (Decimal("1.5"), "Decimal('1.5')"),
+    (0.1, "0.1"),
+    (float("nan"), "nan"),
+    ("abcde", "'abcde'"),
+    ("x" * 150, "'" + "x" * 39 + "... (152 characters)"),
+    (None, "None"),
+    (list(range(60)), "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1... (230 characters)"),
+])
+def test_shown_texts_are_pinned(value, text):
+    # Every refusal message shows its values by this rule; the texts were
+    # taken from the rule as it stood in graphs, which still names it.
+    assert _shown(value) == text
+
+
+def test_cut_texts_are_pinned():
+    assert _cut("y" * 100) == "y" * 100
+    assert _cut("y" * 101) == "y" * 40 + "... (101 characters)"
+    assert _cut("z" * 20, 20) == "z" * 20
+    assert _cut("z" * 30, 20) == "z" * 30 + "... (30 characters)"

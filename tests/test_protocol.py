@@ -145,6 +145,50 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     assert _layers_after(simulate) == ["['stabtest.pauli', 'stabtest.protocol']"]
 
 
+_LAYERS = {"stabtest.analytics", "stabtest.graphs", "stabtest.gf2", "stabtest._record"}
+_EXACT = {"stabtest.analytics", "stabtest._record", "fractions", "decimal"}
+_GRAPH = {"stabtest.graphs", "stabtest.gf2", "stabtest._record"}
+# Per entry path: the statement run after `import stabtest.cli as cli`, with
+# {tmp} a fresh directory holding graph.json, the modules it loads and the
+# modules it leaves unloaded, both counted from a bare interpreter.
+ENTRY_PATHS = {
+    "import": ("pass", {"stabtest", "stabtest.cli", "stabtest._text", "argparse"},
+               _LAYERS | {"fractions", "decimal", "csv", "json"}),
+    "parse-builtin-graph": ("cli.parse_graph('rhg:2x2x2')", _GRAPH, {"stabtest.analytics", "fractions", "decimal", "json"}),
+    # A graph file is read by json; the exact layer still stays out.
+    "parse-graph-file": ("cli.parse_graph({tmp!r} + '/graph.json')", _GRAPH,
+                         {"stabtest.analytics", "fractions", "decimal", "csv"}),
+    # --k-max 40 forks on a host with two or more usable CPUs.
+    "verify-bounds": ("assert cli.main(['verify-bounds', '--k-max', '40', '--out', {tmp!r} + '/b.csv']) == 0", _EXACT,
+                      {"stabtest.graphs", "stabtest.gf2", "csv", "json"}),
+    "oracle": ("assert cli.main(['oracle', '1', '0', '0', '2']) == 0", _EXACT,
+               {"stabtest.graphs", "stabtest.gf2", "csv", "json"}),
+    "reduce": ("assert cli.main(['reduce', '--graph', 'rhg:2x2x2']) == 0", _GRAPH | {"stabtest.reduction"},
+               {"stabtest.analytics", "fractions", "decimal", "csv", "json"}),
+    "simulate": ("assert cli.main(['simulate', '--graph', 'path:3', '--k', '1', '--adversary', 'honest',"
+                 " '--trials', '3', '--outdir', {tmp!r}]) == 0",
+                 _LAYERS | {"stabtest.pauli", "stabtest.protocol", "fractions", "decimal", "csv"}, set()),
+}
+
+
+@pytest.mark.parametrize("statement, loads, leaves", ENTRY_PATHS.values(), ids=ENTRY_PATHS.keys())
+def test_each_entry_path_loads_only_the_modules_it_runs(tmp_path, statement, loads, leaves):
+    # Every module an entry path loads is compiled at every start of it, and
+    # the benchmark compiles on every start: fractions, decimal, csv and json
+    # cost milliseconds each.
+    (tmp_path / "graph.json").write_text('{"n_b": 2, "n_w": 1, "edges": [[0, 0], [1, 0]]}')
+    code = (
+        "import contextlib, io, sys\n"
+        "bare = set(sys.modules)\n"
+        "import stabtest.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {statement.format(tmp=str(tmp_path))}\n"
+        "print(' '.join(sorted(sys.modules.keys() - bare)))\n"
+    )
+    loaded = set(_python_output(code).split())
+    assert (loads - loaded, leaves & loaded) == (set(), set())
+
+
 def test_hashlib_stands_in_without_a_builtin_sha256():
     # A None entry in sys.modules makes `from _sha2 import ...` raise ImportError.
     code = (
