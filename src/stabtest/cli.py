@@ -223,7 +223,7 @@ def _naming(path: Path):
 
 
 @contextmanager
-def _atomic_write(path: Path):
+def _atomic_write(path: str | Path):
     """Write to a temp file beside path and move it over path only if the
     block completes, so a failed run leaves the previous output untouched.
     A symlink is followed, so the file it names is replaced and the link
@@ -275,8 +275,8 @@ def _transcript_lines(lines, write) -> tuple[int, int]:
 _MIN_FORKED_MICROS = 9_000
 # Weight of a verify-bounds row in that estimate, set by the crossover: at
 # 1.3 us a row the sweep forks from k_max = 20 and stays in one process at
-# 19. A row takes 1.8-1.9 us in one process (best of 7 at k_max = 16-40), so
-# a sweep breaks even at about 13 ms of one-process work, later than simulate.
+# 19. A row takes about 1.5 us in one process (best of 9 at k_max = 40), and
+# with that the crossover still lies between k_max = 17 and 20.
 _ROW_MICROS = 1.3
 # Most copies a block of simulate holds, at about 11 bytes of transcript text
 # a copy: the text a forked worker formats and sends at once.
@@ -448,26 +448,41 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bounds_lines(rows, write) -> tuple[int, int]:
-    """Write the rows of analytics.bounds_rows with one k as CSV lines through
-    write; return how many rows there were and how many of them fail bound_ok."""
+def _bounds_lines(k: int, rows, write) -> tuple[int, int]:
+    """Write the rows of analytics.bounds_rows with this k, whose a and b are
+    at most k + 1, as CSV lines through write; return how many rows there
+    were and how many of them fail bound_ok.
+
+    The decimals are the bytes _fmt_pair writes: "%.12g" % x and
+    f"{x:.12g}" format a float alike, num / den is the correctly rounded
+    quotient, and a zero numerator over a positive denominator is +0.0,
+    which both print as "0". An xi of None is an empty field."""
     count = violations = 0
-    fmt = _fmt_pair
     # Every field is an int, a .12g decimal, "" or true/false, none of which a
-    # CSV writer would quote, so rows are plain joins. Every value of a row is
-    # symmetric in (a, b), and row (b, a, c) comes first when a > b, so its
-    # text is kept in `tails` and reused.
+    # CSV writer would quote, so rows are plain joins: the text of k, a, b and
+    # c is made once for the k, and each row is heads[a] + mids[c][b] + tail.
+    # Every value of a row is symmetric in (a, b), and row (b, a, c) comes
+    # first when a > b, so its tail is kept in `tails` and reused.
+    heads = [f"{k},{a}," for a in range(k + 2)]
+    mids = [[f"{b},{c}," for b in range(k + 2)] for c in (0, 1)]
     tails: dict[tuple[int, int, int], str] = {}
-    for k, a, b, c, p, joint, conditional, xi_val, ok in rows:
+    for _, a, b, c, p, joint, conditional, xi_val, ok in rows:
         count += 1
         if not ok:
             violations += 1
         if a > b:
             tail = tails[b, a, c]
         else:
-            tail = f"{fmt(p)},{fmt(joint)},{fmt(conditional)},{fmt(xi_val)},{'true' if ok else 'false'}\n"
+            ok_text = "true" if ok else "false"
+            if xi_val is None:
+                tail = "%.12g,%.12g,%.12g,,%s\n" % (p[0] / p[1], joint[0] / joint[1],
+                                                     conditional[0] / conditional[1], ok_text)
+            else:
+                tail = "%.12g,%.12g,%.12g,%.12g,%s\n" % (p[0] / p[1], joint[0] / joint[1],
+                                                          conditional[0] / conditional[1],
+                                                          xi_val[0] / xi_val[1], ok_text)
             tails[a, b, c] = tail
-        write(f"{k},{a},{b},{c},{tail}")
+        write(heads[a] + mids[c][b] + tail)
     return count, violations
 
 
@@ -501,12 +516,14 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     analytics._positive(args.k_max, "k-max")
     if args.k_max > MAX_BOUNDS_K:
         raise ValueError(f"k-max={_shown(args.k_max)} is too large: xi overflows a float past k={MAX_BOUNDS_K}")
-    with _atomic_write(Path(args.out)) if args.out else nullcontext(sys.stdout) as out:
+    # An empty --out names no file: _atomic_write refuses it as the directory
+    # it resolves to, rather than the CSV going to stdout.
+    with _atomic_write(args.out) if args.out is not None else nullcontext(sys.stdout) as out:
         out.write(",".join(BOUNDS_HEADER) + "\n")
         rows, violations = _write_blocks(range(1, args.k_max + 1), _bounds_workers(args.k_max),
-                                         lambda k, write: _bounds_lines(analytics._bounds_rows_at(k), write),
+                                         lambda k, write: _bounds_lines(k, analytics._bounds_rows_at(k), write),
                                          out.write, lambda k: f"verify-bounds worker for k={k}", "rows")
-    if args.out:
+    if args.out is not None:
         print(f"wrote {args.out}: {rows} rows, {violations} violations")
     return 1 if violations else 0
 

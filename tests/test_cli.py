@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from stabtest.analytics import bounds_rows, xi
+from stabtest.analytics import ClassCounts, bounds_rows, profile, xi
 from stabtest import cli
 from stabtest.cli import BOUNDS_HEADER, MAX_BOUNDS_K, MAX_DIGITS, _fmt_pair, main, parse_adversary, parse_graph
 from stabtest.graphs import MAX_QUBITS, _shown
@@ -805,21 +805,94 @@ def test_verify_bounds_stdout(capsys):
     assert header == "k,a,b,c,pass,joint,conditional,xi,bound_ok"
 
 
-def _reference_bounds_csv(k_max):
-    """The verify-bounds CSV as the earlier csv.writer loop wrote it: one list
-    per row, every rational divided and printed, no mirrored-row reuse."""
+def _reference_row(row):
+    """A bounds row as the earlier csv.writer loop wrote it: every rational
+    divided and printed, None as an empty field."""
     def fmt(x):
         return "" if x is None else f"{x[0] / x[1]:.12g}"
 
+    k, a, b, c, p, joint, conditional, xi_val, ok = row
+    return [k, a, b, c, fmt(p), fmt(joint), fmt(conditional), fmt(xi_val), str(ok).lower()]
+
+
+def _reference_bounds_csv(k_max):
+    """The verify-bounds CSV as the earlier csv.writer loop wrote it: one list
+    per row, no mirrored-row reuse."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "a", "b", "c", "pass", "joint", "conditional", "xi", "bound_ok"])
     rows = violations = 0
-    for k, a, b, c, p, joint, conditional, xi_val, ok in bounds_rows(k_max):
+    for row in bounds_rows(k_max):
         rows += 1
-        violations += not ok
-        writer.writerow([k, a, b, c, fmt(p), fmt(joint), fmt(conditional), fmt(xi_val), str(ok).lower()])
+        violations += not row[8]
+        writer.writerow(_reference_row(row))
     return buf.getvalue(), rows, violations
+
+
+def _reference_lines(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(map(_reference_row, rows))
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def _mirrored(rows):
+    """Each row (k, a, b, c, ...) with a <= b, followed by its mirror (k, b, a, c, ...)
+    when a < b, as analytics.bounds_rows orders them for the writer."""
+    out = []
+    for row in rows:
+        k, a, b = row[:3]
+        a, b = min(a, b), max(a, b)
+        out.append((k, a, b, *row[3:]))
+        if a < b:
+            out.append((k, b, a, *row[3:]))
+    return out
+
+
+# (num, den) with a positive den, of either sign: zero numerators, rounded
+# quotients of middling size, every float exactly, and rounded quotients from
+# the subnormals up to the largest float.
+_FLOAT_MAX = int(sys.float_info.max)
+_PAIRS = st.one_of(
+    st.tuples(st.just(0), st.integers(1, 2**80)),
+    st.tuples(st.integers(-(2**64), 2**64), st.integers(1, 2**64)),
+    st.floats(allow_nan=False, allow_infinity=False).map(float.as_integer_ratio),
+    st.integers(1, 2**1100).flatmap(
+        lambda den: st.tuples(st.integers(-_FLOAT_MAX * den, _FLOAT_MAX * den), st.just(den))),
+)
+
+
+@st.composite
+def _planted_rows(draw):
+    k = draw(st.integers(1, 6))
+    side = st.integers(0, k + 1)
+    rows = draw(st.lists(st.tuples(st.just(k), side, side, st.sampled_from([0, 1]), _PAIRS, _PAIRS, _PAIRS,
+                                   st.one_of(st.none(), _PAIRS), st.booleans()), max_size=8))
+    return k, _mirrored(rows)
+
+
+def _extremal_rows(k):
+    """Row (0, k+1, 0), whose xi is the largest of its k (about 1.43e308 at
+    k = MAX_BOUNDS_K), and its mirror."""
+    state = profile(ClassCounts(0, k + 1, 0, k))
+    values = [x.as_integer_ratio() for x in (state.passing, state.joint, state.conditional, xi(0, k + 1, k))]
+    return _mirrored([(k, 0, k + 1, 0, *values, True)])
+
+
+@given(_planted_rows())
+@settings(max_examples=50, deadline=None)
+# Zero numerators, xi None at c = 0 and at c = 1, ok both ways, a mirrored pair.
+@example((2, _mirrored([(2, 0, 0, 0, (1, 1), (1, 2), (1, 2), None, False),
+                        (2, 1, 3, 0, (0, 7), (0, 1), (0, 3), (-5, 3), False),
+                        (2, 0, 2, 1, (2, 15), (0, 1), (0, 1), None, True),
+                        (2, 2, 2, 1, (1, 3), (0, 1), (0, 1), (1, 6), True)])))
+@example((MAX_BOUNDS_K, _extremal_rows(MAX_BOUNDS_K)))
+def test_bounds_lines_format_planted_rows_as_the_reference(planted):
+    # The writer formats its own decimals, not through _fmt_pair: they, the
+    # empty xi, true/false and mirrored tails are held against the reference.
+    k, rows = planted
+    lines = []
+    assert cli._bounds_lines(k, iter(rows), lines.append) == (len(rows), sum(not row[8] for row in rows))
+    assert lines == _reference_lines(rows)
 
 
 @pytest.mark.parametrize("k_max", range(1, 13))
@@ -1099,6 +1172,14 @@ def test_a_reader_that_stops_early_ends_the_sweep_quietly(k_max):
         assert pipe.readline() == (",".join(BOUNDS_HEADER) + "\n").encode()
     assert proc.communicate(timeout=60) == (None, b"")
     assert proc.returncode == 141
+
+
+def test_an_empty_out_is_refused_not_sent_to_stdout(tmp_path, monkeypatch):
+    # An empty path names the working directory, which is not replaced.
+    monkeypatch.chdir(tmp_path)
+    status, out, err = _run_main(["verify-bounds", "--k-max", "2", "--out", ""])
+    assert (status, out, err) == (2, "", "error: not a regular file, so not replaced: ''\n")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
