@@ -2,17 +2,18 @@
 
 Both commands that fork use `sweep`, through cli._write_blocks:
 `verify-bounds` numbers its blocks by k, one block per k, and `simulate`
-numbers blocks of consecutive trials. Worker i of P keeps to one CPU, formats
-the text of the blocks at positions i, i + P, ... of the numbering (striped,
-since a block of `verify-bounds` costs more as k grows) and sends each block
-through its own pipe as one marshal record, (counts, text), or its error
-message as a bare str; the parent writes the blocks in order. Both ends are
-the same forked interpreter, so marshal's format needs no versioning, and
-importlib has loaded marshal already. Every fork comes before the first
-block is written, so when os.pipe or os.fork refuses a worker, `sweep` stops
-the workers already started and leaves the blocks to one process. The
-commands import this module only for a run that forks, so
-`import stabtest.cli` compiles none of it.
+numbers blocks of consecutive trials. Worker i of P keeps to the i-th CPU
+cli._workers picks, formats the text of the blocks at positions i, i + P,
+... of the numbering (striped, since a block of `verify-bounds` costs more
+as k grows) and sends each block through its own pipe as one marshal
+record, (counts, text), or its error message as a bare str; the parent
+writes the blocks in order. Both ends are the same forked interpreter, so
+marshal's format needs no versioning, and importlib has loaded marshal
+already. Every fork comes before the first block is written, so when
+os.pipe or os.fork refuses a worker, `sweep` stops the workers already
+started and leaves the blocks to one process. The commands import this
+module only for a run that forks, so `import stabtest.cli` compiles none of
+it.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from typing import Callable
 from ._text import _cut
 
 
-def _block(pipe, number: int):
-    """The record of block `number`, the next one on the buffered pipe: its
-    counts and text as (tuple, str), a failed worker's message as a
-    str, or None if its worker exited before sending all of it."""
+def _block(pipe):
+    """The next record on the buffered pipe: a block's counts and text as
+    (tuple, str), a failed worker's message as a str, or None if its worker
+    exited before sending all of it."""
     try:
         return marshal.load(pipe)
     except EOFError:
@@ -67,13 +68,13 @@ def _work(fd: int, pipes: list, numbers: range, block: Callable, cpu: int | None
 
 
 def sweep(
-    blocks: range, workers: int, block: Callable, write: Callable, name: Callable[[int], str], unit: str
+    blocks: range, cpus: list, block: Callable, write: Callable, name: Callable[[int], str], unit: str
 ) -> list[tuple] | None:
     """Write the text of each block in blocks, in order, through write, each
-    block formatted by one of `workers` forked processes; return the counts
-    of each block, in block order. block(number, write) writes the block's
-    text through write and returns its counts, a tuple of ints that this
-    function only passes on.
+    block formatted by one of len(cpus) forked processes, worker i kept to
+    cpus[i] (None: to no CPU); return the counts of each block, in block
+    order. block(number, write) writes the block's text through write and
+    returns its counts, a tuple of ints that this function only passes on.
 
     If os.pipe or os.fork refuses a worker, return None before any block is
     written, so the caller writes them all in one process. Any later failure
@@ -88,19 +89,18 @@ def sweep(
     # CPU: at verify-bounds --k-max 40 on 2 vCPUs, two free workers took 1.05x
     # the time of one process, and two pinned ones 0.59x (medians of 16
     # alternating runs).
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else [None] * workers
     pipes: list = []
     pids: list[int] = []
     done = False
     try:
-        for i in range(workers):
+        for i, cpu in enumerate(cpus):
             try:
                 read, send = os.pipe()
                 pipes.append(open(read, "rb"))
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _work(send, pipes, blocks[i::workers], block, cpus[i % len(cpus)])
+                        _work(send, pipes, blocks[i::len(cpus)], block, cpu)
                 finally:
                     os.close(send)
             except OSError:  # refused, at a process or descriptor limit: no block is written yet
@@ -108,7 +108,7 @@ def sweep(
             pids.append(pid)
         counts = []
         for position, number in enumerate(blocks):
-            got = _block(pipes[position % workers], number)
+            got = _block(pipes[position % len(pipes)])
             if got is None:
                 raise ChildProcessError(f"{name(number)} exited before sending its {unit}")
             if isinstance(got, str):

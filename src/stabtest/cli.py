@@ -13,14 +13,14 @@ import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ._text import _cut, _shown
 
-# Each command imports the layers it runs when it runs: none compiles another.
+# Each command imports the layers it runs, and pathlib, when it runs: none compiles another.
 if TYPE_CHECKING:
     from fractions import Fraction
+    from pathlib import Path
 
     from .analytics import ClassMixture
     from .gf2 import BitMatrix
@@ -105,6 +105,8 @@ def parse_graph(spec: str) -> BipartiteGraphState:
             return edgeless_graph(_count(arg))
     except ValueError as exc:
         raise ValueError(f"bad graph spec {_shown(spec)}: {exc}") from exc
+    from pathlib import Path
+
     path = Path(spec)
     if not path.is_file():
         raise ValueError(f"unknown graph spec {_shown(spec)} (not a builtin, not a file)")
@@ -128,6 +130,8 @@ def probability(text: str) -> Fraction:
 
 
 def _load_mixture(path: str) -> ClassMixture:
+    from pathlib import Path
+
     from .analytics import ClassMixture, _fraction
     from .graphs import _read_json
 
@@ -230,6 +234,8 @@ def _atomic_write(path: str | Path):
     stays; a path that names anything else but a regular file (a directory,
     a FIFO, a device) is refused before anything is written. newline=""
     keeps the bytes the same on every platform."""
+    from pathlib import Path
+
     target = Path(os.path.realpath(path))
     with _naming(path):
         if target.exists() and not target.is_file():
@@ -286,38 +292,24 @@ _BLOCK_COPIES = 2**16
 _BLOCKS_PER_WORKER = 4
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
+def _usable_cpus() -> list[int | None]:
+    """The CPUs this process may run on, in order; where the platform does
+    not tell them, os.cpu_count() times None, a CPU no worker can keep to."""
     try:
-        return len(os.sched_getaffinity(0))
+        return sorted(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
+        return [None] * (os.cpu_count() or 1)
 
 
-def _workers(micros: float, most: int) -> int:
-    """How many processes share work that splits into `most` parts and is
-    estimated at `micros` microseconds in one process: 1 below
+def _workers(micros: float, most: int) -> list[int | None]:
+    """The CPUs that the processes sharing a run keep to, one process a CPU,
+    for work that splits into `most` parts and is estimated at `micros`
+    microseconds in one process: one process, kept to none ([None]), below
     _MIN_FORKED_MICROS or where os.fork is missing, else the usable CPUs, at
-    most os.cpu_count() and `most`."""
+    most os.cpu_count() and `most` of them."""
     if micros < _MIN_FORKED_MICROS or not hasattr(os, "fork"):
-        return 1
-    return min(_usable_cpus(), os.cpu_count() or 1, most)
-
-
-def _simulate_workers(trials: int, copies: int, iid: bool, n: int) -> int:
-    """How many processes run a simulate of `trials` trials of `copies`
-    copies on n qubits, by _workers. With P <= trials, the blocks of
-    _trial_blocks number at least P.
-
-    A trial costs about 10 + 0.2 copies microseconds under the models whose
-    copies are fixed records (honest, single-bad, mixture), and
-    10 + (2 + n/16) copies under IID flips, which draw and decode every
-    qubit of every copy. Best of 5 over protocol.transcript_lines on 2 vCPUs,
-    in microseconds a trial: 10.6 on path:5 at k = 2, 13.1 for a mixture on
-    grid:5x5 at k = 5, 16.9 for single-bad at k = 20; IID at k = 2, 26.3 on
-    grid:5x5, 87.4 on rhg:3x3x3 and 173 on rhg:4x4x4."""
-    per_copy = 2 + n / 16 if iid else 0.2
-    return _workers(trials * (10 + per_copy * copies), trials)
+        return [None]
+    return _usable_cpus()[: min(os.cpu_count() or 1, most)]
 
 
 def _trial_blocks(trials: int, copies: int, workers: int) -> tuple[int, int]:
@@ -328,19 +320,20 @@ def _trial_blocks(trials: int, copies: int, workers: int) -> tuple[int, int]:
     return size, -(-trials // size)
 
 
-def _write_blocks(blocks: range, workers: int, block, write, name, unit: str) -> list[int]:
+def _write_blocks(blocks: range, cpus: list, block, write, name, unit: str) -> list[int]:
     """Write every block in blocks, in order, through write; return each of
     the counts summed over them, the one place where block counts are added.
     block(number, write) writes one block's text and returns its counts, a
-    tuple of ints of one length. With workers > 1 the blocks are formatted by
-    forked processes (_forked.sweep, whose failures name a block by
-    name(number) and its text by unit); with one worker, or when a fork is
-    refused, this process writes them, streaming each block's text."""
+    tuple of ints of one length. With more than one CPU in cpus (from
+    _workers) the blocks are formatted by forked processes, one kept to each
+    CPU (_forked.sweep, whose failures name a block by name(number) and its
+    text by unit); with one, or when a fork is refused, this process writes
+    them, streaming each block's text."""
     counts = None
-    if workers > 1:
+    if len(cpus) > 1:
         from ._forked import sweep
 
-        counts = sweep(blocks, workers, block, write, name, unit)
+        counts = sweep(blocks, cpus, block, write, name, unit)
     if counts is None:
         counts = [block(number, write) for number in blocks]
     return [sum(column) for column in zip(*counts)]
@@ -352,24 +345,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     Trials share nothing, each drawn from its own seed, so _write_blocks
     writes the blocks of consecutive trials of _trial_blocks in trial order:
-    with P = _simulate_workers(...) > 1 they are striped over P forked
-    workers, and below the break-even of forking, or when a fork is refused,
-    one process writes them. The files, the report and the exit status are
-    the same bytes either way.
+    with P > 1 CPUs from _workers, each trial priced at the plan's micros,
+    they are striped over P forked workers, and below the break-even of
+    forking, or when a fork is refused, one process writes them. The files,
+    the report and the exit status are the same bytes either way.
     """
     import csv
+    from pathlib import Path
 
     from . import analytics
-    from .protocol import EstimateResult, IidPauli, _lines, _plan
+    from .protocol import EstimateResult, _lines, _plan
 
     g = parse_graph(args.graph)
     model = parse_adversary(args.adversary)
     # Checks k, the trial count and the model's fit at k before anything is
     # written, so a refused run leaves no output directory behind.
     plan = _plan(g, args.k, model, args.trials)
-    copies = 2 * args.k + 1
-    workers = _simulate_workers(args.trials, copies, isinstance(model, IidPauli), g.n)
-    size, count = _trial_blocks(args.trials, copies, workers)
+    cpus = _workers(args.trials * plan.micros, args.trials)
+    size, count = _trial_blocks(args.trials, 2 * args.k + 1, len(cpus))
 
     def trials_of(number: int) -> range:
         return range(number * size, min((number + 1) * size, args.trials))
@@ -389,7 +382,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # that, so a run that fails keeps the old pair. The inner block exits
     # first: transcripts.jsonl is moved first and summary.csv last.
     with _atomic_write(summary_path) as summary, _atomic_write(transcript_path) as fh:
-        accepted, clean = _write_blocks(range(count), workers, block, fh.write, name, "transcripts")
+        accepted, clean = _write_blocks(range(count), cpus, block, fh.write, name, "transcripts")
 
         result = EstimateResult.from_counts(args.trials, accepted, clean)
         pass_rate, cond = result.pass_rate, result.conditional_fidelity
@@ -486,12 +479,6 @@ def _bounds_lines(k: int, rows, write) -> tuple[int, int]:
     return count, violations
 
 
-def _bounds_workers(k_max: int) -> int:
-    """How many processes sweep 1..k_max, by _workers, at _ROW_MICROS a row
-    (2k^2 + 6k + 4 rows per k)."""
-    return _workers(_ROW_MICROS * sum(2 * k * k + 6 * k + 4 for k in range(1, k_max + 1)), k_max)
-
-
 def cmd_verify_bounds(args: argparse.Namespace) -> int:
     """Write the analytics.bounds_rows sweep as CSV; exit 1 if a row fails bound_ok.
 
@@ -505,22 +492,23 @@ def cmd_verify_bounds(args: argparse.Namespace) -> int:
     is claimed for states outside class mixtures.
 
     The rows of different k share nothing, so each k is a block of
-    _write_blocks, written in k order: with P = _bounds_workers(K) > 1
-    worker i of P forked workers takes the k with k = i + 1 (mod P), and
-    below the break-even of forking, or when a fork is refused, one process
-    writes them. The file, the summary line and the exit status are the same
-    bytes either way.
+    _write_blocks, written in k order: with P > 1 CPUs from _workers, at
+    _ROW_MICROS a row (2k^2 + 6k + 4 rows per k), worker i of P forked
+    workers takes the k with k = i + 1 (mod P), and below the break-even of
+    forking, or when a fork is refused, one process writes them. The file,
+    the summary line and the exit status are the same bytes either way.
     """
     from . import analytics
 
     analytics._positive(args.k_max, "k-max")
     if args.k_max > MAX_BOUNDS_K:
         raise ValueError(f"k-max={_shown(args.k_max)} is too large: xi overflows a float past k={MAX_BOUNDS_K}")
+    cpus = _workers(_ROW_MICROS * sum(2 * k * k + 6 * k + 4 for k in range(1, args.k_max + 1)), args.k_max)
     # An empty --out names no file: _atomic_write refuses it as the directory
     # it resolves to, rather than the CSV going to stdout.
     with _atomic_write(args.out) if args.out is not None else nullcontext(sys.stdout) as out:
         out.write(",".join(BOUNDS_HEADER) + "\n")
-        rows, violations = _write_blocks(range(1, args.k_max + 1), _bounds_workers(args.k_max),
+        rows, violations = _write_blocks(range(1, args.k_max + 1), cpus,
                                          lambda k, write: _bounds_lines(k, analytics._bounds_rows_at(k), write),
                                          out.write, lambda k: f"verify-bounds worker for k={k}", "rows")
     if args.out is not None:

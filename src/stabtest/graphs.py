@@ -14,7 +14,7 @@ from itertools import accumulate, product
 from math import prod
 
 from ._record import record
-from ._text import _cut, _shown  # noqa: F401  (both names still resolve here)
+from ._text import _shown
 from .gf2 import BitMatrix, _ones
 
 __all__ = [

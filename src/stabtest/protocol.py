@@ -235,7 +235,8 @@ class _Plan:
     explicit atoms) are built here once and shared by every trial, and draw
     returns them in a list. IID copies are drawn fresh in every trial, and
     draw returns an _IidRecords, which makes a copy's record, and so decides
-    its class, when the copy is first read.
+    its class, when the copy is first read. ``micros`` prices a trial for
+    cli._workers: 10 us plus a price a copy, set beside the draw it prices.
     """
 
     def __init__(self, g: BipartiteGraphState, k: int, model: AdversaryModel):
@@ -248,6 +249,11 @@ class _Plan:
         self.copies = list(range(n))
         self.steps = _shuffle_steps(n)
         clean = self._class_record(0, 0)
+        # A copy that is a fixed record (honest, single-bad, mixture, explicit).
+        # Best of 5 over transcript_lines on 2 vCPUs, in us a trial: 10.6 on
+        # path:5 at k = 2, 13.1 for a mixture on grid:5x5 at k = 5, 16.9 for
+        # single-bad at k = 20.
+        per_copy = 0.2
 
         if isinstance(model, Honest):
             def draw(rng: random.Random) -> list[_Record]:
@@ -299,6 +305,9 @@ class _Plan:
                 raise ValueError("flip probabilities must be in [0, 1]")
             n_b, n_w = g.n_b, g.n_w
             half = n_b + n_w
+            # A copy draws and decodes every qubit. At k = 2, in us a trial:
+            # 26.3 on grid:5x5, 87.4 on rhg:3x3x3 and 173 on rhg:4x4x4.
+            per_copy = 2 + half / 16
             if n * half > _MAX_IID_QUBITS:
                 raise ValueError(
                     f"iid draws too large: {_shown(n)} copies x {_shown(half)} qubits = {_shown(n * half)}"
@@ -375,6 +384,7 @@ class _Plan:
         else:
             raise ValueError(f"unknown adversary model: {_shown(model)}")
         self.draw = draw
+        self.micros = 10 + per_copy * n
 
     def _class_record(self, s: int, t: int) -> _Record:
         """Canonical attack of class (s, t): Z on the first vertex of each flagged side."""

@@ -1024,11 +1024,13 @@ def test_an_interrupted_forked_sweep_leaves_no_worker_and_no_output(tmp_path, mo
     from stabtest import _forked
 
     block = _forked._block
+    reads = []
 
-    def interrupted(fd, k):
-        if k == 3:
+    def interrupted(pipe):
+        reads.append(pipe)
+        if len(reads) == 3:  # k = 3: the blocks are read in k order
             raise KeyboardInterrupt
-        return block(fd, k)
+        return block(pipe)
 
     _planted(monkeypatch, 4, _stall_at_k)
     monkeypatch.setattr(_forked, "_block", interrupted)
@@ -1047,35 +1049,40 @@ def _no_fork():
 @pytest.mark.parametrize("where", ["one-usable-cpu", "no-fork"])
 def test_sweep_stays_in_process_without_cpus_or_fork(tmp_path, monkeypatch, capsys, where):
     if where == "one-usable-cpu":
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: [0])
         monkeypatch.setattr(os, "fork", _no_fork)
     else:
         monkeypatch.delattr(os, "fork", raising=False)
     # k_max = 20 is the smallest sweep past the break-even of forking.
-    assert cli._bounds_workers(20) == 1
+    assert len(_bounds_cpus(20)) == 1
     out_path = tmp_path / "bounds.csv"
     assert main(["verify-bounds", "--k-max", "20", "--out", str(out_path)]) == 0
     assert capsys.readouterr().out == f"wrote {out_path}: 7080 rows, 0 violations\n"
     assert out_path.read_text() == _reference_bounds_csv(20)[0]
 
 
+def _bounds_cpus(k_max):
+    """The CPUs that cmd_verify_bounds asks of cli._workers for 1..k_max."""
+    return cli._workers(cli._ROW_MICROS * len(list(bounds_rows(k_max))), k_max)
+
+
 def test_sweep_processes_are_capped(monkeypatch):
-    # Only the count: no process is started here.
+    # Only the rule: no process is started here.
     monkeypatch.setattr(os, "fork", _no_fork, raising=False)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: list(range(64)))
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert cli._bounds_workers(40) == 4  # at most os.cpu_count()
+    assert _bounds_cpus(40) == [0, 1, 2, 3]  # at most os.cpu_count()
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert cli._bounds_workers(20) == 20  # at most k_max
+    assert _bounds_cpus(20) == list(range(20))  # at most k_max
     # Below _MIN_FORKED_MICROS, at _ROW_MICROS a row (2k^2 + 6k + 4 rows per
     # k), the sweep stays in one process: 6156 rows at k_max = 19, 7080 at 20.
     assert 6156 * cli._ROW_MICROS < cli._MIN_FORKED_MICROS <= 7080 * cli._ROW_MICROS
-    assert cli._bounds_workers(19) == 1
+    assert _bounds_cpus(19) == [None]
 
 
 def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert cli._usable_cpus() == (os.cpu_count() or 1)
+    assert cli._usable_cpus() == [None] * (os.cpu_count() or 1)
 
 
 NO_B = {"n_b": 0, "n_w": 2, "edges": []}
@@ -1244,8 +1251,11 @@ def test_a_worker_killed_while_sending_its_rows_ends_in_one_error_line(tmp_path,
     _planted(monkeypatch, 5, lambda rows: list(rows) * 300)
     block = _forked._block
 
-    def killed(pipe, k):
-        if k == 5:
+    reads = []
+
+    def killed(pipe):
+        reads.append(pipe)
+        if len(reads) == 5:  # k = 5: the blocks are read in k order
             # Full but for the page, at most, that the parent has begun reading.
             full = fcntl.fcntl(pipe, fcntl.F_GETPIPE_SZ) - os.sysconf("SC_PAGESIZE")
             deadline = time.monotonic() + 30
@@ -1253,7 +1263,7 @@ def test_a_worker_killed_while_sending_its_rows_ends_in_one_error_line(tmp_path,
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
             os.kill(two_workers[0], signal.SIGKILL)
-        return block(pipe, k)
+        return block(pipe)
 
     monkeypatch.setattr(_forked, "_block", killed)
     assert main(["verify-bounds", "--k-max", "8", "--out", str(tmp_path / "bounds.csv")]) == 2

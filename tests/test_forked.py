@@ -2,8 +2,8 @@
 and report of one process, a refused fork that leaves both commands to one
 process, and no worker or temp file left behind on any exit path.
 
-The tests that fork run two workers, forced through cli._workers, the one
-worker rule of both commands, and never ask for more processes than the
+The tests that fork run two workers, on the first two usable CPUs forced
+through cli._workers, the one worker rule of both commands, and never ask for more processes than the
 machine has CPUs. `forked` and `two_workers` serve the forked
 `verify-bounds` tests of test_cli.py too."""
 
@@ -15,7 +15,8 @@ import pytest
 
 from stabtest import _forked, cli, protocol
 from stabtest.cli import main, parse_graph
-from stabtest.protocol import MAX_COPIES, ClassMixture, _plan
+from stabtest.pauli import BlockClass
+from stabtest.protocol import MAX_COPIES, ClassMixture, Honest, IidPauli, SingleBadCopy, _plan
 
 from test_determinism import (
     EXPLICIT_GOLDEN,
@@ -29,7 +30,7 @@ from test_determinism import (
 from test_protocol import _python_output
 
 forked = pytest.mark.skipif(
-    not hasattr(os, "fork") or cli._usable_cpus() < 2 or (os.cpu_count() or 1) < 2,
+    not hasattr(os, "fork") or len(cli._usable_cpus()) < 2 or (os.cpu_count() or 1) < 2,
     reason="a forked run needs os.fork and at least 2 usable CPUs",
 )
 
@@ -48,7 +49,8 @@ def two_workers(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(cli, "_workers", lambda micros, most: 2)
+    cpus = cli._usable_cpus()[:2]
+    monkeypatch.setattr(cli, "_workers", lambda micros, most: cpus)
     monkeypatch.setattr(os, "fork", counted_fork)
     yield pids
     with pytest.raises(ChildProcessError):  # every worker has been waited for
@@ -56,7 +58,7 @@ def two_workers(monkeypatch):
 
 
 def _one_process(monkeypatch):
-    monkeypatch.setattr(cli, "_workers", lambda micros, most: 1)
+    monkeypatch.setattr(cli, "_workers", lambda micros, most: [None])
 
 
 @forked
@@ -89,7 +91,7 @@ def test_joined_blocks_match_the_line_goldens(two_workers, case):
         return cli._transcript_lines(protocol._lines(plan, trials, seed), write)
 
     parts = []
-    accepted, clean = cli._write_blocks(range(count), 2, block, parts.append, str, "transcripts")
+    accepted, clean = cli._write_blocks(range(count), cli._workers(0, 2), block, parts.append, str, "transcripts")
     assert len(parts) == 8  # 300 trials in 8 blocks of at most 38, striped over the two workers
     assert (_sha("".join(parts).encode()), {"trials": 300, "accepted": accepted, "accepted_clean": clean}) == golden
     assert len(two_workers) == 2
@@ -178,11 +180,13 @@ def test_an_interrupted_forked_simulate_leaves_no_worker_and_no_output(tmp_path,
     # while the second worker is still busy with block 3 (trials 9..11):
     # that worker is killed, not waited out.
     block = _forked._block
+    reads = []
 
-    def interrupted(fd, number):
-        if number == 2:
+    def interrupted(pipe):
+        reads.append(pipe)
+        if len(reads) == 3:  # block 2: the blocks are read in order
             raise KeyboardInterrupt
-        return block(fd, number)
+        return block(pipe)
 
     _planted(monkeypatch, 10, lambda: time.sleep(60))
     monkeypatch.setattr(_forked, "_block", interrupted)
@@ -201,44 +205,67 @@ def _no_fork():
 @pytest.mark.parametrize("where", ["one-usable-cpu", "no-fork"])
 def test_simulate_stays_in_process_without_cpus_or_fork(tmp_path, monkeypatch, capsys, where):
     if where == "one-usable-cpu":
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: [0])
         monkeypatch.setattr(os, "fork", _no_fork)
     else:
         monkeypatch.delattr(os, "fork", raising=False)
     # 1000 honest trials of 5 copies, about 11 ms of work, are past the break-even.
-    assert cli._simulate_workers(1000, 5, False, 5) == 1
+    assert len(cli._workers(1000 * _plan(parse_graph("path:5"), 2, Honest(), 1000).micros, 1000)) == 1
     status, outputs = _simulate(tmp_path, "path:5", 2, "honest", 1000)
     assert status == 0 and outputs["transcripts.jsonl"].count(b"\n") == 1000
+
+
+def _simulate_cpus(graph, k, model, trials):
+    """The CPUs that cmd_simulate asks of cli._workers for this run."""
+    return cli._workers(trials * _plan(parse_graph(graph), k, model, trials).micros, trials)
+
+
+def test_plan_prices_a_trial_by_its_model():
+    # 10 + 0.2 copies microseconds a trial of fixed records and 10 + (2 + n/16)
+    # copies of IID flips on n qubits.
+    g = parse_graph("grid:5x5")
+    mixture = ClassMixture.from_weights(*MIXTURE_K11)
+    for model, k, micros in [
+        (Honest(), 2, 10 + 0.2 * 5),
+        (SingleBadCopy(BlockClass(1, 0)), 20, 10 + 0.2 * 41),
+        (mixture, 11, 10 + 0.2 * 23),
+        (_explicit_model(g, 3), 3, 10 + 0.2 * 7),
+        (IidPauli(0.2, 0.1), 2, 10 + (2 + 25 / 16) * 5),
+    ]:
+        assert _plan(g, k, model, 1).micros == micros
 
 
 def test_simulate_break_even_is_an_input_size(monkeypatch):
     # Only the rule: no process is started here.
     monkeypatch.setattr(os, "fork", _no_fork, raising=False)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: [0, 1])
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert cli._MIN_FORKED_MICROS == 9000
-    # (copies, iid, n, trials): the smallest run that forks, estimated at
-    # 10 + 0.2 copies microseconds a trial of fixed records and
-    # 10 + (2 + n/16) copies of IID flips.
-    for copies, iid, n, trials in [
-        (11, False, 25, 738),  # a mixture on grid:5x5 at k = 5: 12.2 us a trial
-        (5, False, 5, 819),  # honest on path:5 at k = 2: 11 us
-        (5, True, 252, 92),  # IID on rhg:3x3x3 at k = 2: 98.75 us
+    # (graph, k, model, trials): the smallest run that forks, at the plan's
+    # price of a trial.
+    mixture = ClassMixture.from_weights(1, {(0, 0): 1}, {(0, 0): 1})
+    for graph, k, model, trials in [
+        ("grid:5x5", 5, mixture, 738),  # a mixture on grid:5x5 at k = 5: 12.2 us a trial
+        ("path:5", 2, Honest(), 819),  # honest on path:5 at k = 2: 11 us
+        ("rhg:3x3x3", 2, IidPauli(0.2, 0.1), 92),  # IID on rhg:3x3x3 at k = 2: 98.75 us
     ]:
-        assert cli._simulate_workers(trials - 1, copies, iid, n) == 1
-        assert cli._simulate_workers(trials, copies, iid, n) == 2
+        assert _simulate_cpus(graph, k, model, trials - 1) == [None]
+        assert _simulate_cpus(graph, k, model, trials) == [0, 1]
     # A trial count alone misjudges IID on a large graph.
-    assert cli._simulate_workers(300, 5, False, 252) == 1
-    assert cli._simulate_workers(300, 5, True, 252) == 2
+    assert _simulate_cpus("rhg:3x3x3", 2, Honest(), 300) == [None]
+    assert _simulate_cpus("rhg:3x3x3", 2, IidPauli(0.2, 0.1), 300) == [0, 1]
 
 
 def test_simulate_processes_are_capped(monkeypatch):
     monkeypatch.setattr(os, "fork", _no_fork, raising=False)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 64)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: list(range(64)))
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert cli._simulate_workers(10**6, 11, False, 25) == 4  # at most os.cpu_count()
+    mixture = ClassMixture.from_weights(1, {(0, 0): 1}, {(0, 0): 1})
+    assert _simulate_cpus("grid:5x5", 5, mixture, 10**6) == [0, 1, 2, 3]  # at most os.cpu_count()
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert cli._simulate_workers(3, 129, True, 65536) == 3  # at most the trials, so at most the blocks
+    # At most the trials, so at most the blocks: 129 copies of IID flips on
+    # as many qubits as a trial may draw.
+    assert _simulate_cpus("edgeless:65024", 64, IidPauli(0.2, 0.1), 3) == [0, 1, 2]
     assert cli._trial_blocks(3, 129, 3)[1] == 3
 
 
@@ -326,7 +353,7 @@ def _not_retried(monkeypatch, full_disk):
     calls, texts = [], []
     write_blocks = cli._write_blocks
 
-    def recorded(blocks, workers, block, write, name, unit):
+    def recorded(blocks, cpus, block, write, name, unit):
         def recorded_block(number, write):
             calls.append(number)  # in a worker, the worker's own copy of calls
             return block(number, write)
@@ -337,7 +364,7 @@ def _not_retried(monkeypatch, full_disk):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             write(text)
 
-        return write_blocks(blocks, workers, recorded_block, recorded_write, name, unit)
+        return write_blocks(blocks, cpus, recorded_block, recorded_write, name, unit)
 
     monkeypatch.setattr(cli, "_write_blocks", recorded)
     return calls, texts

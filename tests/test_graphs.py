@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from stabtest._text import _cut
 from stabtest.gf2 import BitMatrix
 from stabtest.graphs import (
     MAX_QUBITS,
@@ -16,9 +17,9 @@ from stabtest.graphs import (
     grid_graph,
     path_graph,
     rhg_lattice,
+    _shown,
     to_json,
 )
-from stabtest.graphs import _cut, _shown
 
 
 def test_path_graph_small_cases():

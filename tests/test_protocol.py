@@ -91,11 +91,12 @@ def test_trial_seed_matches_hashlib(master_seed):
         assert trial_seed(master_seed, index) == int.from_bytes(digest[:8], "big")
 
 
-def _python_output(code):
-    """Stripped stdout of a fresh interpreter that runs code with src on its path."""
+def _python_output(code, *flags):
+    """Stripped stdout of a fresh interpreter, started with flags, that runs
+    code with src on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -143,6 +144,22 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     simulate = ["simulate", "--graph", "path:3", "--k", "1", "--adversary", "honest", "--trials", "3",
                 "--outdir", str(tmp_path / "out")]
     assert _layers_after(simulate) == ["['stabtest.pauli', 'stabtest.protocol']"]
+
+
+def test_commands_that_touch_no_file_leave_pathlib_unloaded():
+    # pathlib loads urllib.parse, fnmatch and ntpath for Path, and on 3.13
+    # glob, pwd and grp too. -S keeps site, which loads it on some
+    # interpreters, from hiding an import by the package.
+    code = (
+        "import contextlib, io, sys\n"
+        "import stabtest.cli\n"
+        "print('pathlib' in sys.modules)\n"
+        "for argv in (['oracle', '1', '0', '0', '2'], ['reduce', '--graph', 'path:3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert stabtest.cli.main(argv) == 0, argv\n"
+        "    print('pathlib' in sys.modules)\n"
+    )
+    assert _python_output(code, "-S").split() == ["False", "False", "False"]
 
 
 _LAYERS = {"stabtest.analytics", "stabtest.graphs", "stabtest.gf2", "stabtest._record"}
