@@ -66,16 +66,22 @@ _HOMES = {
 }
 
 
-def __getattr__(name: str):
-    """Import the home module of a public name on its first read, and keep
-    the value here, so later reads do not come back."""
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module '{__name__}' has no attribute '{name}'")
-    module = importlib.import_module(f"{__name__}.{home}")
-    value = module if home == name else getattr(module, name)
-    globals()[name] = value
-    return value
+def _lazy(module: str, homes: dict[str, str], namespace: dict):
+    """PEP 562 __getattr__ of module: a name of homes imports stabtest.<home>
+    on its first read and keeps that module, or its attribute of the name, in
+    namespace, so later reads do not come back."""
+    def __getattr__(name: str):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module '{module}' has no attribute '{name}'")
+        imported = importlib.import_module(f"{__name__}.{home}")
+        value = imported if home == name else getattr(imported, name)
+        namespace[name] = value
+        return value
+    return __getattr__
+
+
+__getattr__ = _lazy(__name__, _HOMES, globals())
 
 
 def __dir__() -> list[str]:

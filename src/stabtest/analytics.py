@@ -135,7 +135,7 @@ def _expected(dist: Iterable[tuple[tuple[int, int, int], Rational]], k: int) -> 
     passing = joint = Fraction(0)
     for (a, b, c), w in dist:
         if c == 1:
-            passing += w * Fraction(math.perm(k, a) * math.perm(k, b), n * math.perm(2 * k, a + b))
+            passing += w * Fraction(math.perm(k, a) * math.perm(k, b), math.perm(n, a + b + 1))
         elif not c:
             s = math.perm(n, a + b)
             passing += w * Fraction((kk - a * b) * math.perm(k + 1, a) * math.perm(k + 1, b), kk * s)
@@ -380,11 +380,10 @@ def _bounds_rows_at(k: int) -> Iterator[tuple]:
     verify-bounds worker asks for its own k values only."""
     n = 2 * k + 1
     kk = (k + 1) ** 2
-    # P(k+1, j), P(k, j) for j <= k+1; P(2k+1, j) for j <= 2k+1; P(2k, j) for j <= 2k.
+    # P(k+1, j), P(k, j) for j <= k+1; P(2k+1, j) for j <= 2k+1.
     pk1 = _falling(k + 1, k + 2)
     pk = _falling(k, k + 2)
     p2k1 = _falling(n, n + 1)
-    p2k = _falling(2 * k, n)
     # c = 0: pass = (kk - ab) P(k+1,a) P(k+1,b) / (kk P(2k+1,a+b)),
     # joint = P(k,a) P(k,b) / P(2k+1,a+b), conditional = (k+1-a)(k+1-b) / (kk - ab),
     # xi = (k+1-a)(k+1-b) - (kk - ab) + kk P(2k+1,a+b) / (n P(k+1,a) P(k+1,b)).
@@ -404,12 +403,13 @@ def _bounds_rows_at(k: int) -> Iterator[tuple]:
             # xi_num >= 0: kk P(k,a) P(k,b) = (k+1-a)(k+1-b) P(k+1,a) P(k+1,b).
             yield (k, a, b, 0, (pass_num, pass_den), (joint_num, s), (cond_num, cond_den),
                    (xi_num, xi_den), xi_num >= 0)
-    # c = 1: pass = P(k,a) P(k,b) / (n P(2k,a+b)); joint and conditional are 0.
+    # c = 1: pass = P(k,a) P(k,b) / (n P(2k,a+b)), and n P(2k,a+b) = P(2k+1,a+b+1);
+    # joint and conditional are 0.
     for a in range(k + 1):
         pk_a = pk[a]
         for b in range(k + 1):
             pass_num = pk_a * pk[b]
-            pass_den = n * p2k[a + b]
+            pass_den = p2k1[a + b + 1]
             # 0 >= pass - 1/n, multiplied through by pass_den > 0.
             yield (k, a, b, 1, (pass_num, pass_den), (0, 1), (0, 1), None,
                    pass_den >= n * pass_num)

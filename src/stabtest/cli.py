@@ -8,13 +8,13 @@ CSV files carry decimals, JSON lines carry exact values.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import re
 import sys
 from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING
 
+from . import _lazy
 from ._text import _cut, _shown
 
 # Each command imports the layers it runs, and pathlib, when it runs: none compiles another.
@@ -201,7 +201,7 @@ def _fmt_pair(x: tuple[int, int] | None) -> str:
     if x is None:
         return ""
     num, den = x
-    return f"{num / den:.12g}" if num else "0"
+    return f"{num / den:.12g}"
 
 
 def _matrix_lines(m: BitMatrix) -> list[str]:
@@ -250,10 +250,6 @@ def _atomic_write(path: str | Path):
             os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-def _default_outdir() -> str:
-    return os.environ.get("STABTEST_OUTDIR", ".")
 
 
 def _transcript_lines(lines, write) -> tuple[int, int]:
@@ -356,6 +352,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from . import analytics
     from .protocol import EstimateResult, _lines, _plan
 
+    if not args.outdir:
+        # Path("") is ".", so the files would land in the working directory.
+        raise ValueError("an empty --outdir (or $STABTEST_OUTDIR) names no directory")
     g = parse_graph(args.graph)
     model = parse_adversary(args.adversary)
     # Checks k, the trial count and the model's fit at k before anything is
@@ -556,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=_integer, default=0, help="master seed; per-trial seeds derive from it")
     sim.add_argument("--alpha", type=probability, default=None,
                      help="significance threshold (default: empirical pass rate)")
-    sim.add_argument("--outdir", default=_default_outdir(),
+    sim.add_argument("--outdir", default=os.environ.get("STABTEST_OUTDIR", "."),
                      help="output directory (default: $STABTEST_OUTDIR or .)")
     sim.set_defaults(func=cmd_simulate)
 
@@ -579,24 +578,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The names that __getattr__ serves, each by the module it imports to do so.
+# Names this module serves without importing their layer with it: the protocol
+# names that perfbench/spans.py reads by getattr and patches here (ROADMAP item
+# 11 deletes them with item 4, which retargets those spans), and analytics with
+# its MAX_DIGITS (in __all__) and _fraction.
 _LAZY = {"run_trials": "protocol", "transcript_to_json": "protocol",
          **dict.fromkeys(("analytics", "MAX_DIGITS", "_fraction"), "analytics")}
-
-
-def __getattr__(name: str):
-    """The names of _LAZY, read from this module, which does not import their
-    layer when it is imported: the protocol names that perfbench/spans.py
-    reads by getattr and patches here (without them `--trace 1` dies with
-    AttributeError; ROADMAP item 11 deletes them together with item 4, which
-    retargets those spans), and analytics with its MAX_DIGITS (in __all__)
-    and _fraction. Reading one imports its module, which the commands that
-    do not run it leave unloaded."""
-    home = _LAZY.get(name)
-    if home is None:
-        raise AttributeError(f"module '{__name__}' has no attribute '{name}'")
-    module = importlib.import_module(f"{__package__}.{home}")
-    return module if name == home else getattr(module, name)
+__getattr__ = _lazy(__name__, _LAZY, globals())
 
 
 def main(argv=None) -> int:

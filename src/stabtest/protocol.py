@@ -72,12 +72,11 @@ __all__ = [
     "transcript_to_json",
 ]
 
-# Each class's persisted spelling, as json.dumps writes [s, t], the same
-# fragments as a nested [s][t] index, and the class each fragment spells.
-# Bool keys and indices find the same entries as 0 and 1.
-_CLASS_JSON = {(s, t): f"[{s}, {t}]" for s in (0, 1) for t in (0, 1)}
-_FRAGMENTS = [[_CLASS_JSON[s, t] for t in (0, 1)] for s in (0, 1)]
-_CLASS = {_CLASS_JSON[s, t]: BlockClass(s, t) for s in (0, 1) for t in (0, 1)}
+# Each class's persisted spelling, as json.dumps writes [s, t], by a nested
+# [s][t] index (a bool index finds the same entry as 0 or 1), and the class
+# each fragment spells.
+_FRAGMENTS = [[f"[{s}, {t}]" for t in (0, 1)] for s in (0, 1)]
+_CLASS = {_FRAGMENTS[s][t]: BlockClass(s, t) for s in (0, 1) for t in (0, 1)}
 
 # Bulk IID draws. random() is x / 2**53 with x = (w0 >> 5) * 2**26 + (w1 >> 6)
 # over two consecutive Mersenne-Twister words, and getrandbits(64 * m) returns
@@ -227,7 +226,7 @@ class _Plan:
 
     A copy's record is (sigma1, sigma2, attack, fragment): the syndrome masks
     a group-1 and a group-2 test observe, the raw (u_b, u_w, v_b, v_w) masks
-    of the attack, and the _CLASS_JSON fragment of the copy's class
+    of the attack, and the _FRAGMENTS spelling of the copy's class
     (bool(sigma1), bool(sigma2)). The class is decided when the record is
     made, and nowhere else. Each adversary model is prepared once, in its
     own branch below, into ``draw(rng)``, which returns one record per copy.
@@ -649,7 +648,7 @@ def _json_line(
     """One line of the persisted transcript schema: json.dumps of the dict
     {"trial", "seed", "partition", "classes", "accepted", "third_fidelity"},
     with its default separators. ``partition`` holds the group labels of
-    _partition and ``classes`` the _CLASS_JSON fragments."""
+    _partition and ``classes`` the _FRAGMENTS spellings."""
     return (
         f'{{"trial": {trial}, "seed": {seed}, "partition": [{", ".join(partition)}], '
         f'"classes": [{", ".join(classes)}], "accepted": {"true" if accepted else "false"}, '
@@ -659,5 +658,5 @@ def _json_line(
 
 def transcript_to_json(t: Transcript, trial: int) -> str:
     """One JSON line in the persisted transcript schema."""
-    classes = [_CLASS_JSON[c.s, c.t] for c in t.classes]
+    classes = [_FRAGMENTS[not not c.s][not not c.t] for c in t.classes]
     return _json_line(trial, t.seed, map(str, t.partition), classes, t.accepted, t.third_fidelity)

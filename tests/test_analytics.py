@@ -485,6 +485,63 @@ def test_bounds_rows_lie_on_or_above_the_supporting_line():
     assert on_line == 3 * 60
 
 
+def _worst_case(alpha, k):
+    """(F*, beta, Q0, Q1): Theorem 1's exact worst case over class mixtures
+    at 1/n < alpha <= 1, n = 2k + 1, and a mixture that attains it. Below
+    (k+1)/n it mixes one (1,0) copy with one (1,1) copy; above, one (1,0)
+    copy with honest copies."""
+    n = 2 * k + 1
+    if alpha <= F(k + 1, n):
+        return 1 - 1 / (n * alpha), (n * alpha - 1) / k, {(1, 0): 1}, {(0, 0): 1}
+    w = n * (1 - alpha) / k
+    return 1 - (1 - alpha) / (k * alpha), 1, {(1, 0): w, (0, 0): 1 - w}, {(0, 0): 1}
+
+
+def _alphas(k):
+    return [F(i, 20) for i in range(1, 21) if F(i, 20) * (2 * k + 1) > 1]
+
+
+def test_theorem1_worst_case_is_attained_exactly():
+    # The attaining mixture passes with probability exactly alpha and keeps a
+    # copy of fidelity exactly F*, which is the bound where alpha <= (k+1)/n
+    # and above it from there on.
+    assert _worst_case(F(9, 10), 2)[0] == F(17, 18) and theorem1_bound(F(9, 10), 2) == F(7, 9)
+    cases = 0
+    for k in range(1, 7):
+        for alpha in _alphas(k):
+            worst, beta, q0, q1 = _worst_case(alpha, k)
+            verdict = lemma_check(beta, q0, q1, k, alpha)
+            assert (verdict.passing, verdict.conditional) == (alpha, worst), (k, alpha)
+            assert verdict.bound == theorem1_bound(alpha, k), (k, alpha)
+            assert (worst == verdict.bound) == (alpha <= F(k + 1, 2 * k + 1)), (k, alpha)
+            cases += 1
+    assert cases == 104
+
+
+def test_theorem1_worst_case_is_the_least_over_profile_pairs():
+    # A mixture's (pass, joint) is a weighted mean of its profiles' points, so
+    # the least conditional at pass = alpha is reached by at most two of them.
+    # Each point is scaled by d, a common denominator of every pass and joint
+    # at k (and of alpha), to ints; a pair (p1, j1), (p2, j2) with
+    # p1 < A < p2 meets pass A at joint (j1 (p2 - A) + j2 (A - p1)) / (p2 - p1).
+    for k in range(1, 9):
+        n, kk = 2 * k + 1, (k + 1) ** 2
+        d = 20 * kk * math.factorial(n)
+        points = set()
+        for c, budget in ((0, n), (1, 2 * k)):
+            for a in range(budget + 1):
+                for b in range(budget + 1 - a):
+                    got = profile(ClassCounts(a, b, c, k))
+                    assert (got.passing * d).denominator == (got.joint * d).denominator == 1
+                    points.add((int(got.passing * d), int(got.joint * d)))
+        for alpha in _alphas(k):
+            A = int(alpha * d)
+            joints = [F(j) for p, j in points if p == A]
+            joints += [F(j1 * (p2 - A) + j2 * (A - p1), p2 - p1)
+                       for p1, j1 in points if p1 < A for p2, j2 in points if p2 > A]
+            assert min(joints) / A == _worst_case(alpha, k)[0], (k, alpha)
+
+
 def test_bounds_rows_xi_numerator_is_the_cross_multiplied_floor():
     # bound_ok at c = 0 decides only xi >= 0. That is exact because the row's xi
     # numerator equals joint - pass + 1/n multiplied through by n (k+1)^2 P(n, a+b),

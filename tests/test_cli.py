@@ -762,6 +762,20 @@ def test_outdir_env_default(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "envout" / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("env, flag", [(None, ["--outdir", ""]), ("", [])], ids=["flag", "env"])
+def test_an_empty_outdir_is_refused_before_anything_is_written(tmp_path, monkeypatch, env, flag):
+    # Path("") is the working directory, so an empty outdir would write there.
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("STABTEST_OUTDIR", raising=False)
+    else:
+        monkeypatch.setenv("STABTEST_OUTDIR", env)
+    status, out, err = _run_main(["simulate", "--graph", "path:3", "--k", "1", "--adversary", "honest",
+                                  "--trials", "2", *flag])
+    assert (status, out, err) == (2, "", "error: an empty --outdir (or $STABTEST_OUTDIR) names no directory\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_reduce_prints_worked_example(capsys):
     rc = main(["reduce", "--graph", "path:3"])
     out = capsys.readouterr().out
